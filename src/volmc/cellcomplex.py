@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import IntegrityError, VolmcError
-from .firehex import WallField, trace_hex_base
+from .firehex import WallField, trace_hex, trace_hex_base
 from .octahedral import ROTATIONS, Transition, rotation_index
 
 _QUARTER_TOL = 0.25
@@ -118,10 +118,6 @@ class MotorcycleComplex:
     def wall_facet_set(self):
         return set(self.field.tagged)
 
-    def interior_wall_facet_set(self):
-        m = self.mesh
-        return {f for f in self.field.tagged if not m.facet_boundary[f]}
-
 
 def _tagged_at(mesh, field, e):
     return [f for f in mesh.edge_facets[e] if f in field.tagged]
@@ -166,9 +162,13 @@ def validate_field(mesh, field):
                 )
 
 
-def _is_wall_internal_edge(mesh, field, e):
+def _wall_neighbor(mesh, field, f, e):
+    """The facet continuing ``f``'s wall straight across edge ``e``, or None
+    when ``e`` is not interior to a wall."""
     tagged = _tagged_at(mesh, field, e)
-    return len(tagged) == 2 and mesh.straight_pair(e, tagged[0], tagged[1])
+    if len(tagged) != 2 or not mesh.straight_pair(e, tagged[0], tagged[1]):
+        return None
+    return tagged[0] if tagged[1] == f else tagged[1]
 
 
 def _wall_components(mesh, field):
@@ -184,11 +184,8 @@ def _wall_components(mesh, field):
             f = dq.popleft()
             comp.append(f)
             for e in mesh.facet_edges[f]:
-                if not _is_wall_internal_edge(mesh, field, e):
-                    continue
-                tagged = _tagged_at(mesh, field, e)
-                other = tagged[0] if tagged[1] == f else tagged[1]
-                if other not in comp_of:
+                other = _wall_neighbor(mesh, field, f, e)
+                if other is not None and other not in comp_of:
                     comp_of[other] = len(comps)
                     dq.append(other)
         comps.append(sorted(comp))
@@ -201,7 +198,7 @@ class _WallGeometry:
 
     __slots__ = (
         "annulus", "slit", "cells", "bbox", "boundary_segments",
-        "corner_vertices", "side_of_edge", "corner_coords", "vert2d",
+        "corner_vertices", "corner_coords",
     )
 
     def __init__(self):
@@ -211,21 +208,10 @@ class _WallGeometry:
         self.bbox = None
         self.boundary_segments = []  # (edge id, (p2d, q2d))
         self.corner_vertices = set()
-        self.side_of_edge = {}
         self.corner_coords = {}  # facet -> 2D coords per facet_corners slot
-        self.vert2d = {}  # boundary vertex -> 2D layout coordinate
 
 
 def _hex_wall_geometry(mesh, field, facets):
-    fset = set(facets)
-
-    def internal_neighbor(f, e):
-        if not _is_wall_internal_edge(mesh, field, e):
-            return None
-        tagged = _tagged_at(mesh, field, e)
-        other = tagged[0] if tagged[1] == f else tagged[1]
-        return other if other in fset else None
-
     seed = facets[0]
     place = {seed: ((0, 0), (1, 0), (1, 1), (0, 1))}
     geom = _WallGeometry()
@@ -239,7 +225,7 @@ def _hex_wall_geometry(mesh, field, facets):
         for k in range(4):
             va, vb = quad[k], quad[(k + 1) % 4]
             e = mesh.edge_id[(va, vb) if va < vb else (vb, va)]
-            f2 = internal_neighbor(f, e)
+            f2 = _wall_neighbor(mesh, field, f, e)
             if f2 is None:
                 continue
             a, b = co[k], co[(k + 1) % 4]
@@ -281,7 +267,7 @@ def _hex_wall_geometry(mesh, field, facets):
         for k in range(4):
             va, vb = quad[k], quad[(k + 1) % 4]
             e = mesh.edge_id[(va, vb) if va < vb else (vb, va)]
-            if internal_neighbor(f, e) is not None:
+            if _wall_neighbor(mesh, field, f, e) is not None:
                 continue
             pa, pb = co[k], co[(k + 1) % 4]
             if va > vb:
@@ -289,8 +275,6 @@ def _hex_wall_geometry(mesh, field, facets):
             # segment coords ordered by vertex id: first entry belongs to
             # the smaller of the edge's two vertex ids
             geom.boundary_segments.append((e, (pa, pb)))
-            geom.vert2d[va] = co[k]
-            geom.vert2d[vb] = co[(k + 1) % 4]
             horizontal = co[k][1] == co[(k + 1) % 4][1]
             for v in (va, vb):
                 seg_dirs.setdefault(v, set()).add(horizontal)
@@ -314,28 +298,20 @@ def _hex_wall_geometry(mesh, field, facets):
         # structure and are never candidates for removal.
         geom.slit = True
         return geom
+    bbox = (x0, x1 + 1, y0, y1 + 1)
+    if any(_segment_side(bbox, p, q) is None for _, (p, q) in geom.boundary_segments):
+        geom.slit = True
+        return geom
     geom.cells = cells
-    geom.bbox = (x0, x1 + 1, y0, y1 + 1)
-    for e, (p, q) in geom.boundary_segments:
-        if p[1] == q[1]:  # horizontal
-            side = 0 if p[1] == y0 else (2 if p[1] == y1 + 1 else None)
-        else:
-            side = 3 if p[0] == x0 else (1 if p[0] == x1 + 1 else None)
-        if side is None:
-            geom.slit = True
-            geom.cells = None
-            geom.bbox = None
-            geom.side_of_edge = {}
-            return geom
-        geom.side_of_edge[e] = side
+    geom.bbox = bbox
     return geom
 
 
 def _segment_side(bbox, p, q, tol=1e-6):
     """Side index 0..3 of a boundary segment of a rectangle wall layout,
-    from its coordinates; None for off-perimeter segments. Unlike the
-    per-edge side table this stays correct when an edge occurs on two
-    opposite sides (walls wrapping around a split torus)."""
+    from its coordinates; None for off-perimeter segments. Stays correct
+    when an edge occurs on two opposite sides (walls wrapping around a
+    split torus)."""
     x0, x1, y0, y1 = bbox
     if abs(p[1] - q[1]) <= tol:
         if abs(p[1] - y0) <= tol:
@@ -382,7 +358,7 @@ def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
     edge_walls = {}
     for e in range(mesh.n_edges):
         tagged = _tagged_at(mesh, field, e)
-        if not tagged or _is_wall_internal_edge(mesh, field, e):
+        if not tagged or _wall_neighbor(mesh, field, tagged[0], e) is not None:
             continue
         arc_edges.add(e)
         edge_walls[e] = frozenset(mc.wall_of[f] for f in tagged)
@@ -790,18 +766,24 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
         mc = extract_complex(mc.mesh, field)
 
 
-# -- base complex ------------------------------------------------------------
+# -- tracer dispatch and base complex ----------------------------------------
+
+
+def _trace(mesh, seed=None, base=False):
+    """(mesh, wall field) from the tracer matching the mesh kind. The
+    parametrization tracers refine a copy of the mesh and return it; the hex
+    tracers return ``mesh`` itself. ``base`` selects the conforming tracers,
+    whose fronts never stop at burnt terrain."""
+    if mesh.kind == "hex":
+        return mesh, (trace_hex_base if base else trace_hex)(mesh, seed)
+    from .fireparam import trace_param, trace_param_base
+
+    return (trace_param_base if base else trace_param)(mesh, seed)
 
 
 def base_complex(mesh, seed=None) -> MotorcycleComplex:
     """Conforming decomposition where walls never stop at other walls."""
-    if mesh.kind == "hex":
-        field = trace_hex_base(mesh, seed)
-    else:
-        from .fireparam import trace_param_base
-
-        mesh, field = trace_param_base(mesh, seed)
-    return extract_complex(mesh, field)
+    return extract_complex(*_trace(mesh, seed, base=True))
 
 
 # -- grid-block oracle (hex pipeline) ----------------------------------------

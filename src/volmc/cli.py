@@ -16,6 +16,7 @@ import click
 
 from . import statsrun
 from .cellcomplex import (
+    _trace,
     base_complex,
     check_grid_blocks,
     extract_complex,
@@ -23,8 +24,6 @@ from .cellcomplex import (
     split_tori,
 )
 from .errors import VolmcError
-from .firehex import trace_hex
-from .fireparam import trace_param
 from .meshio import export_walls, read_hex_mesh, read_param, write_hex_mesh, write_param
 from .quantize import build_ip, solve_quantization, extract_hexmesh
 from .sanitize import sanitize as sanitize_param
@@ -43,6 +42,11 @@ def _common(fn):
     return fn
 
 
+def _format(fn):
+    return click.option("--format", "fmt", type=click.Choice(["auto", "mesh", "vtk"]),
+                        default="auto", show_default=True, help="Input mesh format.")(fn)
+
+
 def _load(path, fmt):
     if path.endswith(".param"):
         return read_param(path)
@@ -50,11 +54,7 @@ def _load(path, fmt):
 
 
 def _build(mesh, seed, reduce_mode):
-    if getattr(mesh, "kind", "hex") == "tet":
-        mesh, field = trace_param(mesh, seed=seed)
-    else:
-        field = trace_hex(mesh, seed=seed)
-    mc = split_tori(extract_complex(mesh, field))
+    mc = split_tori(extract_complex(*_trace(mesh, seed)))
     raw_blocks = len(mc.blocks)
     if reduce_mode != "none":
         mc = reduce_complex(mc, mode=reduce_mode)
@@ -81,18 +81,13 @@ def main(log_level):
 @main.command("mc-hex")
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
 @_common
-@click.option("--format", "fmt", type=click.Choice(["auto", "mesh", "vtk"]),
-              default="auto", show_default=True, help="Input mesh format.")
+@_format
 @click.option("--output", type=click.Path(dir_okay=False),
               help="Write walls of the complex as OBJ.")
 def mc_hex(input, seed, reduce_mode, fmt, output):
     """Motorcycle complex of a hexahedral mesh."""
     mesh = read_hex_mesh(input, fmt=None if fmt == "auto" else fmt)
-    field = trace_hex(mesh, seed=seed)
-    mc = split_tori(extract_complex(mesh, field))
-    raw_blocks = len(mc.blocks)
-    if reduce_mode != "none":
-        mc = reduce_complex(mc, mode=reduce_mode)
+    mc, raw_blocks = _build(mesh, seed, reduce_mode)
     check_grid_blocks(mc)
     _summary(mc, raw_blocks)
     if output:
@@ -106,12 +101,7 @@ def mc_hex(input, seed, reduce_mode, fmt, output):
               help="Write walls of the complex as OBJ.")
 def mc_param(input, seed, reduce_mode, output):
     """Motorcycle complex of a seamless volume parametrization."""
-    pm = read_param(input)
-    pm, field = trace_param(pm, seed=seed)
-    mc = split_tori(extract_complex(pm, field))
-    raw_blocks = len(mc.blocks)
-    if reduce_mode != "none":
-        mc = reduce_complex(mc, mode=reduce_mode)
+    mc, raw_blocks = _build(read_param(input), seed, reduce_mode)
     _summary(mc, raw_blocks)
     if output:
         export_walls(mc, output)
@@ -135,8 +125,7 @@ def sanitize_cmd(input, output):
 @main.command("quantize")
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
 @_common
-@click.option("--format", "fmt", type=click.Choice(["auto", "mesh", "vtk"]),
-              default="auto", show_default=True, help="Input mesh format.")
+@_format
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="Target edge density factor s.")
 @click.option("--output", type=click.Path(dir_okay=False), required=True,
@@ -146,10 +135,7 @@ def sanitize_cmd(input, output):
 def quantize_cmd(input, seed, reduce_mode, fmt, scale, output, report):
     """Quantize arc lengths and extract a conforming hex mesh."""
     mesh = read_hex_mesh(input, fmt=None if fmt == "auto" else fmt)
-    field = trace_hex(mesh, seed=seed)
-    mc = split_tori(extract_complex(mesh, field))
-    if reduce_mode != "none":
-        mc = reduce_complex(mc, mode=reduce_mode)
+    mc, _ = _build(mesh, seed, reduce_mode)
     qp = build_ip(mc, scale)
     ell = solve_quantization(qp)
     out = extract_hexmesh(mc, ell)
@@ -166,8 +152,7 @@ def quantize_cmd(input, seed, reduce_mode, fmt, scale, output, report):
 @main.command("base-complex")
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["auto", "mesh", "vtk"]),
-              default="auto", show_default=True, help="Input mesh format.")
+@_format
 @click.option("--output", type=click.Path(dir_okay=False),
               help="Write walls of the base complex as OBJ.")
 def base_complex_cmd(input, seed, fmt, output):
@@ -204,8 +189,7 @@ def stats_cmd(corpus, seed, output, cache, jobs, timings):
 @main.command("export")
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
 @_common
-@click.option("--format", "fmt", type=click.Choice(["auto", "mesh", "vtk"]),
-              default="auto", show_default=True, help="Input mesh format.")
+@_format
 @click.option("--output", type=click.Path(dir_okay=False), required=True,
               help="Destination OBJ file.")
 @click.option("--explode", type=float, default=0.0, show_default=True,

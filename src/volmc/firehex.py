@@ -1,9 +1,19 @@
 """Brush-fire wall tracing on hexahedral meshes.
 
 Fire walls start at singular edges and spread facet-by-facet through the
-mesh along straight continuations, stopping where they would cross terrain
-that is already burnt. The tagged facet set, together with all boundary
-facets, forms the walls of the raw decomposition.
+mesh along straight continuations. The tagged facet set, together with all
+boundary facets, forms the walls of the decomposition.
+
+One engine, ``_burn``, runs the fire fronts; its three callers differ only
+in whether a front stops where it would cross terrain that is already burnt
+and in the order the sources are lit:
+
+- ``trace_hex``: all sources at once, fronts stop at burnt terrain (the
+  motorcycle complex);
+- ``trace_hex_sparse``: sources one at a time, each fire run to completion,
+  sources that are not ``necessary()`` at their turn skipped;
+- ``trace_hex_base``: all sources at once, fronts never stop (the
+  conforming base complex).
 """
 
 from __future__ import annotations
@@ -81,22 +91,22 @@ def _tag_boundary(mesh, field):
             field.tag(f, 0, None)
 
 
-def trace_hex(mesh, seed=None) -> WallField:
-    """Simultaneous brush fire: priority queue over (edge, facet, distance).
+def _burn(mesh, field, sources, stop_at_burnt):
+    """Run fire fronts from ``sources`` ((edge, facet) pairs) into ``field``.
 
     Entries are popped smallest distance first, FIFO among equal distances.
     Spreading pushes the straight continuation across every regular interior
-    edge of a freshly tagged facet. Boundary facets are tagged at the end.
+    edge of a freshly tagged facet. With ``stop_at_burnt`` an entry whose
+    edge is no longer alive() is dropped.
     """
-    field = WallField()
     heap = []
     seq = 0
-    for e, f in ignition_sources(mesh, seed):
+    for e, f in sources:
         heapq.heappush(heap, (0, seq, e, f, e))
         seq += 1
     while heap:
         d, _, e, f, origin = heapq.heappop(heap)
-        if f in field.tagged or not alive(mesh, field, e):
+        if f in field.tagged or (stop_at_burnt and not alive(mesh, field, e)):
             continue
         field.tag(f, d, origin)
         for e2 in field_spread_edges(mesh, f, e):
@@ -104,6 +114,13 @@ def trace_hex(mesh, seed=None) -> WallField:
             if f2 is not None and f2 not in field.tagged:
                 heapq.heappush(heap, (d + 1, seq, e2, f2, origin))
                 seq += 1
+
+
+def trace_hex(mesh, seed=None) -> WallField:
+    """Simultaneous brush fire from every ignition source; fronts stop at
+    burnt terrain. Boundary facets are tagged at the end."""
+    field = WallField()
+    _burn(mesh, field, ignition_sources(mesh, seed), stop_at_burnt=True)
     _tag_boundary(mesh, field)
     return field
 
@@ -155,18 +172,7 @@ def trace_hex_sparse(mesh, seed=None) -> WallField:
     for e, f in ignition_sources(mesh, seed):
         if f in field.tagged or not necessary(mesh, field, e, f):
             continue
-        heap = [(0, 0, e, f, e)]
-        seq = 1
-        while heap:
-            d, _, e1, f1, origin = heapq.heappop(heap)
-            if f1 in field.tagged or not alive(mesh, field, e1):
-                continue
-            field.tag(f1, d, origin)
-            for e2 in field_spread_edges(mesh, f1, e1):
-                f2 = mesh.opp_facet(e2, f1)
-                if f2 is not None and f2 not in field.tagged:
-                    heapq.heappush(heap, (d + 1, seq, e2, f2, origin))
-                    seq += 1
+        _burn(mesh, field, [(e, f)], stop_at_burnt=True)
     _tag_boundary(mesh, field)
     return field
 
@@ -176,20 +182,6 @@ def trace_hex_base(mesh, seed=None) -> WallField:
     edge without ever stopping at burnt terrain, so walls extend until the
     boundary or singularities. The result is conforming (no T-joints)."""
     field = WallField()
-    heap = []
-    seq = 0
-    for e, f in ignition_sources(mesh, seed):
-        heapq.heappush(heap, (0, seq, e, f, e))
-        seq += 1
-    while heap:
-        d, _, e, f, origin = heapq.heappop(heap)
-        if f in field.tagged:
-            continue
-        field.tag(f, d, origin)
-        for e2 in field_spread_edges(mesh, f, e):
-            f2 = mesh.opp_facet(e2, f)
-            if f2 is not None and f2 not in field.tagged:
-                heapq.heappush(heap, (d + 1, seq, e2, f2, origin))
-                seq += 1
+    _burn(mesh, field, ignition_sources(mesh, seed), stop_at_burnt=False)
     _tag_boundary(mesh, field)
     return field

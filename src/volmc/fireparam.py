@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 
 import numpy as np
 
+from .cellcomplex import _segment_side, _wall_neighbor, _WallGeometry
 from .errors import IntegrityError, MeshError
 from .firehex import WallField, alive
 from .octahedral import Transition
@@ -294,21 +296,7 @@ def _entry_direction(pm, forest, f, n, t_ref):
 def param_wall_geometry(mesh, field, facets):
     """Planar 2D layout of a wall made of iso-triangles: corner placement by
     chart transport, annulus detection, boundary segments and corners."""
-    from .cellcomplex import _WallGeometry
-
     geom = _WallGeometry()
-    fset = set(facets)
-
-    def tagged_at(e):
-        return [g for g in mesh.edge_facets[e] if g in field.tagged]
-
-    def internal_neighbor(f, e):
-        tg = tagged_at(e)
-        if len(tg) != 2 or not mesh.straight_pair(e, tg[0], tg[1]):
-            return None
-        other = tg[0] if tg[1] == f else tg[1]
-        return other if other in fset else None
-
     f0 = facets[0]
     t0 = mesh.anchor(f0)
     plane0 = mesh.facet_plane(f0, t0)
@@ -330,13 +318,11 @@ def param_wall_geometry(mesh, field, facets):
 
     trans = {f0: Transition()}
     place = {f0: corners_2d(f0, trans[f0])}
-    from collections import deque
-
     dq = deque([f0])
     while dq:
         f = dq.popleft()
         for e in mesh.facet_edges[f]:
-            g = internal_neighbor(f, e)
+            g = _wall_neighbor(mesh, field, f, e)
             if g is None:
                 continue
             tg = trans[f].compose(mesh.fan_transition(e, mesh.anchor(g), mesh.anchor(f)))
@@ -363,12 +349,10 @@ def param_wall_geometry(mesh, field, facets):
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             va, vb = key[i], key[j]
             e = mesh.edge_id[(va, vb) if va < vb else (vb, va)]
-            if internal_neighbor(f, e) is not None:
+            if _wall_neighbor(mesh, field, f, e) is not None:
                 continue
             p, q = co[i], co[j]
             geom.boundary_segments.append((e, (p, q)))
-            geom.vert2d[va] = p
-            geom.vert2d[vb] = q
             horizontal = abs(p[1] - q[1]) <= tol
             vertical = abs(p[0] - q[0]) <= tol
             if not horizontal and not vertical:
@@ -392,18 +376,11 @@ def param_wall_geometry(mesh, field, facets):
     if abs(area - (x1 - x0) * (y1 - y0)) > tol * max(1.0, area):
         geom.slit = True
         return geom
-    geom.bbox = (x0, x1, y0, y1)
-    for e, (p, q) in geom.boundary_segments:
-        if abs(p[1] - q[1]) <= tol:
-            side = 0 if abs(p[1] - y0) <= tol else (2 if abs(p[1] - y1) <= tol else None)
-        else:
-            side = 3 if abs(p[0] - x0) <= tol else (1 if abs(p[0] - x1) <= tol else None)
-        if side is None:
-            geom.slit = True
-            geom.bbox = None
-            geom.side_of_edge = {}
-            return geom
-        geom.side_of_edge[e] = side
+    bbox = (x0, x1, y0, y1)
+    if any(_segment_side(bbox, p, q) is None for _, (p, q) in geom.boundary_segments):
+        geom.slit = True
+        return geom
+    geom.bbox = bbox
     return geom
 
 

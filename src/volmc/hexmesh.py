@@ -178,7 +178,6 @@ class HexMesh:
         hexes = self.edge_hexes[e]
         hex_pair = {}  # hex -> its two facets at e
         for h in hexes:
-            fs = [f for f in self.hex_facets[h] if f in set(facets) and e in self.facet_edges[f]]
             fs = [f for f in self.hex_facets[h] if e in self.facet_edges[f]]
             if len(fs) != 2:
                 raise MeshError(f"hex {h} has {len(fs)} facets at edge {e}")
@@ -289,9 +288,6 @@ class HexMesh:
             return fan_f[(i + 2) % len(fan_f)]
         j = i + 2 if i == 0 else (i - 2 if i == len(fan_f) - 1 else None)
         return fan_f[j] if j is not None else None
-
-    def interior_facets_at_edge(self, e):
-        return [f for f in self.edge_facets[e] if not self.facet_boundary[f]]
 
     def singular_edges(self):
         return [e for e in range(self.n_edges) if self.classify_edge(e).singular]

@@ -29,10 +29,8 @@ class QuantizationProblem:
         self.s = float(s)
         self.rows = rows  # list of {arc id: integer coefficient}
         self.walls = walls  # wall ids the rows came from, parallel to rows
-
-    @property
-    def targets(self):
-        return {a: self.s * self.lengths[a] for a in self.arcs}
+        self.targets = {a: self.s * lengths[a] for a in arcs}  # arc id -> s * length
+        self.incumbent = None  # (objective, lengths) of a feasible point, set by build_ip
 
 
 def build_ip(mc, s) -> QuantizationProblem:
@@ -58,7 +56,8 @@ def build_ip(mc, s) -> QuantizationProblem:
                 rows.append(row)
                 row_walls.append(w.id)
     qp = QuantizationProblem(arcs, lengths, s, rows, row_walls)
-    if _first_feasible(qp) is None:
+    qp.incumbent = _first_feasible(qp)
+    if qp.incumbent is None:
         raise IntegrityError("quantization constraints are infeasible")
     return qp
 
@@ -173,21 +172,19 @@ def _first_feasible(qp):
 
 
 def solve_quantization(qp: QuantizationProblem) -> dict:
-    """Optimal integer arc lengths: a feasible incumbent bounds the search
-    box (any better solution has every |l_a - t_a| below the square root of
-    the incumbent objective), then an exact search runs inside that box."""
-    start = _first_feasible(qp)
-    if start is None:
-        raise IntegrityError("quantization constraints are infeasible")
-    obj0, sol0 = start
+    """Optimal integer arc lengths of a problem from build_ip: its feasible
+    incumbent bounds the search box (any better solution has every
+    |l_a - t_a| below the square root of the incumbent objective), then an
+    exact search runs inside that box."""
+    if qp.incumbent is None:
+        raise IntegrityError("quantization problem has no feasible point; build it with build_ip")
+    obj0, sol0 = qp.incumbent
     relax = _relaxed(qp)
     r = math.sqrt(obj0)
     targets = qp.targets
     lo = {a: max(1, int(math.ceil(targets[a] - r))) for a in qp.arcs}
     hi = {a: max(1, int(math.floor(targets[a] + r))) for a in qp.arcs}
-    obj, sol = _dfs(qp, lo, hi, relax, obj0 + 1e-12, sol0)
-    if sol is None:
-        obj, sol = obj0, sol0
+    _, sol = _dfs(qp, lo, hi, relax, obj0 + 1e-12, sol0)  # starts from a copy of sol0
     for row in qp.rows:
         if sum(c * sol[a] for a, c in row.items()) != 0:
             raise IntegrityError("quantization row violated by solver output")
@@ -640,7 +637,7 @@ def _build_wall_grids(mc, ell):
     return {w.id: _WallGrid(mc, w.id, ell) for w in mc.walls}
 
 
-def extract_hexmesh(mc, ell, maps=None) -> HexMesh:
+def extract_hexmesh(mc, ell) -> HexMesh:
     """Conforming hex mesh: an l x m x n unit grid per block, glued through
     canonical per-wall/per-arc grid keys so that shared walls (including
     T-joint sub-walls) carry identical grids from both sides."""

@@ -392,6 +392,7 @@ class CoreSystem:
     def __init__(self):
         self.var_index = {}  # (vertex, sector index) -> first of 3 columns
         self.rows = []  # dict: column -> integer coefficient
+        self.grid = None  # dyadic snapping grid of the free variables, set by solve_exact
 
     def var(self, key):
         if key not in self.var_index:
@@ -517,30 +518,38 @@ def _snap(x: float, grid: Fraction) -> Fraction:
     return round(Fraction(x) / grid) * grid
 
 
+def _back_substitute(reduced, pivots, vals):
+    """Fill the pivot variables of ``vals`` (free ones already set) from the
+    reduced rows of an augmented system, whose last column is the
+    right-hand side."""
+    n = len(vals)
+    for row, c in reversed(list(zip(reduced, pivots))):
+        acc = row[n]
+        for j in range(c + 1, n):
+            if row[j] != 0:
+                acc -= row[j] * vals[j]
+        vals[c] = acc
+    return vals
+
+
 def solve_exact(sys: CoreSystem, init) -> dict:
     """Exact solution of the homogeneous core system near ``init``.
 
     Free variables are snapped to a dyadic grid coarse enough that every
     implied variable evaluates to an exactly representable float; all rows
-    then hold with exact floating-point equality.
+    then hold with exact floating-point equality. The grid is stored as
+    ``sys.grid``.
     """
-    reduced, pivots = _rref(sys.rows, sys.n_cols)
+    n = sys.n_cols
+    reduced, pivots = _rref(sys.rows, n + 1)  # zero right-hand side column
     denom = 1
     for row in reduced:
         for x in row:
             denom = lcm(denom, x.denominator)
-    grid = Fraction(denom, 2 ** GRID_EXP)
-    vals = [None] * sys.n_cols
+    sys.grid = grid = Fraction(denom, 2 ** GRID_EXP)
     pivot_set = set(pivots)
-    for c in range(sys.n_cols):
-        if c not in pivot_set:
-            vals[c] = _snap(init.get(c, 0.0), grid)
-    for row, c in reversed(list(zip(reduced, pivots))):
-        acc = Fraction(0)
-        for j in range(c + 1, sys.n_cols):
-            if row[j] != 0:
-                acc -= row[j] * vals[j]
-        vals[c] = acc
+    vals = [None if c in pivot_set else _snap(init.get(c, 0.0), grid) for c in range(n)]
+    _back_substitute(reduced, pivots, vals)
     out = {}
     for c, x in enumerate(vals):
         f = float(x)
@@ -556,40 +565,11 @@ def solve_exact(sys: CoreSystem, init) -> dict:
 def _solve_local(rows, rhs, init, grid):
     """Exact 3-variable solve: pinned components from the constraint rows,
     remaining components snapped from ``init``."""
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(3):
-        sel = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        piv = mat[rank][col]
-        mat[rank] = [x / piv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                fac = mat[i][col]
-                mat[i] = [a - fac * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(mat)):
-        if any(x != 0 for x in mat[i][:3]) or mat[i][3] != 0:
-            raise IntegrityError("inconsistent local alignment/holonomy constraints")
-    vals = [None] * 3
-    pivot_set = set(pivots)
-    for c in range(3):
-        if c not in pivot_set:
-            vals[c] = _snap(init[c], grid)
-    for row, c in reversed(list(zip(mat[:rank], pivots))):
-        acc = row[3]
-        for j in range(c + 1, 3):
-            acc -= row[j] * vals[j]
-        vals[c] = acc
-    return vals
+    reduced, pivots = _rref([dict(enumerate(r + [b])) for r, b in zip(rows, rhs)], 4)
+    if 3 in pivots:  # a row reduced to 0 = nonzero
+        raise IntegrityError("inconsistent local alignment/holonomy constraints")
+    vals = [None if c in pivots else _snap(init[c], grid) for c in range(3)]
+    return _back_substitute(reduced, pivots, vals)
 
 
 def propagate(cs: CutStructure, node_values, grid=None) -> ParamTetMesh:
@@ -764,12 +744,7 @@ def sanitize(pm: ParamTetMesh) -> ParamTetMesh:
         node_values[(v, sidx)] = (sol[col], sol[col + 1], sol[col + 2])
     # nodes may have sectors that carry no variable (unconstrained); give
     # them snapped init values so propagation sees every node sector
-    denom = 1
-    reduced, _ = _rref(sys.rows, sys.n_cols)
-    for row in reduced:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    grid = Fraction(denom, 2 ** GRID_EXP)
+    grid = sys.grid
     for v in sorted(cs.nodes):
         for sidx, sec in enumerate(cs.sectors(v)):
             if (v, sidx) not in node_values:

@@ -16,14 +16,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .cellcomplex import (
+    _trace,
     base_complex,
     classify_block,
     extract_complex,
     reduce_complex,
     split_tori,
 )
-from .firehex import trace_hex
-from .fireparam import trace_param
 from .meshio import read_hex_mesh, read_param
 
 COLUMNS = [
@@ -42,15 +41,12 @@ def model_stats(path, seed=0) -> dict:
     if path.endswith(".param"):
         mesh = read_param(path)
         row["tets"] = len(mesh.tets)
-        t0 = time.perf_counter()
-        mesh, field = trace_param(mesh, seed=seed)
-        t1 = time.perf_counter()
     else:
         mesh = read_hex_mesh(path)
         row["hexes"] = len(mesh.hexes)
-        t0 = time.perf_counter()
-        field = trace_hex(mesh, seed=seed)
-        t1 = time.perf_counter()
+    t0 = time.perf_counter()
+    mesh, field = _trace(mesh, seed)
+    t1 = time.perf_counter()
     raw = extract_complex(mesh, field)
     n_tori = sum(not classify_block(raw, b.id).cuboid for b in raw.blocks)
     mc = split_tori(raw)

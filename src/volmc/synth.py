@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from .errors import MeshError
 from .hexmesh import HexMesh, build_hex_connectivity
 
@@ -199,14 +197,3 @@ def random_glued_cubes(seed, n_cells=60) -> HexMesh:
             continue
     raise MeshError(f"could not grow a manifold blob for seed {seed}")
 
-
-def hex_volumes(mesh: HexMesh) -> np.ndarray:
-    """Approximate signed volume per hex (trilinear Jacobian at the center)."""
-    out = np.zeros(len(mesh.hexes))
-    for i, h in enumerate(mesh.hexes):
-        p = mesh.positions[h]
-        du = (p[1] + p[2] + p[5] + p[6] - p[0] - p[3] - p[4] - p[7]) / 4.0
-        dv = (p[2] + p[3] + p[6] + p[7] - p[0] - p[1] - p[4] - p[5]) / 4.0
-        dw = (p[4] + p[5] + p[6] + p[7] - p[0] - p[1] - p[2] - p[3]) / 4.0
-        out[i] = np.linalg.det(np.column_stack([du, dv, dw]))
-    return out

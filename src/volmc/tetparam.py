@@ -327,9 +327,6 @@ class ParamTetMesh:
             if self.edge_live[e] and self.classify_edge(e).singular
         ]
 
-    def interior_facets_at_edge(self, e):
-        return [f for f in self.edge_facets[e] if not self.facet_boundary[f]]
-
     def edge_param_length(self, e) -> float:
         va, vb = self.edge_keys[e]
         t = self.edge_cells[e][0]
