@@ -123,24 +123,32 @@ def _tagged_at(mesh, field, e):
     return [f for f in mesh.edge_facets[e] if f in field.tagged]
 
 
+def _gap(mesh, field, fan, e, i, step):
+    """Walk from tagged facet ``fan.facets[i]`` in direction ``step`` (±1) to
+    the next tagged facet: (quarter turns swept, first cell crossed), or None
+    if the walk runs off the end of an open fan."""
+    side = 0 if step == 1 else -1  # fan.cell(j + side) lies beyond facet j
+    first = cell = fan.cell(i + side)
+    q = 0.0
+    j = i
+    while cell is not None:
+        q += mesh.cell_angle_quarters(cell, e)
+        j += step
+        if fan.facet(j) in field.tagged:
+            return q, first
+        cell = fan.cell(j + side)
+    return None
+
+
 def _fan_gaps(mesh, field, e):
     """Cell gaps (in quarter turns) between consecutive tagged facets in the
     fan around edge ``e``. Requires at least one tagged facet at ``e``."""
-    facets, cells, closed = mesh.edge_fan(e)
-    tag_idx = [i for i, f in enumerate(facets) if f in field.tagged]
+    fan = mesh.edge_fan(e)
+    tag_idx = [i for i, f in enumerate(fan.facets) if f in field.tagged]
     if not tag_idx:
         raise IntegrityError(f"no tagged facet at edge {e}")
-    gaps = []
-    if closed:
-        n = len(facets)
-        for a, b in zip(tag_idx, tag_idx[1:] + [tag_idx[0] + n]):
-            q = sum(mesh.cell_angle_quarters(cells[j % n], e) for j in range(a, b))
-            gaps.append(q)
-    else:
-        for a, b in zip(tag_idx, tag_idx[1:]):
-            q = sum(mesh.cell_angle_quarters(cells[j], e) for j in range(a, b))
-            gaps.append(q)
-    return gaps
+    gaps = (_gap(mesh, field, fan, e, i, 1) for i in tag_idx)
+    return [g[0] for g in gaps if g is not None]
 
 
 def validate_field(mesh, field):
@@ -166,7 +174,11 @@ def _wall_neighbor(mesh, field, f, e):
     """The facet continuing ``f``'s wall straight across edge ``e``, or None
     when ``e`` is not interior to a wall."""
     tagged = _tagged_at(mesh, field, e)
-    if len(tagged) != 2 or not mesh.straight_pair(e, tagged[0], tagged[1]):
+    if (
+        len(tagged) != 2
+        or mesh.classify_edge(e).singular
+        or mesh.opp_facet(e, tagged[0]) != tagged[1]
+    ):
         return None
     return tagged[0] if tagged[1] == f else tagged[1]
 
@@ -667,48 +679,17 @@ def _wall_side_gaps(mc, w, e):
     """At perimeter edge ``e`` of wall ``w``: the two cell gaps flanking the
     wall's facet, as (quarters, block id) pairs; None if ambiguous."""
     mesh, field = mc.mesh, mc.field
-    facets, cells, closed = mesh.edge_fan(e)
-    wf = [i for i, f in enumerate(facets) if f in field.tagged and mc.wall_of.get(f) == w.id]
+    fan = mesh.edge_fan(e)
+    wf = [i for i, f in enumerate(fan.facets) if f in field.tagged and mc.wall_of.get(f) == w.id]
     if len(wf) != 1:
         return None
-    i = wf[0]
-    n = len(cells)
     out = []
-    if closed:
-        m = len(facets)
-        # forward: cells[i], facets[i+1], ...
-        for step in (1, -1):
-            q = 0.0
-            j = i
-            first_cell = None
-            while True:
-                cj = j % m if step == 1 else (j - 1) % m
-                cell = cells[cj]
-                if first_cell is None:
-                    first_cell = cell
-                q += mesh.cell_angle_quarters(cell, e)
-                j += step
-                if facets[j % m] in field.tagged:
-                    break
-            out.append((q, mc.block_of[first_cell]))
-    else:
-        # open fan: cells[i-1] | facets[i] | cells[i]
-        for step in (1, -1):
-            q = 0.0
-            j = i
-            first_cell = None
-            while True:
-                cj = j if step == 1 else j - 1
-                if cj < 0 or cj >= n:
-                    return None
-                cell = cells[cj]
-                if first_cell is None:
-                    first_cell = cell
-                q += mesh.cell_angle_quarters(cell, e)
-                j += step
-                if facets[j] in field.tagged:
-                    break
-            out.append((q, mc.block_of[first_cell]))
+    for step in (1, -1):
+        gap = _gap(mesh, field, fan, e, wf[0], step)
+        if gap is None:
+            return None
+        q, first_cell = gap
+        out.append((q, mc.block_of[first_cell]))
     return out
 
 
@@ -801,7 +782,6 @@ def grid_block_coords(mesh, field, cells):
     seed = min(cells)
     trans = {seed: Transition(t=(0, 0, 0))}
     dq = deque([seed])
-    pos = {}
     while dq:
         c = dq.popleft()
         for f in sorted(mesh.cell_facets[c]):
@@ -819,17 +799,18 @@ def grid_block_coords(mesh, field, cells):
                 else:
                     trans[c2] = t2
                     dq.append(c2)
+    pos = set()  # grid cells taken
     for c, t in trans.items():
         a = t.apply((0, 0, 0))
         b = t.apply((1, 1, 1))
         p = tuple(int(round(min(x, y))) for x, y in zip(a, b))
-        if p in pos.values():
+        if p in pos:
             raise IntegrityError("two hexes map to the same grid cell")
-        pos[c] = p
+        pos.add(p)
     if len(pos) != len(cells):
         raise IntegrityError("block flood fill did not reach all cells")
-    lo = [min(p[i] for p in pos.values()) for i in range(3)]
-    hi = [max(p[i] for p in pos.values()) for i in range(3)]
+    lo = [min(p[i] for p in pos) for i in range(3)]
+    hi = [max(p[i] for p in pos) for i in range(3)]
     dims = tuple(hi[i] - lo[i] + 1 for i in range(3))
     if dims[0] * dims[1] * dims[2] != len(cells):
         raise IntegrityError(f"block cells do not fill a {dims} grid")

@@ -145,16 +145,11 @@ def necessary(mesh, field: WallField, e, f) -> bool:
     f+1 are burnt but f-1 is not. Facet positions that do not exist in an
     open boundary fan count as unburnt.
     """
-    fan_f, _, closed = mesh.edge_fan(e)
-    i = fan_f.index(f)
-    n = len(fan_f)
+    fan = mesh.edge_fan(e)
+    i = fan.facets.index(f)
 
     def burnt(j):
-        if closed:
-            return fan_f[j % n] in field.tagged
-        if j < 0 or j >= n:
-            return False
-        return fan_f[j] in field.tagged
+        return fan.facet(j) in field.tagged
 
     if not burnt(i - 1) and not burnt(i + 1):
         return True

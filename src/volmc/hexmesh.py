@@ -10,6 +10,8 @@ lexicographically by their (sorted) vertex id tuples before numbering.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import MeshError
@@ -65,6 +67,80 @@ class EdgeClass:
         kind = "Singular" if self.singular else "Regular"
         side = "boundary" if self.boundary else "interior"
         return f"EdgeClass({kind}, k={self.k}, {side})"
+
+
+class Fan(NamedTuple):
+    """Alternating facet/cell fan around an edge.
+
+    ``facets[i]`` lies between ``cells[i-1]`` and ``cells[i]``. A closed
+    (interior) fan has as many facets as cells and its indices wrap around.
+    An open (boundary) fan has one more facet than cells; it starts and ends
+    with the edge's two boundary facets.
+    """
+
+    facets: list
+    cells: list
+    closed: bool
+
+    # The two accessors are written out rather than sharing a helper: they
+    # sit in the innermost loops of tracing and reduction.
+
+    def facet(self, i):
+        """``facets[i]``, wrapping on a closed fan; None past the ends of an open fan."""
+        facets = self.facets
+        if self.closed:
+            return facets[i % len(facets)]
+        return facets[i] if 0 <= i < len(facets) else None
+
+    def cell(self, i):
+        """``cells[i]``, wrapping on a closed fan; None past the ends of an open fan."""
+        cells = self.cells
+        if self.closed:
+            return cells[i % len(cells)]
+        return cells[i] if 0 <= i < len(cells) else None
+
+
+def build_fan(mesh, e) -> Fan:
+    """The fan around edge ``e`` of a hex or tet mesh; raises MeshError when
+    the cells around ``e`` do not form one manifold fan."""
+    facets = mesh.edge_facets[e]
+    cells = mesh.edge_cells[e]
+    pair = {}  # cell -> its two facets at e
+    for c in cells:
+        fs = [f for f in mesh.cell_facets[c] if e in mesh.facet_edges[f]]
+        if len(fs) != 2:
+            raise MeshError(f"{mesh.kind} {c} has {len(fs)} facets at edge {e}")
+        pair[c] = fs
+    boundary = [f for f in facets if mesh.facet_boundary[f]]
+    if boundary:
+        if len(boundary) != 2:
+            raise MeshError(
+                f"non-manifold boundary edge {e}: {len(boundary)} boundary facets"
+            )
+        start = min(boundary)
+    else:
+        start = facets[0]
+    fan_f, fan_c = [start], []
+    seen = set()
+    f = start
+    while True:
+        nxt = [c for c in mesh.facet_cells[f] if c not in seen]
+        if not nxt:
+            break
+        c = nxt[0]
+        seen.add(c)
+        fan_c.append(c)
+        a, b = pair[c]
+        f = b if a == f else a
+        fan_f.append(f)
+    closed = not boundary
+    if closed:
+        if fan_f[-1] != start or len(fan_c) != len(cells):
+            raise MeshError(f"edge {e} has a non-manifold (split) fan")
+        fan_f = fan_f[:-1]
+    elif len(fan_c) != len(cells) or len(fan_f) != len(facets):
+        raise MeshError(f"boundary edge {e} has a non-manifold (split) fan")
+    return Fan(fan_f, fan_c, closed)
 
 
 class HexMesh:
@@ -152,10 +228,6 @@ class HexMesh:
         self.edge_boundary = np.zeros(self.n_edges, dtype=bool)
         for e in range(self.n_edges):
             self.edge_boundary[e] = any(self.facet_boundary[f] for f in self.edge_facets[e])
-        self.vertex_boundary = np.zeros(self.n_vertices, dtype=bool)
-        for f in np.nonzero(self.facet_boundary)[0]:
-            for v in self.facet_keys[f]:
-                self.vertex_boundary[v] = True
 
         # Local corner coordinates per (hex, vertex).
         self._local = [
@@ -168,51 +240,7 @@ class HexMesh:
             for v in h:
                 self.vertex_cells[int(v)].append(hi)
 
-        self._fans = {}
-        for e in range(self.n_edges):
-            self._fans[e] = self._build_fan(e)
-
-    def _build_fan(self, e):
-        """Cyclic (interior) or open (boundary) alternating facet/hex fan around edge e."""
-        facets = self.edge_facets[e]
-        hexes = self.edge_hexes[e]
-        hex_pair = {}  # hex -> its two facets at e
-        for h in hexes:
-            fs = [f for f in self.hex_facets[h] if e in self.facet_edges[f]]
-            if len(fs) != 2:
-                raise MeshError(f"hex {h} has {len(fs)} facets at edge {e}")
-            hex_pair[h] = fs
-        boundary_facets = [f for f in facets if self.facet_boundary[f]]
-        if boundary_facets:
-            if len(boundary_facets) != 2:
-                raise MeshError(
-                    f"non-manifold boundary edge {e}: {len(boundary_facets)} boundary facets"
-                )
-            start = min(boundary_facets)
-        else:
-            start = facets[0]
-        fan_f, fan_h = [start], []
-        visited_h = set()
-        f = start
-        while True:
-            nxt = [h for h in self.facet_hexes[f] if h not in visited_h]
-            if not nxt:
-                break
-            h = nxt[0]
-            visited_h.add(h)
-            fan_h.append(h)
-            a, b = hex_pair[h]
-            f = b if a == f else a
-            fan_f.append(f)
-        closed = not boundary_facets
-        if closed:
-            if fan_f[-1] != start or len(fan_h) != len(hexes):
-                raise MeshError(f"edge {e} has a non-manifold (split) fan")
-            fan_f = fan_f[:-1]
-        else:
-            if len(fan_h) != len(hexes) or len(fan_f) != len(facets):
-                raise MeshError(f"boundary edge {e} has a non-manifold (split) fan")
-        return fan_f, fan_h, closed
+        self._fans = [build_fan(self, e) for e in range(self.n_edges)]
 
     # -- generic cell-mesh interface ----------------------------------------
     # Shared with the refined tetrahedral mesh so complex extraction and
@@ -232,18 +260,15 @@ class HexMesh:
     def cell_facets(self):
         return self.hex_facets
 
+    @property
+    def edge_cells(self):
+        return self.edge_hexes
+
     def facet_vertices(self, f):
         return self.facet_keys[f]
 
     def cell_vertices(self, c):
         return [int(v) for v in self.hexes[c]]
-
-    def straight_pair(self, e, f1, f2) -> bool:
-        """Whether tagged facets f1, f2 continue straight through each other
-        across edge ``e`` (undefined, hence False, at singular edges)."""
-        if self.classify_edge(e).singular:
-            return False
-        return self.opp_facet(e, f1) == f2
 
     def edge_param_length(self, e) -> float:
         return 1.0
@@ -258,13 +283,8 @@ class HexMesh:
 
     # -- queries ------------------------------------------------------------
 
-    def edge_fan(self, e):
-        """Return (facets, hexes, closed): alternating fan around edge ``e``.
-
-        For a closed fan, facets[i] lies between hexes[i-1] and hexes[i].
-        For an open (boundary) fan, facets has one more entry than hexes and
-        starts/ends with the two boundary facets.
-        """
+    def edge_fan(self, e) -> Fan:
+        """The :class:`Fan` of facets and hexes around edge ``e``."""
         return self._fans[e]
 
     def edge_valence(self, e) -> int:
@@ -282,12 +302,10 @@ class HexMesh:
         cls = self.classify_edge(e)
         if cls.singular:
             raise MeshError(f"opp_facet undefined: edge {e} is singular")
-        fan_f, _, closed = self._fans[e]
-        i = fan_f.index(f)
-        if closed:
-            return fan_f[(i + 2) % len(fan_f)]
-        j = i + 2 if i == 0 else (i - 2 if i == len(fan_f) - 1 else None)
-        return fan_f[j] if j is not None else None
+        fan = self._fans[e]
+        i = fan.facets.index(f)
+        g = fan.facet(i + 2)
+        return fan.facet(i - 2) if g is None else g
 
     def singular_edges(self):
         return [e for e in range(self.n_edges) if self.classify_edge(e).singular]
@@ -298,13 +316,6 @@ class HexMesh:
 
     def hex_face_index(self, h, f):
         return self.hex_facets[h].index(f)
-
-    def facet_neighbor(self, f, h):
-        """The hex across facet ``f`` from hex ``h``; None on the boundary."""
-        hs = self.facet_hexes[f]
-        if len(hs) == 1:
-            return None
-        return hs[1] if hs[0] == h else hs[0]
 
     def face_gluing(self, h, f, h2) -> Transition:
         """Integer chart transition from hex ``h``'s unit cube to hex ``h2``'s.

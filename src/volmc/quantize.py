@@ -30,6 +30,7 @@ class QuantizationProblem:
         self.rows = rows  # list of {arc id: integer coefficient}
         self.walls = walls  # wall ids the rows came from, parallel to rows
         self.targets = {a: self.s * lengths[a] for a in arcs}  # arc id -> s * length
+        self.relaxed = None  # arc id -> relaxed (real) length, set by build_ip
         self.incumbent = None  # (objective, lengths) of a feasible point, set by build_ip
 
 
@@ -56,6 +57,7 @@ def build_ip(mc, s) -> QuantizationProblem:
                 rows.append(row)
                 row_walls.append(w.id)
     qp = QuantizationProblem(arcs, lengths, s, rows, row_walls)
+    qp.relaxed = _relaxed(qp)
     qp.incumbent = _first_feasible(qp)
     if qp.incumbent is None:
         raise IntegrityError("quantization constraints are infeasible")
@@ -79,7 +81,7 @@ def _relaxed(qp):
     return dict(zip(qp.arcs, x))
 
 
-def _dfs(qp, lo, hi, relax, best_obj, best_sol, first_only=False):
+def _dfs(qp, lo, hi, best_obj, best_sol, first_only=False):
     """Exact search over the integer box with constraint propagation.
 
     Rows with a single unassigned variable force it; otherwise the most
@@ -87,6 +89,7 @@ def _dfs(qp, lo, hi, relax, best_obj, best_sol, first_only=False):
     relaxed solution. Returns (objective, assignment) of the best leaf."""
     arcs = qp.arcs
     targets = qp.targets
+    relaxed = qp.relaxed
     mincost = {
         a: 0.0
         if lo[a] <= targets[a] <= hi[a]
@@ -115,7 +118,7 @@ def _dfs(qp, lo, hi, relax, best_obj, best_sol, first_only=False):
                 return a, (None if val is None else [val]), r
         free = [a for a in arcs if a not in assign]
         a = max(free, key=lambda x: (len(arc_rows[x]), -x))
-        vals = sorted(range(lo[a], hi[a] + 1), key=lambda v: (abs(v - relax[a]), v))
+        vals = sorted(range(lo[a], hi[a] + 1), key=lambda v: (abs(v - relaxed[a]), v))
         return a, vals, None
 
     def rec(partial):
@@ -159,12 +162,11 @@ def _dfs(qp, lo, hi, relax, best_obj, best_sol, first_only=False):
 
 
 def _first_feasible(qp):
-    relax = _relaxed(qp)
     u0 = max(3, int(math.ceil(2 * max([1.0] + list(qp.targets.values())))) + 2)
     for _ in range(10):
         lo = {a: 1 for a in qp.arcs}
         hi = {a: u0 for a in qp.arcs}
-        obj, sol = _dfs(qp, lo, hi, relax, None, None, first_only=True)
+        obj, sol = _dfs(qp, lo, hi, None, None, first_only=True)
         if sol is not None:
             return obj, sol
         u0 *= 2
@@ -179,12 +181,11 @@ def solve_quantization(qp: QuantizationProblem) -> dict:
     if qp.incumbent is None:
         raise IntegrityError("quantization problem has no feasible point; build it with build_ip")
     obj0, sol0 = qp.incumbent
-    relax = _relaxed(qp)
     r = math.sqrt(obj0)
     targets = qp.targets
     lo = {a: max(1, int(math.ceil(targets[a] - r))) for a in qp.arcs}
     hi = {a: max(1, int(math.floor(targets[a] + r))) for a in qp.arcs}
-    _, sol = _dfs(qp, lo, hi, relax, obj0 + 1e-12, sol0)  # starts from a copy of sol0
+    _, sol = _dfs(qp, lo, hi, obj0 + 1e-12, sol0)  # starts from a copy of sol0
     for row in qp.rows:
         if sum(c * sol[a] for a, c in row.items()) != 0:
             raise IntegrityError("quantization row violated by solver output")

@@ -146,38 +146,13 @@ def _minus_side(pm, e, f, minus_t, g):
     """Tet of ``g`` lying on the same sheet side as tet ``minus_t`` of ``f``.
 
     ``f`` and ``g`` are the only two cut facets in the fan of ``e``; together
-    they cut the fan into arcs. Walking from ``minus_t`` away from ``f``
-    either reaches ``g`` directly, or (open fans) reaches the boundary, in
-    which case the matching side of ``g`` is the one approached from the
-    opposite boundary end."""
-    fan_f, fan_t, closed = pm.edge_fan(e)
-    n = len(fan_t)
-    fi = fan_f.index(f)
-    if closed:
-        if minus_t == fan_t[fi % n]:
-            j = fi
-            while fan_f[(j + 1) % n] != g:
-                j += 1
-            return fan_t[j % n]
-        j = fi - 1
-        while fan_f[j % n] != g:
-            j -= 1
-        return fan_t[j % n]
-    if minus_t == fan_t[fi]:
-        for j in range(fi, n):
-            if j + 1 <= n and fan_f[j + 1] == g:
-                return fan_t[j]
-        for j in range(0, fi):
-            if fan_f[j + 1] == g:
-                return fan_t[j]
-    else:
-        for j in range(fi - 1, -1, -1):
-            if fan_f[j] == g:
-                return fan_t[j]
-        for j in range(n - 1, fi, -1):
-            if fan_f[j] == g:
-                return fan_t[j]
-    raise IntegrityError(f"could not orient sheet across edge {e}")
+    they cut the fan into two arcs, and the tet of ``g`` on ``minus_t``'s arc
+    is the answer. The fan is closed: ``e`` is not a cut edge, and
+    detect_cut_structure makes every boundary edge that carries a cut facet a
+    cut edge."""
+    fan = pm.edge_fan(e)
+    fi, gi = fan.facets.index(f), fan.facets.index(g)
+    return fan.cell(gi - 1) if minus_t == fan.cell(fi) else fan.cell(gi)
 
 
 def detect_cut_structure(pm: ParamTetMesh) -> CutStructure:

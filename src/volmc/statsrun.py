@@ -14,6 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from .cellcomplex import (
     _trace,
@@ -23,6 +24,7 @@ from .cellcomplex import (
     reduce_complex,
     split_tori,
 )
+from .errors import VolmcError
 from .meshio import read_hex_mesh, read_param
 
 COLUMNS = [
@@ -73,14 +75,16 @@ def model_stats(path, seed=0) -> dict:
 
 
 def _one(args):
+    """(row, cacheable): only rows of a success or a VolmcError are cached;
+    any other error may be a fault of the program rather than of the file."""
     path, seed = args
     try:
-        return model_stats(path, seed=seed)
+        return model_stats(path, seed=seed), True
     except Exception as exc:  # error rows, never abort the sweep
         row = {c: "" for c in COLUMNS}
         row["model"] = os.path.splitext(os.path.basename(path))[0]
         row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
+        return row, isinstance(exc, VolmcError)
 
 
 def _content_hash(path, seed):
@@ -89,6 +93,15 @@ def _content_hash(path, seed):
         h.update(fh.read())
     h.update(f"seed={seed}".encode())
     return h.hexdigest()
+
+
+def _write_cache(cache_path, cache):
+    """Replace the cache file atomically, so an interrupted sweep keeps every
+    model finished before the interruption."""
+    tmp = cache_path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(cache, fh, indent=1, sort_keys=True)
+    os.replace(tmp, cache_path)
 
 
 def run_stats(corpus_dir, seed=0, jobs=1, cache_path=None):
@@ -110,18 +123,14 @@ def run_stats(corpus_dir, seed=0, jobs=1, cache_path=None):
             rows.append((p, cache[key]))
         else:
             todo.append((p, key))
-    if todo:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                done = list(pool.map(_one, [(p, seed) for p, _ in todo]))
-        else:
-            done = [_one((p, seed)) for p, _ in todo]
-        for (p, key), row in zip(todo, done):
-            cache[key] = row
+    args = [(p, seed) for p, _ in todo]
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and todo else nullcontext() as pool:
+        done = pool.map(_one, args) if pool else map(_one, args)
+        for (p, key), (row, cacheable) in zip(todo, done):
             rows.append((p, row))
-    if cache_path:
-        with open(cache_path, "w") as fh:
-            json.dump(cache, fh, indent=1, sort_keys=True)
+            if cacheable and cache_path:
+                cache[key] = row
+                _write_cache(cache_path, cache)
     return [row for _, row in sorted(rows)]
 
 

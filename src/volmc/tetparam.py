@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import MeshError, NotSeamlessError
-from .hexmesh import EdgeClass, HexMesh
+from .hexmesh import EdgeClass, Fan, HexMesh, build_fan
 from .octahedral import ROTATIONS, Transition, fit_rotation
 
 # Facets whose parameter image is constant in one coordinate within this
@@ -225,49 +225,10 @@ class ParamTetMesh:
 
     # -- fans and edge classification ----------------------------------------
 
-    def _build_fan(self, e):
-        facets = self.edge_facets[e]
-        cells = self.edge_cells[e]
-        pair = {}
-        for t in cells:
-            fs = [f for f in self.cell_facets[t] if e in self.facet_edges[f]]
-            if len(fs) != 2:
-                raise MeshError(f"tet {t} has {len(fs)} facets at edge {e}")
-            pair[t] = fs
-        boundary = [f for f in facets if self.facet_boundary[f]]
-        if boundary:
-            if len(boundary) != 2:
-                raise MeshError(
-                    f"non-manifold boundary edge {e}: {len(boundary)} boundary facets"
-                )
-            start = min(boundary)
-        else:
-            start = facets[0]
-        fan_f, fan_t = [start], []
-        seen = set()
-        f = start
-        while True:
-            nxt = [t for t in self.facet_cells[f] if t in pair and t not in seen]
-            if not nxt:
-                break
-            t = nxt[0]
-            seen.add(t)
-            fan_t.append(t)
-            a, b = pair[t]
-            f = b if a == f else a
-            fan_f.append(f)
-        closed = not boundary
-        if closed:
-            if fan_f[-1] != start or len(fan_t) != len(cells):
-                raise MeshError(f"edge {e} has a non-manifold (split) fan")
-            fan_f = fan_f[:-1]
-        elif len(fan_t) != len(cells) or len(fan_f) != len(facets):
-            raise MeshError(f"boundary edge {e} has a non-manifold (split) fan")
-        return fan_f, fan_t, closed
-
-    def edge_fan(self, e):
+    def edge_fan(self, e) -> Fan:
+        """The :class:`Fan` of facets and tets around edge ``e``, built on first use."""
         if e not in self._fans:
-            self._fans[e] = self._build_fan(e)
+            self._fans[e] = build_fan(self, e)
         return self._fans[e]
 
     def dihedral_quarters(self, t, e) -> float:
@@ -375,33 +336,17 @@ class ParamTetMesh:
         fan of edge ``e`` (path-independent across regular edges)."""
         if t_from == t_to:
             return Transition()
-        fan_f, fan_t, closed = self.edge_fan(e)
-        i, j = fan_t.index(t_from), fan_t.index(t_to)
-        n = len(fan_t)
-
-        def compose(step):
-            tr = Transition()
-            k = i
-            t = t_from
-            while t != t_to:
-                if step == 1:
-                    g = fan_f[(k + 1) % len(fan_f)] if closed else fan_f[k + 1]
-                    k2 = (k + 1) % n if closed else k + 1
-                else:
-                    g = fan_f[k % len(fan_f)] if closed else fan_f[k]
-                    k2 = (k - 1) % n if closed else k - 1
-                if not closed and not 0 <= k2 < n:
-                    return None
-                t2 = fan_t[k2]
-                tr = self.cell_gluing(t, g, t2).compose(tr)
-                t, k = t2, k2
-            return tr
-
-        tr = compose(1)
-        if tr is None:
-            tr = compose(-1)
-        if tr is None:
-            raise MeshError(f"no fan path between tets {t_from} and {t_to} at edge {e}")
+        fan = self.edge_fan(e)
+        i, j = fan.cells.index(t_from), fan.cells.index(t_to)
+        step = 1 if fan.closed or j > i else -1
+        tr = Transition()
+        t, k = t_from, i
+        while t != t_to:
+            g = fan.facet(k + 1 if step == 1 else k)
+            k += step
+            t2 = fan.cell(k)
+            tr = self.cell_gluing(t, g, t2).compose(tr)
+            t = t2
         return tr
 
     def opp_facet(self, e, f):
@@ -410,15 +355,12 @@ class ParamTetMesh:
         cls = self.classify_edge(e)
         if cls.singular:
             raise MeshError(f"opp_facet undefined: edge {e} is singular")
-        fan_f, fan_t, closed = self.edge_fan(e)
-        i = fan_f.index(f)
+        fan = self.edge_fan(e)
+        i = fan.facets.index(f)
 
         def walk(step):
-            # chart convention: facet fan_f[j] sits between fan_t[j-1] and fan_t[j]
-            if step == 1:
-                t = fan_t[i % len(fan_t)] if closed else (fan_t[i] if i < len(fan_t) else None)
-            else:
-                t = fan_t[(i - 1) % len(fan_t)] if closed else (fan_t[i - 1] if i > 0 else None)
+            side = 0 if step == 1 else -1  # fan.cell(j + side) lies beyond facet j
+            t = fan.cell(i + side)
             if t is None:
                 return None
             plane = self.facet_plane(f, t)
@@ -427,21 +369,13 @@ class ParamTetMesh:
             j = i
             while True:
                 j += step
-                if closed:
-                    g = fan_f[j % len(fan_f)]
-                else:
-                    if j < 0 or j >= len(fan_f):
-                        return None
-                    g = fan_f[j]
-                if g == f:
+                g = fan.facet(j)
+                if g is None or g == f:
                     return None
                 cand = self.facet_plane(g, t)
                 if cand is not None and self._plane_matches(cand, plane):
                     return g
-                if step == 1:
-                    t2 = fan_t[j % len(fan_t)] if closed else (fan_t[j] if j < len(fan_t) else None)
-                else:
-                    t2 = fan_t[(j - 1) % len(fan_t)] if closed else (fan_t[j - 1] if j > 0 else None)
+                t2 = fan.cell(j + side)
                 if t2 is None:
                     return None
                 plane = self.transport_plane(plane, self.cell_gluing(t, g, t2))
@@ -451,11 +385,6 @@ class ParamTetMesh:
         if out is None:
             out = walk(-1)
         return out
-
-    def straight_pair(self, e, f1, f2) -> bool:
-        if self.classify_edge(e).singular:
-            return False
-        return self.opp_facet(e, f1) == f2
 
     # -- refinement ------------------------------------------------------------
 
