@@ -22,7 +22,7 @@ from .errors import (
 )
 from .firehex import trace_hex, trace_hex_base, trace_hex_sparse
 from .fireparam import trace_param, trace_param_base
-from .hexmesh import HexMesh, build_hex_connectivity
+from .hexmesh import HexMesh
 from .meshio import (
     export_walls,
     read_hex_mesh,
@@ -51,7 +51,6 @@ __all__ = [
     "ParseError",
     "VolmcError",
     "base_complex",
-    "build_hex_connectivity",
     "build_ip",
     "check_grid_blocks",
     "classify_block",

@@ -55,17 +55,15 @@ class Node:
 class Arc:
     """Maximal chain of arc edges bounded by nodes, or a closed loop."""
 
-    __slots__ = ("id", "edges", "vertices", "nodes", "walls", "singular", "tarc", "length", "loop")
+    __slots__ = ("id", "edges", "vertices", "walls", "singular", "tarc", "length")
 
-    def __init__(self, id, edges, vertices, nodes, walls, singular, length, loop):
+    def __init__(self, id, edges, vertices, walls, singular, length):
         self.id = id
         self.edges = edges
         self.vertices = vertices
-        self.nodes = nodes
         self.walls = walls
         self.singular = singular
         self.length = length
-        self.loop = loop
         self.tarc = False
 
 
@@ -109,11 +107,6 @@ class MotorcycleComplex:
         self.wall_of = {}  # facet -> wall id
         self.arc_of = {}  # edge -> arc id
         self.block_of = {}  # cell -> block id
-        self.node_of = {}  # vertex -> node id
-
-    @property
-    def n_blocks(self):
-        return len(self.blocks)
 
     def wall_facet_set(self):
         return set(self.field.tagged)
@@ -398,7 +391,6 @@ def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
 
     for nid, v in enumerate(sorted(node_vertices)):
         mc.nodes.append(Node(nid, v))
-        mc.node_of[v] = nid
 
     visited = set()
 
@@ -439,12 +431,8 @@ def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
         for e in edges[1:]:
             if edge_sig(e) != sig:
                 raise IntegrityError(f"inconsistent arc chain at edge {e}")
-        loop = verts[0] == verts[-1] and verts[0] not in node_vertices
-        nodes = None
-        if verts[0] in node_vertices:
-            nodes = (mc.node_of[verts[0]], mc.node_of.get(verts[-1]))
         length = sum(mesh.edge_param_length(e) for e in edges)
-        arc = Arc(aid, edges, verts, nodes, sig[0], sig[1], length, loop)
+        arc = Arc(aid, edges, verts, sig[0], sig[1], length)
         arc.tarc = (not arc.singular) and any(
             abs(g - 2) <= _QUARTER_TOL for e in edges for g in _fan_gaps(mesh, field, e)
         )

@@ -73,8 +73,8 @@ class SplitForest:
             a, b, c = pm.facet_keys[f]
             x = next(u for u in (a, b, c) if u not in (va, vb))
             self.facet_children[f] = (
-                pm._facet_id[tuple(sorted((va, v, x)))],
-                pm._facet_id[tuple(sorted((vb, v, x)))],
+                pm.facet_id[tuple(sorted((va, v, x)))],
+                pm.facet_id[tuple(sorted((vb, v, x)))],
             )
         for old, kids in replaced_tets.items():
             for k in kids:
@@ -124,7 +124,7 @@ def _try_split(pm, forest, e, t, axes_values):
         if lo + ISO_TOL < val < hi - ISO_TOL:
             v = _split_at(pm, forest, opp, t, ax, val)
             key = tuple(sorted((va, vb, v)))
-            return pm._facet_id[key]
+            return pm.facet_id[key]
     for f in sorted(f for f in pm.cell_facets[t] if e in pm.facet_edges[f]):
         plane = pm.facet_plane(f, t)
         if plane is None:
@@ -203,13 +203,6 @@ def ignition_sources_param(pm, seed=None):
     if seed is not None:
         random.Random(seed).shuffle(sources)
     return sources
-
-
-def _copy_mesh(pm):
-    live = pm.live_cells()
-    return ParamTetMesh(
-        pm._positions, [pm.tets[t] for t in live], [pm.params[t] for t in live]
-    )
 
 
 def _tag_boundary(pm, field):
@@ -391,7 +384,7 @@ def trace_param(pm: ParamTetMesh, seed=None):
     entries are ordered primarily so that edges interior to original tets
     take precedence over edges on original facets, secondarily by distance.
     """
-    work = _copy_mesh(pm)
+    work = pm.compact()[0]
     field = _trace(work, seed, use_alive=True)
     return _finish(work, field)
 
@@ -399,7 +392,7 @@ def trace_param(pm: ParamTetMesh, seed=None):
 def trace_param_base(pm: ParamTetMesh, seed=None):
     """Conforming variant: fronts never stop at burnt terrain, so walls run
     from singularities all the way to the boundary."""
-    work = _copy_mesh(pm)
+    work = pm.compact()[0]
     field = _trace(work, seed, use_alive=False)
     return _finish(work, field)
 

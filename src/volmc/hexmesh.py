@@ -1,11 +1,8 @@
-"""Hexahedral mesh connectivity: vertices, hexes, derived edges and quad facets.
+"""Cell mesh connectivity shared by hex and tet meshes, and the hexahedral mesh.
 
 Corner numbering follows the VTK hexahedron convention: corners 0-3 form the
 bottom quad (counter-clockwise seen from outside, i.e. from below), corners
 4-7 the matching top quad, corner 4 above corner 0.
-
-All derived element ids are deterministic: edges and facets are sorted
-lexicographically by their (sorted) vertex id tuples before numbering.
 """
 
 from __future__ import annotations
@@ -143,132 +140,175 @@ def build_fan(mesh, e) -> Fan:
     return Fan(fan_f, fan_c, closed)
 
 
-class HexMesh:
-    """Immutable hexahedral mesh with full vertex/edge/facet/hex incidence.
+class CellMesh:
+    """Vertices, cells and their derived facets and edges, with full incidence.
 
-    Built via :func:`build_hex_connectivity`; do not mutate after construction.
+    Shared by :class:`HexMesh` and the tet mesh of a parametrization, so that
+    tracing, complex extraction and reduction run on either. Cells are vertex
+    id tuples; a cell replaced by refinement is None. Facets and edges are
+    keyed by their sorted vertex tuples.
+
+    Ids are stable: every build numbers the keys it has not seen before in
+    sorted order, after all earlier ids, and never renumbers a key. A fresh
+    mesh thus numbers its facets and edges lexicographically by key. A facet
+    or edge that no live cell contains keeps its id but is dead
+    (``facet_live``/``edge_live``).
+
+    A subclass gives its cell type as data: ``FACES`` (cyclic corner tuples),
+    ``EDGES`` (corner pairs), ``FACET_EDGES`` (pairs of positions in
+    ``facet_corners`` that form the facet's edges, in ``facet_edges`` order),
+    ``CYCLIC_FACETS`` (``facet_corners`` is the face cycle of the lowest
+    incident cell when true, the sorted key otherwise) and
+    ``_edge_quarters(e)``, the quarter-turn count of an edge.
     """
 
-    def __init__(self, positions, hexes):
-        self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-        self.hexes = np.asarray(hexes, dtype=np.int64).reshape(-1, 8)
-        self.n_vertices = len(self.positions)
-        self._build()
+    def __init__(self, cells):
+        self.facet_keys, self.facet_corners, self.facet_id = [], [], {}
+        self.edge_keys, self.edge_id = [], {}
+        self._build_incidence(cells)
 
-    # -- construction -------------------------------------------------------
+    def _build_incidence(self, cells):
+        """Derive all incidence from ``cells``; raises MeshError naming the
+        first bad cell or a facet shared by more than two cells."""
+        kind, nv = self.kind, self.n_vertices
+        faces, cyclic = self.FACES, self.CYCLIC_FACETS
+        facet_id, edge_id = self.facet_id, self.edge_id
+        live, cell_fkeys, cell_ekeys = [], [], []
+        new_facets, new_edges = {}, set()  # unseen keys; facets -> corners
+        for c, cell in enumerate(cells):
+            if cell is None:
+                continue
+            if len(set(cell)) != len(cell):
+                raise MeshError(f"{kind} {c} has repeated corners")
+            if min(cell) < 0 or max(cell) >= nv:
+                raise MeshError(f"{kind} {c} references a vertex outside 0..{nv - 1}")
+            fkeys = [tuple(sorted([cell[i] for i in face])) for face in faces]
+            ekeys = []
+            for a, b in self.EDGES:
+                va, vb = cell[a], cell[b]
+                ekeys.append((va, vb) if va < vb else (vb, va))
+            for key, face in zip(fkeys, faces):
+                if key not in facet_id and key not in new_facets:
+                    new_facets[key] = tuple(cell[i] for i in face) if cyclic else key
+            new_edges.update(k for k in ekeys if k not in edge_id)
+            live.append(c)
+            cell_fkeys.append(fkeys)
+            cell_ekeys.append(ekeys)
+        for key in sorted(new_facets):
+            facet_id[key] = len(self.facet_keys)
+            self.facet_keys.append(key)
+            self.facet_corners.append(new_facets[key])
+        for key in sorted(new_edges):
+            edge_id[key] = len(self.edge_keys)
+            self.edge_keys.append(key)
 
-    def _build(self):
-        nv = self.n_vertices
-        for hi, h in enumerate(self.hexes):
-            if len(set(int(v) for v in h)) != 8:
-                raise MeshError(f"hex {hi} has repeated corners")
-            if h.min() < 0 or h.max() >= nv:
-                raise MeshError(f"hex {hi} references vertex out of range")
-
-        edge_keys = set()
-        facet_keys = {}
-        for hi, h in enumerate(self.hexes):
-            for a, b in HEX_EDGES:
-                va, vb = int(h[a]), int(h[b])
-                edge_keys.add((va, vb) if va < vb else (vb, va))
-            for fi, face in enumerate(HEX_FACES):
-                quad = tuple(int(h[c]) for c in face)
-                key = tuple(sorted(quad))
-                facet_keys.setdefault(key, []).append((hi, quad))
-
-        self.edge_vertices = sorted(edge_keys)
-        self.edge_id = {k: i for i, k in enumerate(self.edge_vertices)}
-        self.n_edges = len(self.edge_vertices)
-
-        self.facet_keys = sorted(facet_keys)
-        self.facet_id = {k: i for i, k in enumerate(self.facet_keys)}
-        self.n_facets = len(self.facet_keys)
-
-        self.facet_hexes = [[] for _ in range(self.n_facets)]
-        self.facet_corners = [None] * self.n_facets  # cyclic quad, from first incident hex
-        for key, incident in facet_keys.items():
-            f = self.facet_id[key]
-            incident.sort()
-            if len(incident) > 2:
+        nf, ne = len(self.facet_keys), len(self.edge_keys)
+        self.cell_facets = [None] * len(cells)
+        facet_cells = self.facet_cells = [[] for _ in range(nf)]
+        edge_cells = self.edge_cells = [[] for _ in range(ne)]
+        vertex_cells = self.vertex_cells = [[] for _ in range(nv)]
+        for c, fkeys, ekeys in zip(live, cell_fkeys, cell_ekeys):
+            fs = self.cell_facets[c] = [facet_id[k] for k in fkeys]
+            for f in fs:
+                facet_cells[f].append(c)
+            for k in ekeys:
+                edge_cells[edge_id[k]].append(c)
+            for v in cells[c]:
+                vertex_cells[v].append(c)
+        for f, fc in enumerate(facet_cells):
+            if len(fc) > 2:
                 raise MeshError(
-                    f"non-manifold facet {key}: {len(incident)} incident hexes {[h for h, _ in incident]}"
+                    f"non-manifold facet {self.facet_keys[f]}: {len(fc)} incident {kind}s {fc}"
                 )
-            self.facet_hexes[f] = [hi for hi, _ in incident]
-            self.facet_corners[f] = incident[0][1]
-
-        self.hex_facets = [[] for _ in range(len(self.hexes))]
-        self.hex_edges = [[] for _ in range(len(self.hexes))]
-        self.facet_edges = [[] for _ in range(self.n_facets)]
-        self.edge_facets = [[] for _ in range(self.n_edges)]
-        self.edge_hexes = [[] for _ in range(self.n_edges)]
-        for hi, h in enumerate(self.hexes):
-            for face in HEX_FACES:
-                quad = tuple(sorted(int(h[c]) for c in face))
-                self.hex_facets[hi].append(self.facet_id[quad])
-            for a, b in HEX_EDGES:
-                va, vb = int(h[a]), int(h[b])
-                e = self.edge_id[(va, vb) if va < vb else (vb, va)]
-                self.hex_edges[hi].append(e)
-        for f, quad in enumerate(self.facet_corners):
-            for i in range(4):
-                va, vb = quad[i], quad[(i + 1) % 4]
-                e = self.edge_id[(va, vb) if va < vb else (vb, va)]
+        self.facet_live = [bool(fc) for fc in facet_cells]
+        self.edge_live = [bool(ec) for ec in edge_cells]
+        self.facet_boundary = [len(fc) == 1 for fc in facet_cells]
+        self.facet_edges = [[] for _ in range(nf)]
+        self.edge_facets = [[] for _ in range(ne)]
+        for f in range(nf):
+            if not facet_cells[f]:
+                continue
+            corners = self.facet_corners[f]
+            for i, j in self.FACET_EDGES:
+                va, vb = corners[i], corners[j]
+                e = edge_id[(va, vb) if va < vb else (vb, va)]
                 self.facet_edges[f].append(e)
                 self.edge_facets[e].append(f)
-        for e in range(self.n_edges):
-            self.edge_facets[e] = sorted(set(self.edge_facets[e]))
-            hs = set()
-            for f in self.edge_facets[e]:
-                hs.update(self.facet_hexes[f])
-            self.edge_hexes[e] = sorted(hs)
-
-        self.facet_boundary = np.array(
-            [len(hs) == 1 for hs in self.facet_hexes], dtype=bool
-        )
-        self.edge_boundary = np.zeros(self.n_edges, dtype=bool)
-        for e in range(self.n_edges):
-            self.edge_boundary[e] = any(self.facet_boundary[f] for f in self.edge_facets[e])
-
-        # Local corner coordinates per (hex, vertex).
-        self._local = [
-            {int(h[c]): tuple(HEX_CORNER_COORDS[c]) for c in range(8)}
-            for h in self.hexes
+        self.edge_boundary = [
+            any(self.facet_boundary[f] for f in fs) for fs in self.edge_facets
         ]
-
-        self.vertex_cells = [[] for _ in range(self.n_vertices)]
-        for hi, h in enumerate(self.hexes):
-            for v in h:
-                self.vertex_cells[int(v)].append(hi)
-
-        self._fans = [build_fan(self, e) for e in range(self.n_edges)]
-
-    # -- generic cell-mesh interface ----------------------------------------
-    # Shared with the refined tetrahedral mesh so complex extraction and
-    # reduction can run on either pipeline.
-
-    kind = "hex"
+        self._cells = cells
+        self._corner_of = [
+            None if cell is None else {v: i for i, v in enumerate(cell)} for cell in cells
+        ]
+        self._fans = {}
+        self._eclass = {}
 
     @property
     def n_cells(self):
-        return len(self.hexes)
+        return len(self._cells)
 
     @property
-    def facet_cells(self):
-        return self.facet_hexes
+    def n_facets(self):
+        return len(self.facet_keys)
 
     @property
-    def cell_facets(self):
-        return self.hex_facets
+    def n_edges(self):
+        return len(self.edge_keys)
 
     @property
-    def edge_cells(self):
-        return self.edge_hexes
+    def edge_vertices(self):
+        return self.edge_keys
+
+    def live_cells(self):
+        return [c for c, cell in enumerate(self._cells) if cell is not None]
 
     def facet_vertices(self, f):
         return self.facet_keys[f]
 
     def cell_vertices(self, c):
-        return [int(v) for v in self.hexes[c]]
+        return list(self._cells[c])
+
+    def edge_fan(self, e) -> Fan:
+        """The :class:`Fan` of facets and cells around edge ``e``, built on first use."""
+        fan = self._fans.get(e)
+        if fan is None:
+            fan = self._fans[e] = build_fan(self, e)
+        return fan
+
+    def classify_edge(self, e) -> EdgeClass:
+        """Regularity by quarter turns: regular at k = 4 interior, k = 2 boundary."""
+        cls = self._eclass.get(e)
+        if cls is None:
+            k = self._edge_quarters(e)
+            boundary = self.edge_boundary[e]
+            cls = self._eclass[e] = EdgeClass(k != (2 if boundary else 4), k, boundary)
+        return cls
+
+    def singular_edges(self):
+        return [
+            e for e in range(self.n_edges)
+            if self.edge_live[e] and self.classify_edge(e).singular
+        ]
+
+
+class HexMesh(CellMesh):
+    """Immutable hexahedral mesh; every edge fan is built, and so checked to
+    be manifold, at construction."""
+
+    kind = "hex"
+    FACES = HEX_FACES
+    EDGES = HEX_EDGES
+    FACET_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
+    CYCLIC_FACETS = True
+
+    def __init__(self, positions, hexes):
+        self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+        self.hexes = np.asarray(hexes, dtype=np.int64).reshape(-1, 8)
+        self.n_vertices = len(self.positions)
+        super().__init__(self.hexes.tolist())
+        for e in range(self.n_edges):
+            self.edge_fan(e)
 
     def edge_param_length(self, e) -> float:
         return 1.0
@@ -281,41 +321,23 @@ class HexMesh:
         """Parametric solid angle of cell ``c`` at its vertex ``v`` in octant units."""
         return 1.0
 
-    # -- queries ------------------------------------------------------------
-
-    def edge_fan(self, e) -> Fan:
-        """The :class:`Fan` of facets and hexes around edge ``e``."""
-        return self._fans[e]
-
     def edge_valence(self, e) -> int:
-        return len(self.edge_hexes[e])
+        return len(self.edge_cells[e])
 
-    def classify_edge(self, e) -> EdgeClass:
-        """Valence-based regularity: interior edges are regular at 4 hexes, boundary at 2."""
-        boundary = bool(self.edge_boundary[e])
-        k = self.edge_valence(e)
-        singular = k != (2 if boundary else 4)
-        return EdgeClass(singular, k, boundary)
+    _edge_quarters = edge_valence
 
     def opp_facet(self, e, f):
         """The facet continuing ``f`` straight across regular edge ``e``; None if absent."""
-        cls = self.classify_edge(e)
-        if cls.singular:
+        if self.classify_edge(e).singular:
             raise MeshError(f"opp_facet undefined: edge {e} is singular")
-        fan = self._fans[e]
+        fan = self.edge_fan(e)
         i = fan.facets.index(f)
         g = fan.facet(i + 2)
         return fan.facet(i - 2) if g is None else g
 
-    def singular_edges(self):
-        return [e for e in range(self.n_edges) if self.classify_edge(e).singular]
-
     def local_coords(self, h, v):
         """Unit-cube corner coordinates of vertex ``v`` within hex ``h``."""
-        return self._local[h][v]
-
-    def hex_face_index(self, h, f):
-        return self.hex_facets[h].index(f)
+        return tuple(HEX_CORNER_COORDS[self._corner_of[h][v]])
 
     def face_gluing(self, h, f, h2) -> Transition:
         """Integer chart transition from hex ``h``'s unit cube to hex ``h2``'s.
@@ -324,15 +346,12 @@ class HexMesh:
         lands on the cube adjacent to h2's across the shared facet ``f``.
         """
         quad = self.facet_keys[f]
-        la = self._local[h]
-        lb = self._local[h2]
-        vs = list(quad)
-        p = np.array([la[v] for v in vs], dtype=np.int64)
-        q = np.array([lb[v] for v in vs], dtype=np.int64)
+        p = HEX_CORNER_COORDS[[self._corner_of[h][v] for v in quad]]
+        q = HEX_CORNER_COORDS[[self._corner_of[h2][v] for v in quad]]
         u1, u2 = p[1] - p[0], p[2] - p[0]
         v1, v2 = q[1] - q[0], q[2] - q[0]
-        n_h = HEX_FACE_NORMALS[self.hex_face_index(h, f)]
-        n_h2 = HEX_FACE_NORMALS[self.hex_face_index(h2, f)]
+        n_h = HEX_FACE_NORMALS[self.cell_facets[h].index(f)]
+        n_h2 = HEX_FACE_NORMALS[self.cell_facets[h2].index(f)]
         basis_from = np.column_stack([u1, u2, n_h])
         basis_to = np.column_stack([v1, v2, -n_h2])
         det = int(round(np.linalg.det(basis_from)))
@@ -346,12 +365,3 @@ class HexMesh:
 
     # Generic name used by block transport (same signature for tet meshes).
     cell_gluing = face_gluing
-
-
-def build_hex_connectivity(hexes, positions) -> HexMesh:
-    """Build a :class:`HexMesh` with full derived incidence from raw cells.
-
-    Rejects non-manifold configurations (facets with 3+ hexes, split edge
-    fans) with a :class:`MeshError` naming the offending element.
-    """
-    return HexMesh(positions, hexes)

@@ -75,13 +75,12 @@ class Sheet:
 
 
 class Branch:
-    __slots__ = ("id", "edges", "ends", "singular")
+    __slots__ = ("id", "edges", "ends")
 
-    def __init__(self, id, edges, ends, singular):
+    def __init__(self, id, edges, ends):
         self.id = id
         self.edges = edges
         self.ends = ends
-        self.singular = singular
 
 
 class CutStructure:
@@ -237,8 +236,7 @@ def _build_branches(cs, incid):
         for e in sorted(incid.get(v, [])):
             if e not in visited:
                 edges, end = walk(v, e)
-                singular = any(pm.classify_edge(e2).singular for e2 in edges)
-                cs.branches.append(Branch(len(cs.branches), edges, (v, end), singular))
+                cs.branches.append(Branch(len(cs.branches), edges, (v, end)))
     # circular branches: closed cut-edge cycles without any node
     for e in sorted(cs.cut_edges - visited):
         if e in visited:
@@ -248,8 +246,7 @@ def _build_branches(cs, incid):
         verts = sorted({v for e2 in edges for v in pm.edge_keys[e2]})
         for aux in verts[:2]:
             cs.nodes.add(aux)
-        singular = any(pm.classify_edge(e2).singular for e2 in edges)
-        cs.branches.append(Branch(len(cs.branches), edges, (verts[0], verts[0]), singular))
+        cs.branches.append(Branch(len(cs.branches), edges, (verts[0], verts[0])))
     # loop branches: start and end at the same node, no interior node
     for br in cs.branches:
         if br.ends[0] == br.ends[1] and len(br.edges) > 1:

@@ -7,7 +7,7 @@ import math
 import random
 
 from .errors import MeshError
-from .hexmesh import HexMesh, build_hex_connectivity
+from .hexmesh import HexMesh
 
 
 def box_mesh(nx=1, ny=1, nz=1) -> HexMesh:
@@ -32,7 +32,7 @@ def box_mesh(nx=1, ny=1, nz=1) -> HexMesh:
                         vid(x, y, z + 1), vid(x + 1, y, z + 1), vid(x + 1, y + 1, z + 1), vid(x, y + 1, z + 1),
                     )
                 )
-    return build_hex_connectivity(hexes, positions)
+    return HexMesh(positions, hexes)
 
 
 def pie_mesh(k=3, layers=2) -> HexMesh:
@@ -63,7 +63,7 @@ def pie_mesh(k=3, layers=2) -> HexMesh:
             bot = (index[("c", z)], index[("a", i, z)], index[("m", i, z)], index[("a", j, z)])
             top = (index[("c", z + 1)], index[("a", i, z + 1)], index[("m", i, z + 1)], index[("a", j, z + 1)])
             hexes.append(bot + top)
-    return build_hex_connectivity(hexes, positions)
+    return HexMesh(positions, hexes)
 
 
 def torus_mesh(k=8) -> HexMesh:
@@ -91,7 +91,7 @@ def torus_mesh(k=8) -> HexMesh:
         # Cross-section at angle j+1 forms the bottom face so the sweep keeps
         # a positive Jacobian.
         hexes.append((b[0], b[1], b[2], b[3], a[0], a[1], a[2], a[3]))
-    return build_hex_connectivity(hexes, positions)
+    return HexMesh(positions, hexes)
 
 
 def notched_box_mesh(n=3) -> HexMesh:
@@ -137,7 +137,7 @@ def mesh_from_cells(cells) -> HexMesh:
                 positions.append(tuple(float(v) for v in key))
             corner_ids.append(vindex[key])
         hexes.append(tuple(corner_ids))
-    return build_hex_connectivity(hexes, positions)
+    return HexMesh(positions, hexes)
 
 
 def _bridged(cells, cand):

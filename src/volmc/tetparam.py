@@ -3,7 +3,7 @@
 Each tet stores its own chart: a parameter triple per corner. Charts of
 adjacent tets differ by a rigid transition whose rotation lies in the
 octahedral group; these transitions are recovered from the stored values.
-The class exposes the same generic cell-mesh interface as HexMesh so that
+The mesh shares its incidence code with HexMesh through CellMesh, so
 complex extraction and reduction run unchanged on either pipeline.
 """
 
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import MeshError, NotSeamlessError
-from .hexmesh import EdgeClass, Fan, HexMesh, build_fan
+from .hexmesh import CellMesh, HexMesh
 from .octahedral import ROTATIONS, Transition, fit_rotation
 
 # Facets whose parameter image is constant in one coordinate within this
@@ -29,112 +29,30 @@ def _tet_volume(p):
     return float(np.linalg.det(np.array([p[1] - p[0], p[2] - p[0], p[3] - p[0]]))) / 6.0
 
 
-class ParamTetMesh:
+class ParamTetMesh(CellMesh):
     """Tet mesh with per-corner parameter values and derived incidence.
 
-    Element ids are stable under on-the-fly refinement: facet and edge ids
-    are assigned per sorted vertex key and never reassigned; elements that
-    disappear in a split keep their id but are flagged dead. ``compact``
-    produces a fresh mesh with contiguous lexicographic ids for extraction.
+    ``split_edge`` refines it in place; ``compact`` produces a fresh mesh of
+    the live tets only, for extraction.
     """
 
     kind = "tet"
+    FACES = TET_FACE_CORNERS
+    EDGES = TET_EDGES
+    FACET_EDGES = ((0, 1), (0, 2), (1, 2))  # on the sorted key: ab, ac, bc
+    CYCLIC_FACETS = False
 
     def __init__(self, positions, tets, params):
         self._positions = [np.asarray(p, float) for p in positions]
         self.tets = [tuple(int(v) for v in t) for t in tets]
         self.params = [np.asarray(p, float).reshape(4, 3).copy() for p in params]
-        for t, (tet, par) in enumerate(zip(self.tets, self.params)):
-            if len(set(tet)) != 4:
-                raise MeshError(f"tet {t} has repeated vertices")
+        super().__init__(self.tets)
+        for t, par in enumerate(self.params):
+            if not np.isfinite(par).all():
+                raise MeshError(f"tet {t} has a non-finite parameter value")
             if _tet_volume(par) <= 0:
                 raise MeshError(f"tet {t} has a degenerate or flipped parametric image")
-        self._facet_id = {}
-        self.facet_keys = []
-        self._edge_id = {}
-        self.edge_keys = []
-        self._rebuild()
-
-    # -- construction --------------------------------------------------------
-
-    def _assign(self, keys, table, names):
-        fresh = sorted(k for k in keys if k not in table)
-        for k in fresh:
-            table[k] = len(names)
-            names.append(k)
-
-    def _rebuild(self):
-        live = [t for t, tet in enumerate(self.tets) if tet is not None]
-        fkeys = set()
-        ekeys = set()
-        for t in live:
-            tet = self.tets[t]
-            for tri in TET_FACE_CORNERS:
-                fkeys.add(tuple(sorted(tet[c] for c in tri)))
-            for a, b in TET_EDGES:
-                va, vb = tet[a], tet[b]
-                ekeys.add((va, vb) if va < vb else (vb, va))
-        self._assign(fkeys, self._facet_id, self.facet_keys)
-        self._assign(ekeys, self._edge_id, self.edge_keys)
-
-        nf, ne = len(self.facet_keys), len(self.edge_keys)
-        self.facet_cells = [[] for _ in range(nf)]
-        self.cell_facets = [None] * len(self.tets)
-        self.cell_edges = [None] * len(self.tets)
-        self.edge_cells = [[] for _ in range(ne)]
-        self.facet_edges = [None] * nf
-        for t in live:
-            tet = self.tets[t]
-            fs = []
-            for tri in TET_FACE_CORNERS:
-                key = tuple(sorted(tet[c] for c in tri))
-                f = self._facet_id[key]
-                fs.append(f)
-                self.facet_cells[f].append(t)
-            self.cell_facets[t] = fs
-            es = []
-            for a, b in TET_EDGES:
-                va, vb = tet[a], tet[b]
-                e = self._edge_id[(va, vb) if va < vb else (vb, va)]
-                es.append(e)
-                self.edge_cells[e].append(t)
-            self.cell_edges[t] = es
-        for f, key in enumerate(self.facet_keys):
-            if not self.facet_cells[f]:
-                self.facet_edges[f] = []
-                continue
-            self.facet_cells[f].sort()
-            if len(self.facet_cells[f]) > 2:
-                raise MeshError(f"facet {f} has {len(self.facet_cells[f])} incident tets")
-            a, b, c = key
-            self.facet_edges[f] = [
-                self._edge_id[pair] for pair in ((a, b), (a, c), (b, c))
-            ]
-        self.facet_live = [bool(self.facet_cells[f]) for f in range(nf)]
-        self.edge_live = [bool(self.edge_cells[e]) for e in range(ne)]
-        self.facet_boundary = [len(self.facet_cells[f]) == 1 for f in range(nf)]
-        self.edge_facets = [[] for _ in range(ne)]
-        for f in range(nf):
-            if self.facet_live[f]:
-                for e in self.facet_edges[f]:
-                    self.edge_facets[e].append(f)
-        for e in range(ne):
-            self.edge_facets[e].sort()
-        self.edge_boundary = [
-            any(self.facet_boundary[f] for f in self.edge_facets[e])
-            for e in range(ne)
-        ]
-        self.vertex_cells = [[] for _ in range(len(self._positions))]
-        for t in live:
-            for v in self.tets[t]:
-                self.vertex_cells[v].append(t)
-        self._corner_of = [
-            {v: c for c, v in enumerate(tet)} if tet is not None else None
-            for tet in self.tets
-        ]
-        self._fans = {}
         self._trans = {}
-        self._eclass = {}
 
     @property
     def positions(self):
@@ -143,39 +61,6 @@ class ParamTetMesh:
     @property
     def n_vertices(self):
         return len(self._positions)
-
-    @property
-    def n_cells(self):
-        return len(self.tets)
-
-    @property
-    def n_facets(self):
-        return len(self.facet_keys)
-
-    @property
-    def n_edges(self):
-        return len(self.edge_keys)
-
-    @property
-    def edge_id(self):
-        return self._edge_id
-
-    @property
-    def edge_vertices(self):
-        return self.edge_keys
-
-    @property
-    def facet_corners(self):
-        return self.facet_keys
-
-    def live_cells(self):
-        return [t for t, tet in enumerate(self.tets) if tet is not None]
-
-    def facet_vertices(self, f):
-        return self.facet_keys[f]
-
-    def cell_vertices(self, c):
-        return list(self.tets[c])
 
     def corner_param(self, t, v):
         """Parameter value of vertex ``v`` in tet ``t``'s chart."""
@@ -225,12 +110,6 @@ class ParamTetMesh:
 
     # -- fans and edge classification ----------------------------------------
 
-    def edge_fan(self, e) -> Fan:
-        """The :class:`Fan` of facets and tets around edge ``e``, built on first use."""
-        if e not in self._fans:
-            self._fans[e] = build_fan(self, e)
-        return self._fans[e]
-
     def dihedral_quarters(self, t, e) -> float:
         """Parametric dihedral angle of tet ``t`` at edge ``e``, in 90° units."""
         va, vb = self.edge_keys[e]
@@ -265,11 +144,8 @@ class ParamTetMesh:
             omega += 2.0 * math.pi
         return omega / (math.pi / 2)
 
-    def classify_edge(self, e) -> EdgeClass:
-        """Angle-count regularity: total parametric dihedral angle k * 90°,
-        regular at k=4 interior / k=2 boundary."""
-        if e in self._eclass:
-            return self._eclass[e]
+    def _edge_quarters(self, e) -> int:
+        """Total parametric dihedral angle at ``e`` as a whole number of 90° turns."""
         total = sum(self.dihedral_quarters(t, e) for t in self.edge_cells[e])
         k = int(round(total))
         if abs(total - k) > 1e-6 * max(1.0, total):
@@ -277,16 +153,7 @@ class ParamTetMesh:
                 f"edge {e} angle sum {total * 90:.9f} degrees is not a multiple of 90; "
                 "sanitize the parametrization first"
             )
-        boundary = bool(self.edge_boundary[e])
-        cls = EdgeClass(k != (2 if boundary else 4), k, boundary)
-        self._eclass[e] = cls
-        return cls
-
-    def singular_edges(self):
-        return [
-            e for e in range(self.n_edges)
-            if self.edge_live[e] and self.classify_edge(e).singular
-        ]
+        return k
 
     def edge_param_length(self, e) -> float:
         va, vb = self.edge_keys[e]
@@ -352,8 +219,7 @@ class ParamTetMesh:
     def opp_facet(self, e, f):
         """The iso-facet continuing ``f`` coplanarly across regular edge ``e``
         (transitions accounted); None if there is none."""
-        cls = self.classify_edge(e)
-        if cls.singular:
+        if self.classify_edge(e).singular:
             raise MeshError(f"opp_facet undefined: edge {e} is singular")
         fan = self.edge_fan(e)
         i = fan.facets.index(f)
@@ -415,12 +281,13 @@ class ParamTetMesh:
             replaced[t] = tuple(kids)
             self.tets[t] = None
             self.params[t] = None
-        self._rebuild()
+        self._build_incidence(self.tets)
+        self._trans = {}
         return v, replaced
 
     def compact(self):
-        """Fresh mesh containing only live tets, with contiguous lexicographic
-        ids; returns (mesh, facet id map old->new)."""
+        """Fresh mesh containing only the live tets; returns (mesh, facet id
+        map old->new)."""
         live = self.live_cells()
         out = ParamTetMesh(
             self._positions,
@@ -429,8 +296,8 @@ class ParamTetMesh:
         )
         fmap = {}
         for f, key in enumerate(self.facet_keys):
-            if self.facet_live[f] and key in out._facet_id:
-                fmap[f] = out._facet_id[key]
+            if self.facet_live[f] and key in out.facet_id:
+                fmap[f] = out.facet_id[key]
         return out, fmap
 
 
@@ -452,7 +319,7 @@ def hex_to_param(mesh: HexMesh) -> ParamTetMesh:
     params = []
     for h in range(mesh.n_cells):
         c = centers[h]
-        for f in mesh.hex_facets[h]:
+        for f in mesh.cell_facets[h]:
             quad = list(mesh.facet_corners[f])
             i0 = quad.index(min(quad))
             q = quad[i0:] + quad[:i0]

@@ -3,7 +3,7 @@ import pytest
 
 from volmc import synth
 from volmc.cellcomplex import extract_complex, split_tori
-from volmc.errors import ParseError
+from volmc.errors import MeshError, ParseError
 from volmc.firehex import trace_hex
 from volmc.meshio import (
     export_walls,
@@ -96,6 +96,22 @@ def test_param_truncated_file_rejected(tmp_path):
     path = tmp_path / "short.param"
     path.write_text("4 2\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3 0 0 0 1 0 0 0 1 0 0 0 1\n")
     with pytest.raises(ParseError):
+        read_param(str(path))
+
+
+@pytest.mark.parametrize(
+    "tet_line",
+    [
+        "0 1 2 4 0 0 0 1 0 0 0 1 0 0 0 1",  # vertex id past the end
+        "0 1 2 -1 0 0 0 1 0 0 0 1 0 0 0 1",  # negative vertex id
+        "0 1 2 3 0 0 0 1 0 0 0 1 0 0 0 nan",
+        "0 1 2 3 0 0 0 inf 0 0 0 1 0 0 0 1",
+    ],
+)
+def test_param_bad_tet_rejected(tmp_path, tet_line):
+    path = tmp_path / "bad.param"
+    path.write_text(f"4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n{tet_line}\n")
+    with pytest.raises(MeshError, match="tet 0"):
         read_param(str(path))
 
 
