@@ -9,6 +9,8 @@ specialized per mesh kind.
 
 from __future__ import annotations
 
+import heapq
+import logging
 from collections import deque
 
 from .errors import IntegrityError, VolmcError
@@ -16,6 +18,7 @@ from .firehex import WallField, trace_hex, trace_hex_base
 from .octahedral import ROTATIONS, Transition, rotation_index
 
 _QUARTER_TOL = 0.25
+log = logging.getLogger(__name__)
 
 
 class BlockType:
@@ -112,8 +115,14 @@ class MotorcycleComplex:
         return set(self.field.tagged)
 
 
-def _tagged_at(mesh, field, e):
-    return [f for f in mesh.edge_facets[e] if f in field.tagged]
+def _tags_by_edge(mesh, tagged):
+    """Edge -> the tagged facets at that edge, in ascending facet order (the
+    order of ``mesh.edge_facets``); edges without a tagged facet are absent."""
+    at = {}
+    for f in sorted(tagged):
+        for e in mesh.facet_edges[f]:
+            at.setdefault(e, []).append(f)
+    return at
 
 
 def _gap(mesh, field, fan, e, i, step):
@@ -146,13 +155,14 @@ def _fan_gaps(mesh, field, e):
 
 def validate_field(mesh, field):
     """Sanity of a tracer fixpoint: boundary tagged, no open wall edges, and
-    no cell gap wider than 180° around any edge lying on a wall."""
+    no cell gap wider than 180° around any edge lying on a wall. Returns the
+    field's ``_tags_by_edge`` map."""
+    at = _tags_by_edge(mesh, field.tagged)
     for f in range(mesh.n_facets):
         if mesh.facet_boundary[f] and f not in field.tagged:
             raise IntegrityError(f"boundary facet {f} untagged")
     for e in range(mesh.n_edges):
-        tagged = _tagged_at(mesh, field, e)
-        if not tagged:
+        if e not in at:
             if not mesh.edge_boundary[e] and mesh.classify_edge(e).singular:
                 raise IntegrityError(f"singular edge {e} in block interior")
             continue
@@ -161,12 +171,13 @@ def validate_field(mesh, field):
                 raise IntegrityError(
                     f"cell gap of {g * 90:.0f} degrees around edge {e} (open or missing wall)"
                 )
+    return at
 
 
-def _wall_neighbor(mesh, field, f, e):
+def _wall_neighbor(mesh, at, f, e):
     """The facet continuing ``f``'s wall straight across edge ``e``, or None
-    when ``e`` is not interior to a wall."""
-    tagged = _tagged_at(mesh, field, e)
+    when ``e`` is not interior to a wall; ``at`` maps edges to tagged facets."""
+    tagged = at.get(e, ())
     if (
         len(tagged) != 2
         or mesh.classify_edge(e).singular
@@ -176,10 +187,13 @@ def _wall_neighbor(mesh, field, f, e):
     return tagged[0] if tagged[1] == f else tagged[1]
 
 
-def _wall_components(mesh, field):
+def _wall_components(mesh, at, facets):
+    """The walls made of the tagged ``facets``: components under
+    ``_wall_neighbor``, each a sorted facet list, in order of lowest facet;
+    and the facet -> component index map."""
     comp_of = {}
     comps = []
-    for seed in sorted(field.tagged):
+    for seed in sorted(facets):
         if seed in comp_of:
             continue
         comp = []
@@ -189,7 +203,7 @@ def _wall_components(mesh, field):
             f = dq.popleft()
             comp.append(f)
             for e in mesh.facet_edges[f]:
-                other = _wall_neighbor(mesh, field, f, e)
+                other = _wall_neighbor(mesh, at, f, e)
                 if other is not None and other not in comp_of:
                     comp_of[other] = len(comps)
                     dq.append(other)
@@ -216,7 +230,7 @@ class _WallGeometry:
         self.corner_coords = {}  # facet -> 2D coords per facet_corners slot
 
 
-def _hex_wall_geometry(mesh, field, facets):
+def _hex_wall_geometry(mesh, at, facets):
     seed = facets[0]
     place = {seed: ((0, 0), (1, 0), (1, 1), (0, 1))}
     geom = _WallGeometry()
@@ -230,7 +244,7 @@ def _hex_wall_geometry(mesh, field, facets):
         for k in range(4):
             va, vb = quad[k], quad[(k + 1) % 4]
             e = mesh.edge_id[(va, vb) if va < vb else (vb, va)]
-            f2 = _wall_neighbor(mesh, field, f, e)
+            f2 = _wall_neighbor(mesh, at, f, e)
             if f2 is None:
                 continue
             a, b = co[k], co[(k + 1) % 4]
@@ -272,7 +286,7 @@ def _hex_wall_geometry(mesh, field, facets):
         for k in range(4):
             va, vb = quad[k], quad[(k + 1) % 4]
             e = mesh.edge_id[(va, vb) if va < vb else (vb, va)]
-            if _wall_neighbor(mesh, field, f, e) is not None:
+            if _wall_neighbor(mesh, at, f, e) is not None:
                 continue
             pa, pb = co[k], co[(k + 1) % 4]
             if va > vb:
@@ -331,39 +345,37 @@ def _segment_side(bbox, p, q, tol=1e-6):
     return None
 
 
-def _wall_geometry(mesh, field, facets):
+def _make_wall(mesh, field, at, wid, facets):
+    """Wall ``wid`` of the sorted tagged ``facets``, with its geometry."""
+    w = Wall(wid, frozenset(facets), bool(mesh.facet_boundary[facets[0]]),
+             max(field.distance.get(f, 0) for f in facets))
     if mesh.kind == "hex":
-        return _hex_wall_geometry(mesh, field, facets)
-    from .fireparam import param_wall_geometry
+        w._geom = _hex_wall_geometry(mesh, at, facets)
+    else:
+        from .fireparam import param_wall_geometry
 
-    return param_wall_geometry(mesh, field, facets)
+        w._geom = param_wall_geometry(mesh, at, facets)
+    w.annulus = w._geom.annulus
+    w.slit = w._geom.slit
+    if not w.annulus and not w.slit:
+        x0, x1, y0, y1 = w._geom.bbox
+        w.dims = (x1 - x0, y1 - y0)
+    return w
 
 
 def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
     """Discover the full node/arc/wall/block structure of a wall field."""
-    validate_field(mesh, field)
+    at = validate_field(mesh, field)
     mc = MotorcycleComplex(mesh, field)
 
-    comps, comp_of = _wall_components(mesh, field)
-    for wid, facets in enumerate(comps):
-        boundary = bool(mesh.facet_boundary[facets[0]])
-        dist = max(field.distance.get(f, 0) for f in facets)
-        w = Wall(wid, frozenset(facets), boundary, dist)
-        w._geom = _wall_geometry(mesh, field, facets)
-        w.annulus = w._geom.annulus
-        w.slit = w._geom.slit
-        if not w.annulus and not w.slit:
-            x0, x1, y0, y1 = w._geom.bbox
-            w.dims = (x1 - x0, y1 - y0)
-        mc.walls.append(w)
-    mc.wall_of = {f: wid for f, wid in comp_of.items()}
+    comps, mc.wall_of = _wall_components(mesh, at, field.tagged)
+    mc.walls = [_make_wall(mesh, field, at, wid, facets) for wid, facets in enumerate(comps)]
 
     # Arc edges: on a wall, but not interior to one.
     arc_edges = set()
     edge_walls = {}
-    for e in range(mesh.n_edges):
-        tagged = _tagged_at(mesh, field, e)
-        if not tagged or _wall_neighbor(mesh, field, tagged[0], e) is not None:
+    for e, tagged in at.items():
+        if _wall_neighbor(mesh, at, tagged[0], e) is not None:
             continue
         arc_edges.add(e)
         edge_walls[e] = frozenset(mc.wall_of[f] for f in tagged)
@@ -651,7 +663,7 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
             for e in mesh.facet_edges[f]:
                 if mesh.edge_boundary[e] or mesh.classify_edge(e).singular:
                     continue
-                if _tagged_at(mesh, field, e):
+                if any(g in field.tagged for g in mesh.edge_facets[e]):
                     continue  # confined: stop at pre-existing walls
                 f2 = mesh.opp_facet(e, f)
                 if f2 is not None and f2 not in new_field.tagged:
@@ -663,22 +675,32 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
 # -- reduction ---------------------------------------------------------------
 
 
-def _wall_side_gaps(mc, w, e):
-    """At perimeter edge ``e`` of wall ``w``: the two cell gaps flanking the
-    wall's facet, as (quarters, block id) pairs; None if ambiguous."""
-    mesh, field = mc.mesh, mc.field
-    fan = mesh.edge_fan(e)
-    wf = [i for i, f in enumerate(fan.facets) if f in field.tagged and mc.wall_of.get(f) == w.id]
-    if len(wf) != 1:
-        return None
-    out = []
-    for step in (1, -1):
-        gap = _gap(mesh, field, fan, e, wf[0], step)
-        if gap is None:
-            return None
-        q, first_cell = gap
-        out.append((q, mc.block_of[first_cell]))
-    return out
+def _retractable(mesh, field, w, block, mode):
+    """``removable`` for wall ``w``, with ``block(c)`` the block of cell
+    ``c``. The edges of the wall's arcs are its perimeter edges, the edges of
+    its boundary segments."""
+    if mode not in ("full", "regular"):
+        raise ValueError(f"unknown reduction mode {mode!r}")
+    if w.boundary or w.annulus or w.slit:
+        return False
+    if len({block(c) for f in w.facets for c in mesh.facet_cells[f]}) != 2:
+        return False
+    for e, _ in w._geom.boundary_segments:
+        if mode == "regular" and mesh.classify_edge(e).singular:
+            return False
+        fan = mesh.edge_fan(e)
+        wf = [i for i, f in enumerate(fan.facets) if f in w.facets]
+        if len(wf) != 1:
+            return False
+        sides = []
+        for step in (1, -1):
+            gap = _gap(mesh, field, fan, e, wf[0], step)
+            if gap is None or abs(gap[0] - 1) > _QUARTER_TOL:
+                return False
+            sides.append(block(gap[1]))
+        if sides[0] == sides[1]:
+            return False
+    return True
 
 
 def removable(mc: MotorcycleComplex, wid, mode="full") -> bool:
@@ -686,31 +708,7 @@ def removable(mc: MotorcycleComplex, wid, mode="full") -> bool:
     cuboid: at every surrounding arc both blocks form a 90° edge and the
     blocks are distinct; in regular mode all surrounding arcs must also be
     regular."""
-    if mode not in ("full", "regular"):
-        raise ValueError(f"unknown reduction mode {mode!r}")
-    w = mc.walls[wid]
-    if w.boundary or w.annulus or w.slit:
-        return False
-    adj = set()
-    for f in w.facets:
-        for c in mc.mesh.facet_cells[f]:
-            adj.add(mc.block_of[c])
-    if len(adj) != 2:
-        return False
-    for aid in w.arcs:
-        arc = mc.arcs[aid]
-        if mode == "regular" and arc.singular:
-            return False
-        for e in arc.edges:
-            gaps = _wall_side_gaps(mc, w, e)
-            if gaps is None:
-                return False
-            (q1, b1), (q2, b2) = gaps
-            if b1 == b2:
-                return False
-            if abs(q1 - 1) > _QUARTER_TOL or abs(q2 - 1) > _QUARTER_TOL:
-                return False
-    return True
+    return _retractable(mc.mesh, mc.field, mc.walls[wid], mc.block_of.__getitem__, mode)
 
 
 def removable_walls(mc, mode="full"):
@@ -719,20 +717,100 @@ def removable_walls(mc, mode="full"):
 
 def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     """Greedy wall retraction: repeatedly remove the farthest removable wall
-    (ties by lowest id) until the complex is irreducible in the given mode."""
+    until the complex is irreducible in the given mode.
+
+    Ties go to the wall with the lowest min facet, which is the lowest wall
+    id, as extraction numbers walls in order of min facet. The retraction
+    runs on one local state: the tagged facets per edge, the walls keyed by
+    min facet, a union-find over ``mc.block_of`` and the set of removable
+    walls. Removing wall W untags facets only at W's edges, and an edge
+    interior to another wall carries no facet of W, so walls only merge
+    (across W's perimeter edges), never split: only the walls with a facet
+    at W's perimeter can merge, and only those that now continue straight
+    across one of its perimeter edges are re-flooded and get new geometry.
+    Removability is tested again for the walls at W's perimeter and for the
+    walls adjacent to both merged blocks; every other wall sees the same
+    facets, gaps and block partition.
+    All ids of the result come from one ``extract_complex`` of the final
+    field; when no wall is removable, ``mc`` itself is returned.
+    """
     for b in mc.blocks:
         if not classify_block(mc, b.id).cuboid:
             raise VolmcError("reduce requires cuboid blocks; run split_tori first")
-    while True:
-        cands = removable_walls(mc, mode)
-        if not cands:
-            return mc
-        cands.sort(key=lambda wid: (-mc.walls[wid].distance, wid))
-        w = mc.walls[cands[0]]
-        field = mc.field.copy()
+    mesh = mc.mesh
+    field = mc.field.copy()
+    at = _tags_by_edge(mesh, field.tagged)
+    key = [min(w.facets) for w in mc.walls]
+    walls = {key[w.id]: w for w in mc.walls}
+    wall_of = {f: key[wid] for f, wid in mc.wall_of.items()}
+    block_walls = [{key[wid] for wid in b.walls} for b in mc.blocks]
+    parent = list(range(len(mc.blocks)))
+
+    def block(c):
+        b = mc.block_of[c]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        return b
+
+    def adjacent(w):
+        return {block(c) for f in w.facets for c in mesh.facet_cells[f]}
+
+    ok, heap = set(), []
+    tests = rebuilt = removed = 0
+
+    def retest(keys):
+        nonlocal tests
+        for k in keys:
+            tests += 1
+            if not _retractable(mesh, field, walls[k], block, mode):
+                ok.discard(k)
+            elif k not in ok:
+                ok.add(k)
+                heapq.heappush(heap, (-walls[k].distance, k))
+
+    retest(walls)
+    while heap:
+        neg_dist, k = heapq.heappop(heap)
+        if k not in ok or walls[k].distance != -neg_dist:
+            continue  # stale entry
+        w = walls.pop(k)
+        ok.discard(k)
+        removed += 1
+        a, b = sorted(adjacent(w))
+        both = block_walls[a] & block_walls[b]
+        block_walls[a] |= block_walls[b]
+        block_walls[a].discard(k)
+        parent[b] = a
         for f in w.facets:
             field.untag(f)
-        mc = extract_complex(mc.mesh, field)
+            del wall_of[f]
+            for e in mesh.facet_edges[f]:
+                at[e].remove(f)
+                if not at[e]:
+                    del at[e]
+        touched, joined = set(), set()  # walls at W's perimeter; those it now joins
+        for e, _ in w._geom.boundary_segments:
+            tags = at.get(e, ())
+            touched.update(wall_of[g] for g in tags)
+            if tags and _wall_neighbor(mesh, at, tags[0], e) is not None:
+                joined.update(wall_of[g] for g in tags)
+        for t in joined:
+            ok.discard(t)
+            for bb in adjacent(walls[t]):
+                block_walls[bb].discard(t)
+        merged = _wall_components(mesh, at, [f for t in joined for f in walls.pop(t).facets])[0]
+        for facets in merged:
+            nw = walls[facets[0]] = _make_wall(mesh, field, at, facets[0], facets)
+            rebuilt += 1
+            for f in facets:
+                wall_of[f] = facets[0]
+            for bb in adjacent(nw):
+                block_walls[bb].add(facets[0])
+        retest({facets[0] for facets in merged} | {t for t in touched | both if t in walls})
+    log.debug("reduce %s: %d walls removed, %d removability tests, %d wall geometries rebuilt",
+              mode, removed, tests, rebuilt)
+    return extract_complex(mesh, field) if removed else mc
 
 
 # -- tracer dispatch and base complex ----------------------------------------

@@ -286,9 +286,10 @@ def _entry_direction(pm, forest, f, n, t_ref):
     return np.asarray(tr.apply_vector(n), float)
 
 
-def param_wall_geometry(mesh, field, facets):
+def param_wall_geometry(mesh, at, facets):
     """Planar 2D layout of a wall made of iso-triangles: corner placement by
-    chart transport, annulus detection, boundary segments and corners."""
+    chart transport, annulus detection, boundary segments and corners.
+    ``at`` maps edges to their tagged facets (``cellcomplex._tags_by_edge``)."""
     geom = _WallGeometry()
     f0 = facets[0]
     t0 = mesh.anchor(f0)
@@ -315,7 +316,7 @@ def param_wall_geometry(mesh, field, facets):
     while dq:
         f = dq.popleft()
         for e in mesh.facet_edges[f]:
-            g = _wall_neighbor(mesh, field, f, e)
+            g = _wall_neighbor(mesh, at, f, e)
             if g is None:
                 continue
             tg = trans[f].compose(mesh.fan_transition(e, mesh.anchor(g), mesh.anchor(f)))
@@ -342,7 +343,7 @@ def param_wall_geometry(mesh, field, facets):
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             va, vb = key[i], key[j]
             e = mesh.edge_id[(va, vb) if va < vb else (vb, va)]
-            if _wall_neighbor(mesh, field, f, e) is not None:
+            if _wall_neighbor(mesh, at, f, e) is not None:
                 continue
             p, q = co[i], co[j]
             geom.boundary_segments.append((e, (p, q)))

@@ -1,0 +1,101 @@
+"""Local wall retraction against the retraction loop it replaced.
+
+The reference below is the plain greedy loop: test every wall, remove the
+farthest removable one (ties by lowest wall id), re-extract the whole
+complex, repeat. ``reduce_complex`` must reach the same complex: the same
+block count and the same wall facet sets, with no removable wall left.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from volmc import synth
+from volmc.cellcomplex import extract_complex, reduce_complex, removable_walls, split_tori
+from volmc.fireparam import trace_param
+from volmc.firehex import trace_hex
+from volmc.tetparam import hex_to_param
+
+MODES = ("regular", "full")
+
+
+def reference_reduce(mc, mode):
+    """(reduced complex, number of walls formed by merging two or more walls)."""
+    merges = 0
+    while True:
+        cands = removable_walls(mc, mode)
+        if not cands:
+            return mc, merges
+        w = mc.walls[min(cands, key=lambda wid: (-mc.walls[wid].distance, wid))]
+        field = mc.field.copy()
+        for f in w.facets:
+            field.untag(f)
+        nxt = extract_complex(mc.mesh, field)
+        merges += sum(len({mc.wall_of[f] for f in w2.facets}) > 1 for w2 in nxt.walls)
+        mc = nxt
+
+
+def _walls(mc):
+    return sorted(sorted(w.facets) for w in mc.walls)
+
+
+def _check(mc, mode):
+    """Compare with the reference; returns the reference's merge count."""
+    ref, merges = reference_reduce(mc, mode)
+    red = reduce_complex(mc, mode=mode)
+    assert len(red.blocks) == len(ref.blocks)
+    assert _walls(red) == _walls(ref)
+    assert removable_walls(red, mode) == []
+    return merges
+
+
+def _hex_complex(hm):
+    return split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**6), st.integers(10, 120))
+def test_random_blobs_match_reference(seed, n):
+    mc = _hex_complex(synth.random_glued_cubes(seed, n))
+    for mode in MODES:
+        _check(mc, mode)
+
+
+@pytest.mark.parametrize("name", ["box", "pie3", "notch"])
+def test_param_fixtures_match_reference(meshes, name):
+    pm = hex_to_param(meshes[name])
+    mc = split_tori(extract_complex(*trace_param(pm, seed=0)))
+    assert mc.mesh.kind != "hex"
+    for mode in MODES:
+        _check(mc, mode)
+
+
+def test_t_junction_merge_covered():
+    """Removing the stem of a T-junction leaves the two walls of its bar
+    straight across the edge, and they become one wall."""
+    mc = _hex_complex(synth.random_glued_cubes(3, 120))
+    assert sum(_check(mc, mode) for mode in MODES) > 0
+
+
+def test_wall_between_merged_blocks_stays():
+    """Two cuts through the torus ring make two blocks that share both cut
+    walls. Removing one cut merges the blocks, so the other cut then has the
+    merged block on both sides and must stay, though it was removable before."""
+    hm = synth.torus_mesh()
+    field = trace_hex(hm, seed=0)
+    for a, b in ((0, 1), (4, 5)):
+        (f,) = set(hm.cell_facets[a]) & set(hm.cell_facets[b])
+        field.tag(f, 0, None)
+    mc = extract_complex(hm, field)
+    for mode in MODES:
+        assert len(mc.blocks) == 2 and len(removable_walls(mc, mode)) == 2
+        _check(mc, mode)
+        assert len(reduce_complex(mc, mode).blocks) == 1
+
+
+def test_irreducible_complex_returned_as_is(complexes):
+    assert reduce_complex(complexes["box"], mode="full") is complexes["box"]
+    for mode in MODES:
+        red = reduce_complex(complexes["composite"], mode=mode)
+        assert red is not complexes["composite"]
+        assert reduce_complex(red, mode=mode) is red
