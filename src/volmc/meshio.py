@@ -277,7 +277,8 @@ def export_walls(mc, path, explode=0.0):
     and wall.
     """
     mesh = mc.mesh
-    pos = {v: np.asarray(mesh.positions[v], float) for v in range(len(mesh.positions))}
+    # Read once: a tet mesh builds its positions array on every read.
+    pos = dict(enumerate(np.asarray(mesh.positions, float)))
     out = ["# motorcycle complex walls"]
     verts = []
 

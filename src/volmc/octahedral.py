@@ -49,6 +49,9 @@ for _i, _a in enumerate(ROTATIONS):
         COMPOSE[_i, _j] = _INDEX[tuple((_a @ _b).ravel().tolist())]
     INVERSE[_i] = _INDEX[tuple(_a.T.ravel().tolist())]
 
+_ROT_FLOAT = np.array(ROTATIONS, dtype=float)
+_ROWS = tuple(tuple(tuple(int(x) for x in row) for row in m) for m in ROTATIONS)
+
 
 def rotation_index(mat) -> int:
     """Exact lookup of a signed permutation matrix; raises KeyError if not in the group."""
@@ -58,33 +61,29 @@ def rotation_index(mat) -> int:
 
 def apply_rotation(rot: int, vec):
     """Apply rotation ``rot`` to a 3-vector. Exact for exact inputs (entries only permuted/negated)."""
-    m = ROTATIONS[rot]
-    return np.array(
-        [
-            m[0, 0] * vec[0] + m[0, 1] * vec[1] + m[0, 2] * vec[2],
-            m[1, 0] * vec[0] + m[1, 1] * vec[1] + m[1, 2] * vec[2],
-            m[2, 0] * vec[0] + m[2, 1] * vec[1] + m[2, 2] * vec[2],
-        ]
-    )
+    (a, b, c), (d, e, f), (g, h, i) = _ROWS[rot]
+    x, y, z = vec[0], vec[1], vec[2]
+    return np.array([a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z])
 
 
 def fit_rotation(vecs_from, vecs_to, rel_tol: float = 1e-6):
     """Best octahedral rotation carrying each vector in ``vecs_from`` to its partner.
 
-    Returns (index, max_abs_residual) of the best fit, or (None, residual)
-    if no rotation matches within ``rel_tol`` relative to the data scale.
+    Returns (index, max_abs_residual) of the best fit, the lowest index on a
+    tie, or (None, residual) if no rotation matches within ``rel_tol``
+    relative to the data scale. Stacks of (..., n, 3) pairs are fitted in
+    one pass; their indices come back as an array, with -1 for no match.
     """
     a = np.asarray(vecs_from, dtype=float)
     b = np.asarray(vecs_to, dtype=float)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-    best, best_err = None, np.inf
-    for i, m in enumerate(ROTATIONS):
-        err = float(np.abs(a @ m.T.astype(float) - b).max(initial=0.0))
-        if err < best_err:
-            best, best_err = i, err
-    if best_err > rel_tol * scale:
-        return None, best_err
-    return best, best_err
+    moved = np.einsum("...ik,rjk->...rij", a, _ROT_FLOAT, optimize=True)
+    err = np.abs(moved - b[..., None, :, :]).max(axis=(-2, -1), initial=0.0)
+    best, best_err = err.argmin(axis=-1), err.min(axis=-1)
+    scale = np.maximum(1.0, np.abs(np.concatenate([a, b], axis=-2)).max(axis=(-2, -1), initial=0.0))
+    fits = ~(best_err > rel_tol * scale)
+    if a.ndim == 2:
+        return (int(best) if fits else None), float(best_err)
+    return np.where(fits, best, -1), best_err
 
 
 class Transition:

@@ -570,6 +570,15 @@ def propagate(cs: CutStructure, node_values, grid=None) -> ParamTetMesh:
             bsec = _align_sectors(cs, sheet, sheet.base)[0]
             sheet_const[sheet.id] = node_values[(sheet.base, bsec)][sheet.axis]
 
+    cut_at, boundary_at = {}, {}  # vertex -> its cut / boundary facets, ascending
+    for f in sorted(cs.cut_facets):
+        for v in pm.facet_keys[f]:
+            cut_at.setdefault(v, []).append(f)
+    for f in range(pm.n_facets):
+        if pm.facet_boundary[f]:
+            for v in pm.facet_keys[f]:
+                boundary_at.setdefault(v, []).append(f)
+
     values = {}  # (vertex, sector index) -> exact float triple
     for v in range(pm.n_vertices):
         if not pm.vertex_cells[v]:
@@ -581,9 +590,7 @@ def propagate(cs: CutStructure, node_values, grid=None) -> ParamTetMesh:
             continue
         # sector graph at v: adjacency through cut sheets
         adj = [[] for _ in sectors]
-        for f in sorted(cs.cut_facets):
-            if v not in pm.facet_keys[f]:
-                continue
+        for f in cut_at.get(v, ()):
             sheet = cs.sheets[cs.facet_sheet[f]]
             m, p = sheet.side[f]
             a, b = cs.sector_index(v, m), cs.sector_index(v, p)
@@ -591,10 +598,7 @@ def propagate(cs: CutStructure, node_values, grid=None) -> ParamTetMesh:
             adj[a].append((b, tr))
             adj[b].append((a, tr.inverse()))
         aligns = [[] for _ in sectors]
-        boundary_facets = sorted(
-            f for f in range(pm.n_facets)
-            if pm.facet_boundary[f] and v in pm.facet_keys[f]
-        )
+        boundary_facets = boundary_at.get(v, [])
         for f in boundary_facets:
             sheet = cs.sheets[cs.facet_sheet[f]]
             s = cs.sector_index(v, pm.facet_cells[f][0])

@@ -5,17 +5,24 @@ adjacent tets differ by a rigid transition whose rotation lies in the
 octahedral group; these transitions are recovered from the stored values.
 The mesh shares its incidence code with HexMesh through CellMesh, so
 complex extraction and reduction run unchanged on either pipeline.
+
+Chart geometry lives in tables built in one array pass over all live tets
+and interior facets on the first query: per tet its dihedral angles, corner
+solid angles and iso axis per face; per facet its transition. A facet with
+no rigid octahedral transition raises ``NotSeamlessError`` when queried.
+``split_edge`` computes rows only for the tets it creates and the facets
+they touch.
 """
 
 from __future__ import annotations
 
-import math
+from functools import cached_property
 
 import numpy as np
 
 from .errors import MeshError, NotSeamlessError
 from .hexmesh import CellMesh, HexMesh
-from .octahedral import ROTATIONS, Transition, fit_rotation
+from .octahedral import _ROT_FLOAT, ROTATIONS, Transition, fit_rotation
 
 # Facets whose parameter image is constant in one coordinate within this
 # tolerance count as iso-facets; sanitized inputs satisfy this exactly.
@@ -24,9 +31,88 @@ ISO_TOL = 1e-9
 TET_FACE_CORNERS = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# Index arrays of the table pass: the two corners off each edge, the three
+# corners other than each corner, and the slot of each corner pair's edge.
+_EDGE_A, _EDGE_B = np.array(TET_EDGES).T
+_EDGE_REST = np.array([[c for c in range(4) if c not in e] for e in TET_EDGES])
+_CORNER_REST = np.array([[c for c in range(4) if c != k] for k in range(4)])
+_EDGE_SLOT = {(a, b): k for k, e in enumerate(TET_EDGES) for a, b in (e, e[::-1])}
+# Where each rotation takes each coordinate axis: (image axis, sign).
+_AXIS_IMAGE = [[(int(abs(m[:, a]).argmax()), int(m[:, a].sum())) for a in range(3)] for m in ROTATIONS]
+# Rotation-table codes of facets without a rigid octahedral transition.
+_NO_FIT, _NOT_RIGID = -1, -2
+_CHUNK = 256  # facets per fit, bounding its 24-rotation temporaries
 
-def _tet_volume(p):
-    return float(np.linalg.det(np.array([p[1] - p[0], p[2] - p[0], p[3] - p[0]]))) / 6.0
+
+def _dot(a, b):
+    return (a * b).sum(-1)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _tet_rows(par, ids):
+    """Dihedral quarters (n x 6), corner octants (n x 4) and iso axes per
+    face slot (n x 4, -1 where the face is not iso) of tets with corner
+    parameters ``par`` (n x 4 x 3) and vertex ids ``ids`` (n x 4)."""
+    rows = np.arange(len(par))[:, None]
+    # Each dihedral angle is measured from the edge's lower-id vertex.
+    flip = ids[:, _EDGE_A] > ids[:, _EDGE_B]
+    pa = par[rows, np.where(flip, _EDGE_B, _EDGE_A)]
+    axis = _unit(par[rows, np.where(flip, _EDGE_A, _EDGE_B)] - pa)[:, :, None]
+    d = par[:, _EDGE_REST] - pa[:, :, None]
+    w = _unit(d - _dot(d, axis)[..., None] * axis)
+    w0, w1 = w[:, :, 0], w[:, :, 1]
+    dihedral = np.arctan2(np.linalg.norm(np.cross(w0, w1), axis=-1), _dot(w0, w1)) / (np.pi / 2)
+
+    a, b, c = np.moveaxis(par[:, _CORNER_REST] - par[:, :, None], 2, 0)
+    la, lb, lc = (np.linalg.norm(x, axis=-1) for x in (a, b, c))
+    num = np.abs(_dot(a, np.cross(b, c)))
+    den = la * lb * lc + _dot(a, b) * lc + _dot(a, c) * lb + _dot(b, c) * la
+    omega = 2.0 * np.arctan2(num, den)
+    octant = np.where(omega < 0, omega + 2.0 * np.pi, omega) / (np.pi / 2)
+
+    face = par[:, np.array(TET_FACE_CORNERS)]
+    iso = face.max(axis=2) - face.min(axis=2) <= ISO_TOL
+    iso_axis = np.where(iso.any(-1), iso.argmax(-1), -1)
+    return dihedral, octant, iso_axis
+
+
+def _transition_rows(ps, pt):
+    """Rotation index (or a ``_NO_FIT``/``_NOT_RIGID`` code) and shift of
+    the transitions carrying facet corner parameters ``ps`` onto ``pt``
+    (both m x 3 x 3, corners in facet key order)."""
+    d, g = ps[:, 1:] - ps[:, :1], pt[:, 1:] - pt[:, :1]
+    rot, _ = fit_rotation(
+        np.concatenate([d, np.cross(d[:, 0], d[:, 1])[:, None]], axis=1),
+        np.concatenate([g, np.cross(g[:, 0], g[:, 1])[:, None]], axis=1),
+    )
+    r = _ROT_FLOAT[rot]
+    shift = pt[:, 0] - np.einsum("mij,mj->mi", r, ps[:, 0])
+    moved = np.einsum("mij,mkj->mki", r, ps) + shift[:, None]
+    scale = np.maximum(1.0, np.maximum(np.abs(ps).max(axis=(1, 2)), np.abs(pt).max(axis=(1, 2))))
+    rigid = np.abs(moved - pt).max(axis=(1, 2)) <= 1e-6 * scale
+    return np.where(rot < 0, _NO_FIT, np.where(rigid, rot, _NOT_RIGID)), shift
+
+
+class _Charts:
+    """The chart tables of a ParamTetMesh as arrays indexed by tet or facet
+    id (rows of dead tets and of facets that are not interior are unused),
+    with the facet transitions built so far and their inverses."""
+
+    def __init__(self):
+        self.dihedral, self.octant = np.zeros((0, 6)), np.zeros((0, 4))
+        self.iso = np.zeros((0, 4), dtype=np.int8)
+        self.rot, self.shift = np.zeros(0, dtype=np.int8), np.zeros((0, 3))
+        self.trans, self.inverse = {}, {}
+
+    def grow(self, n_cells, n_facets):
+        """Pad the tables with zero rows up to ``n_cells`` tets and ``n_facets`` facets."""
+        for name, n in (("dihedral", n_cells), ("octant", n_cells), ("iso", n_cells),
+                        ("rot", n_facets), ("shift", n_facets)):
+            a = getattr(self, name)
+            setattr(self, name, np.concatenate([a, np.zeros((n - len(a),) + a.shape[1:], a.dtype)]))
 
 
 class ParamTetMesh(CellMesh):
@@ -45,14 +131,15 @@ class ParamTetMesh(CellMesh):
     def __init__(self, positions, tets, params):
         self._positions = [np.asarray(p, float) for p in positions]
         self.tets = [tuple(int(v) for v in t) for t in tets]
-        self.params = [np.asarray(p, float).reshape(4, 3).copy() for p in params]
+        par = np.array([np.asarray(p, float).reshape(4, 3) for p in params]).reshape(-1, 4, 3)
+        self.params = list(par)
         super().__init__(self.tets)
-        for t, par in enumerate(self.params):
-            if not np.isfinite(par).all():
-                raise MeshError(f"tet {t} has a non-finite parameter value")
-            if _tet_volume(par) <= 0:
-                raise MeshError(f"tet {t} has a degenerate or flipped parametric image")
-        self._trans = {}
+        finite = np.isfinite(par).all(axis=(1, 2))
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad = np.flatnonzero(~finite | ~(np.linalg.det(par[:, 1:] - par[:, :1]) > 0))
+        if len(bad):
+            what = "a degenerate or flipped parametric image" if finite[bad[0]] else "a non-finite parameter value"
+            raise MeshError(f"tet {bad[0]} has {what}")
 
     @property
     def positions(self):
@@ -66,46 +153,63 @@ class ParamTetMesh(CellMesh):
         """Parameter value of vertex ``v`` in tet ``t``'s chart."""
         return self.params[t][self._corner_of[t][v]]
 
+    @cached_property
+    def _charts(self) -> _Charts:
+        """The chart tables, built over every live tet and interior facet on first use."""
+        ch = _Charts()
+        interior = [f for f, cells in enumerate(self.facet_cells) if len(cells) == 2]
+        self._fill_rows(ch, self.live_cells(), interior)
+        return ch
+
+    def _fill_rows(self, ch, tets, facets):
+        """(Re)compute the rows of ``tets`` and of interior ``facets`` in tables ``ch``."""
+        ch.grow(self.n_cells, self.n_facets)
+        if tets:
+            par = np.array([self.params[t] for t in tets])
+            ids = np.array([self.tets[t] for t in tets])
+            ch.dihedral[tets], ch.octant[tets], ch.iso[tets] = _tet_rows(par, ids)
+        for lo in range(0, len(facets), _CHUNK):
+            chunk = facets[lo:lo + _CHUNK]
+            cells = [self.facet_cells[f] for f in chunk]
+            ids = np.array([[self.tets[c] for c in cs] for cs in cells])
+            keys = np.array([self.facet_keys[f] for f in chunk])
+            corners = (ids[:, :, None, :] == keys[:, None, :, None]).argmax(-1)  # of each key vertex
+            par = np.array([[self.params[c] for c in cs] for cs in cells])
+            par = np.take_along_axis(par, corners[..., None], axis=2)
+            ch.rot[chunk], ch.shift[chunk] = _transition_rows(par[:, 0], par[:, 1])
+
     # -- transitions ----------------------------------------------------------
 
     def facet_transition(self, f) -> Transition:
         """Rigid octahedral chart transition across interior facet ``f``,
         mapping the chart of its lower-id tet to that of the higher-id tet."""
-        if f in self._trans:
-            return self._trans[f]
-        cells = self.facet_cells[f]
-        if len(cells) != 2:
+        if len(self.facet_cells[f]) != 2:
             raise MeshError(f"facet {f} is not interior")
-        s, t = cells
-        key = self.facet_keys[f]
-        ps = np.array([self.corner_param(s, v) for v in key])
-        pt = np.array([self.corner_param(t, v) for v in key])
-        d1, d2 = ps[1] - ps[0], ps[2] - ps[0]
-        g1, g2 = pt[1] - pt[0], pt[2] - pt[0]
-        rot, _ = fit_rotation(
-            (d1, d2, np.cross(d1, d2)), (g1, g2, np.cross(g1, g2))
-        )
-        if rot is None:
+        ch = self._charts
+        tr = ch.trans.get(f)
+        if tr is not None:
+            return tr
+        rot = int(ch.rot[f])
+        if rot == _NO_FIT:
             raise NotSeamlessError(
                 f"no octahedral rotation matches the charts across facet {f}"
             )
-        shift = pt[0] - ROTATIONS[rot] @ ps[0]
-        tr = Transition(rot, tuple(shift))
-        scale = max(1.0, float(np.abs(ps).max()), float(np.abs(pt).max()))
-        for a, b in zip(ps, pt):
-            if np.abs(np.asarray(tr.apply(a)) - b).max() > 1e-6 * scale:
-                raise NotSeamlessError(f"chart transition across facet {f} is not rigid")
-        self._trans[f] = tr
+        if rot == _NOT_RIGID:
+            raise NotSeamlessError(f"chart transition across facet {f} is not rigid")
+        tr = ch.trans[f] = Transition(rot, tuple(ch.shift[f]))
         return tr
 
     def cell_gluing(self, a, f, b) -> Transition:
         """Chart transition from tet ``a`` to tet ``b`` across their shared facet ``f``."""
         s, t = self.facet_cells[f]
-        tr = self.facet_transition(f)
         if (a, b) == (s, t):
-            return tr
+            return self.facet_transition(f)
         if (a, b) == (t, s):
-            return tr.inverse()
+            inverse = self._charts.inverse
+            tr = inverse.get(f)
+            if tr is None:
+                tr = inverse[f] = self.facet_transition(f).inverse()
+            return tr
         raise MeshError(f"tets {a}, {b} do not share facet {f}")
 
     # -- fans and edge classification ----------------------------------------
@@ -113,40 +217,18 @@ class ParamTetMesh(CellMesh):
     def dihedral_quarters(self, t, e) -> float:
         """Parametric dihedral angle of tet ``t`` at edge ``e``, in 90° units."""
         va, vb = self.edge_keys[e]
-        others = [v for v in self.tets[t] if v not in (va, vb)]
-        pa = self.corner_param(t, va)
-        axis = self.corner_param(t, vb) - pa
-        axis = axis / np.linalg.norm(axis)
-        w = []
-        for v in others:
-            d = self.corner_param(t, v) - pa
-            d = d - np.dot(d, axis) * axis
-            w.append(d / np.linalg.norm(d))
-        ang = math.atan2(np.linalg.norm(np.cross(w[0], w[1])), float(np.dot(w[0], w[1])))
-        return ang / (math.pi / 2)
+        corner = self._corner_of[t]
+        return self._charts.dihedral[t, _EDGE_SLOT[corner[va], corner[vb]]]
 
     cell_angle_quarters = dihedral_quarters
 
     def cell_corner_octants(self, t, v) -> float:
         """Parametric solid angle of tet ``t`` at vertex ``v`` in octant units."""
-        p0 = self.corner_param(t, v)
-        a, b, c = [self.corner_param(t, u) - p0 for u in self.tets[t] if u != v]
-        la, lb, lc = np.linalg.norm(a), np.linalg.norm(b), np.linalg.norm(c)
-        num = abs(float(np.dot(a, np.cross(b, c))))
-        den = (
-            la * lb * lc
-            + float(np.dot(a, b)) * lc
-            + float(np.dot(a, c)) * lb
-            + float(np.dot(b, c)) * la
-        )
-        omega = 2.0 * math.atan2(num, den)
-        if omega < 0:
-            omega += 2.0 * math.pi
-        return omega / (math.pi / 2)
+        return self._charts.octant[t, self._corner_of[t][v]]
 
     def _edge_quarters(self, e) -> int:
         """Total parametric dihedral angle at ``e`` as a whole number of 90° turns."""
-        total = sum(self.dihedral_quarters(t, e) for t in self.edge_cells[e])
+        total = sum(self.dihedral_quarters(t, e) for t in self.edge_cells[e])  # in tet-id order
         k = int(round(total))
         if abs(total - k) > 1e-6 * max(1.0, total):
             raise NotSeamlessError(
@@ -166,31 +248,26 @@ class ParamTetMesh(CellMesh):
         """The tet whose chart facet ``f`` adopts."""
         return self.facet_cells[f][0]
 
+    def _iso_plane(self, f, t):
+        """(axis, value) of iso-facet ``f`` in the chart of tet ``t``; None
+        if the facet is not iso."""
+        axis = int(self._charts.iso[t, self.cell_facets[t].index(f)])
+        if axis < 0:
+            return None
+        return axis, float(self.corner_param(t, self.facet_keys[f][0])[axis])
+
     def facet_plane(self, f, t=None):
         """(axis vector, value) of iso-facet ``f`` in the chart of tet ``t``
         (default: the facet's anchor); None if the facet is not iso."""
-        if t is None:
-            t = self.anchor(f)
-        pts = np.array([self.corner_param(t, v) for v in self.facet_keys[f]])
-        for axis in range(3):
-            col = pts[:, axis]
-            if col.max() - col.min() <= ISO_TOL:
-                n = np.zeros(3)
-                n[axis] = 1.0
-                return n, float(col[0])
-        return None
+        plane = self._iso_plane(f, self.anchor(f) if t is None else t)
+        if plane is None:
+            return None
+        n = np.zeros(3)
+        n[plane[0]] = 1.0
+        return n, plane[1]
 
     def iso_facet(self, f) -> bool:
         return self.facet_plane(f) is not None
-
-    def _plane_matches(self, plane_a, plane_b):
-        na, ca = plane_a
-        nb, cb = plane_b
-        if np.allclose(na, nb, atol=1e-9):
-            return abs(ca - cb) <= ISO_TOL
-        if np.allclose(na, -nb, atol=1e-9):
-            return abs(ca + cb) <= ISO_TOL
-        return False
 
     def transport_plane(self, plane, tr: Transition):
         n, c = plane
@@ -229,22 +306,29 @@ class ParamTetMesh(CellMesh):
             t = fan.cell(i + side)
             if t is None:
                 return None
-            plane = self.facet_plane(f, t)
+            plane = self._iso_plane(f, t)
             if plane is None:
                 return None
+            # The plane is sign * x[axis] = value in the chart of t: its
+            # normal is an exact signed unit axis, so planes compare exactly.
+            axis, value = plane
+            sign = 1
             j = i
             while True:
                 j += step
                 g = fan.facet(j)
                 if g is None or g == f:
                     return None
-                cand = self.facet_plane(g, t)
-                if cand is not None and self._plane_matches(cand, plane):
+                cand = self._iso_plane(g, t)
+                if cand is not None and cand[0] == axis and abs(cand[1] - sign * value) <= ISO_TOL:
                     return g
                 t2 = fan.cell(j + side)
                 if t2 is None:
                     return None
-                plane = self.transport_plane(plane, self.cell_gluing(t, g, t2))
+                tr = self.cell_gluing(t, g, t2)
+                axis, turn = _AXIS_IMAGE[tr.rot][axis]
+                sign *= turn
+                value += sign * tr.t[axis]
                 t = t2
 
         out = walk(1)
@@ -282,7 +366,11 @@ class ParamTetMesh(CellMesh):
             self.tets[t] = None
             self.params[t] = None
         self._build_incidence(self.tets)
-        self._trans = {}
+        if "_charts" in vars(self):  # built already: update the rows the split touched
+            kids = [k for pair in replaced.values() for k in pair]
+            touched = {f for k in kids for f in self.cell_facets[k] if len(self.facet_cells[f]) == 2}
+            self._fill_rows(self._charts, kids, sorted(touched))
+            self._charts.trans, self._charts.inverse = {}, {}
         return v, replaced
 
     def compact(self):
@@ -324,14 +412,11 @@ def hex_to_param(mesh: HexMesh) -> ParamTetMesh:
             i0 = quad.index(min(quad))
             q = quad[i0:] + quad[:i0]
             for tri in ((q[0], q[1], q[2]), (q[0], q[2], q[3])):
-                verts = list(tri) + [c]
-                par = np.array(
-                    [mesh.local_coords(h, v) for v in tri] + [(0.5, 0.5, 0.5)],
-                    dtype=float,
-                )
-                if _tet_volume(par) < 0:
-                    verts[1], verts[2] = verts[2], verts[1]
-                    par[[1, 2]] = par[[2, 1]]
-                tets.append(verts)
-                params.append(par)
+                tets.append(list(tri) + [c])
+                params.append([mesh.local_coords(h, v) for v in tri] + [(0.5, 0.5, 0.5)])
+    tets = np.array(tets, dtype=np.int64).reshape(-1, 4)
+    params = np.array(params, dtype=float).reshape(-1, 4, 3)
+    flipped = np.linalg.det(params[:, 1:] - params[:, :1]) < 0  # swap corners 1 and 2 there
+    tets[flipped] = tets[flipped][:, [0, 2, 1, 3]]
+    params[flipped] = params[flipped][:, [0, 2, 1, 3]]
     return ParamTetMesh(positions, tets, params)
