@@ -153,10 +153,9 @@ def split_opp(pm, e, t, f, forest=None):
     plane = pm.facet_plane(f)
     if plane is None:
         raise MeshError(f"reference facet {f} is not an iso-facet")
-    tr = pm.fan_transition(e, anchor, t)
-    n2, c2 = pm.transport_plane(plane, tr)
-    ax = int(np.argmax(np.abs(n2)))
-    out = _try_split(pm, forest, e, t, [(ax, c2)])
+    ax, sign, value = pm.transport_plane((int(np.argmax(plane[0])), 1, plane[1]),
+                                         pm.fan_transition(e, anchor, t))
+    out = _try_split(pm, forest, e, t, [(ax, sign * value)])
     return None if out == f else out
 
 

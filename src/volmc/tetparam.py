@@ -41,7 +41,6 @@ _EDGE_SLOT = {(a, b): k for k, e in enumerate(TET_EDGES) for a, b in (e, e[::-1]
 _AXIS_IMAGE = [[(int(abs(m[:, a]).argmax()), int(m[:, a].sum())) for a in range(3)] for m in ROTATIONS]
 # Rotation-table codes of facets without a rigid octahedral transition.
 _NO_FIT, _NOT_RIGID = -1, -2
-_CHUNK = 256  # facets per fit, bounding its 24-rotation temporaries
 
 
 def _dot(a, b):
@@ -168,15 +167,14 @@ class ParamTetMesh(CellMesh):
             par = np.array([self.params[t] for t in tets])
             ids = np.array([self.tets[t] for t in tets])
             ch.dihedral[tets], ch.octant[tets], ch.iso[tets] = _tet_rows(par, ids)
-        for lo in range(0, len(facets), _CHUNK):
-            chunk = facets[lo:lo + _CHUNK]
-            cells = [self.facet_cells[f] for f in chunk]
+        if facets:
+            cells = [self.facet_cells[f] for f in facets]
             ids = np.array([[self.tets[c] for c in cs] for cs in cells])
-            keys = np.array([self.facet_keys[f] for f in chunk])
+            keys = np.array([self.facet_keys[f] for f in facets])
             corners = (ids[:, :, None, :] == keys[:, None, :, None]).argmax(-1)  # of each key vertex
             par = np.array([[self.params[c] for c in cs] for cs in cells])
             par = np.take_along_axis(par, corners[..., None], axis=2)
-            ch.rot[chunk], ch.shift[chunk] = _transition_rows(par[:, 0], par[:, 1])
+            ch.rot[facets], ch.shift[facets] = _transition_rows(par[:, 0], par[:, 1])
 
     # -- transitions ----------------------------------------------------------
 
@@ -269,11 +267,15 @@ class ParamTetMesh(CellMesh):
     def iso_facet(self, f) -> bool:
         return self.facet_plane(f) is not None
 
-    def transport_plane(self, plane, tr: Transition):
-        n, c = plane
-        n2 = np.asarray(tr.apply_vector(n), float)
-        c2 = c + float(np.dot(n2, np.asarray(tr.t)))
-        return n2, c2
+    @staticmethod
+    def transport_plane(plane, tr: Transition):
+        """Carry the plane ``sign * x[axis] = value``, given as (axis, sign,
+        value), through transition ``tr``. The normal stays an exact signed
+        unit axis, so transported planes compare exactly."""
+        axis, sign, value = plane
+        axis, turn = _AXIS_IMAGE[tr.rot][axis]
+        sign *= turn
+        return axis, sign, value + sign * tr.t[axis]
 
     def fan_transition(self, e, t_from, t_to) -> Transition:
         """Chart transition from tet ``t_from`` to ``t_to`` composed along the
@@ -309,10 +311,7 @@ class ParamTetMesh(CellMesh):
             plane = self._iso_plane(f, t)
             if plane is None:
                 return None
-            # The plane is sign * x[axis] = value in the chart of t: its
-            # normal is an exact signed unit axis, so planes compare exactly.
-            axis, value = plane
-            sign = 1
+            axis, sign, value = plane[0], 1, plane[1]  # sign * x[axis] = value in the chart of t
             j = i
             while True:
                 j += step
@@ -325,10 +324,7 @@ class ParamTetMesh(CellMesh):
                 t2 = fan.cell(j + side)
                 if t2 is None:
                     return None
-                tr = self.cell_gluing(t, g, t2)
-                axis, turn = _AXIS_IMAGE[tr.rot][axis]
-                sign *= turn
-                value += sign * tr.t[axis]
+                axis, sign, value = self.transport_plane((axis, sign, value), self.cell_gluing(t, g, t2))
                 t = t2
 
         out = walk(1)

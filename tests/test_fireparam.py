@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from volmc import synth
@@ -8,8 +9,8 @@ from volmc.cellcomplex import (
     reduce_complex,
     split_tori,
 )
-from volmc.fireparam import trace_param, trace_param_base
-from volmc.tetparam import hex_to_param
+from volmc.fireparam import split_opp, trace_param, trace_param_base
+from volmc.tetparam import ParamTetMesh, hex_to_param
 
 
 def _hex_counts(hm):
@@ -71,3 +72,28 @@ def test_base_trace_superset(meshes):
     w2, base = trace_param_base(pm, seed=0)
     # base-complex walls keep running where the standard trace stops
     assert len(base.tagged) >= len(std.tagged)
+
+
+def test_split_opp_follows_a_plane_through_an_axis_flip():
+    # Two stacked hexes; the upper one's charts are turned half way about z
+    # and shifted, so x = 0 in the lower chart is x = 0.4 in the upper one.
+    base = hex_to_param(synth.box_mesh(1, 1, 2))
+    pos = base.positions
+    upper = [pos[list(t)].mean(axis=0)[2] > 1 for t in base.tets]
+    turn, shift = np.diag([-1.0, -1.0, 1.0]), np.array([0.4, 0.0, 0.0])
+    params = [p @ turn.T + shift if up else p for p, up in zip(base.params, upper)]
+    pm = ParamTetMesh(pos, base.tets, params)
+
+    def on_side(g):  # a boundary facet in the plane x = 0 of the positions
+        return pm.facet_boundary[g] and all(pos[v][0] == 0 for v in pm.facet_keys[g])
+
+    e = pm.edge_id[tuple(v for v in range(len(pos)) if pos[v][0] == 0 and pos[v][2] == 1)]
+    f = next(g for g in pm.edge_facets[e] if on_side(g) and not upper[pm.anchor(g)])
+    t = next(c for c in pm.edge_cells[e] if upper[c] and any(on_side(g) for g in pm.cell_facets[c]))
+    assert pm.fan_transition(e, pm.anchor(f), t).apply_vector((1, 0, 0))[0] == -1
+    n_cells = pm.n_cells
+    g = split_opp(pm, e, t, f)
+    assert g is not None and g != f and on_side(g)
+    n, value = pm.facet_plane(g, t)
+    assert tuple(n) == (1, 0, 0) and value == 0.4
+    assert pm.n_cells == n_cells  # the plane runs along the facet, so nothing was split

@@ -1,24 +1,25 @@
 """Time the tet pipeline on the notched-box ladder at one or more git revisions.
 
-For each rung n, the input is ``hex_to_param(notched_box_mesh(n))``. Two
-stages are timed, each in a fresh Python process:
+The rungs are n = 4, 6, 8 (756, 2,580 and 6,132 tets); the input of each
+is ``hex_to_param(notched_box_mesh(n))``. Two stages are timed, each in a
+fresh Python process:
 
 - sanitize: ``sanitize(add_noise(pm, eps=1e-8, seed=0))``;
 - trace + extract: ``trace_param(pm, seed=0)`` and ``extract_complex`` of
   its result.
 
-Every revision other than ``worktree`` is exported with ``git archive`` to a
-temporary directory, so all trees run the same way. Runs alternate between
-the trees within each round, so that a slow spell of the machine falls on
-all of them. The record holds every run, the medians, the scaling exponent
-fitted to the medians over the ladder (least squares in log-log), the block
-count and a sha256 of the sanitized parameters per rung (equal across trees
-when the outputs are equal), git shas, the Python and numpy versions and
-the CPU count.
+Every revision is exported with ``git archive`` to a temporary directory,
+so all trees run the same way. Each rung runs 3 times per tree; runs
+alternate between the trees within each round, so that a slow spell of the
+machine falls on all of them. The record holds every run, the medians, the
+scaling exponent fitted to the medians over the ladder (least squares in
+log-log), the block count and a sha256 of the sanitized parameters per
+rung (equal across trees when the outputs are equal), git shas, the Python
+and numpy versions and the CPU count.
 
 Usage::
 
-    python tools/ladder_tet.py --rev HEAD~1 --rev worktree --out BENCH.json
+    python tools/ladder_tet.py --rev HEAD~1 --rev HEAD --out BENCH.json
 """
 
 import argparse
@@ -62,6 +63,8 @@ print(json.dumps({"tets": pm.n_cells, "sanitize_s": t1 - t0, "trace_extract_s": 
 """
 
 STAGES = ("sanitize_s", "trace_extract_s")
+SIZES = (4, 6, 8)
+RUNS = 3
 
 
 def git(*args):
@@ -70,11 +73,7 @@ def git(*args):
 
 
 def export(rev, into):
-    """The ``src`` directory of revision ``rev`` (the working tree for
-    ``worktree``) and the record of where it came from."""
-    if rev == "worktree":
-        dirty = bool(git("status", "--porcelain", "--", "src"))
-        return ROOT / "src", {"rev": rev, "git_sha": git("rev-parse", "HEAD"), "src_dirty": dirty}
+    """The ``src`` directory of revision ``rev`` and the record of where it came from."""
     tar = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True,
                          check=True).stdout
     dest = Path(into) / rev.replace("/", "_")
@@ -97,17 +96,15 @@ def exponent(tets, seconds):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--rev", action="append", required=True,
-                    help="git revision to time, or 'worktree'; repeat for each tree")
-    ap.add_argument("--sizes", type=int, nargs="+", default=[4, 6, 8])
-    ap.add_argument("--runs", type=int, default=3)
+                    help="git revision to time; repeat for each tree")
     ap.add_argument("--out", help="write the JSON record here as well as to stdout")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = [export(rev, tmp) for rev in args.rev]
-        runs = {(i, n): [] for i in range(len(trees)) for n in args.sizes}
-        for _ in range(args.runs):
-            for n in args.sizes:
+        runs = {(i, n): [] for i in range(len(trees)) for n in SIZES}
+        for _ in range(RUNS):
+            for n in SIZES:
                 for i, (src, _) in enumerate(trees):
                     runs[i, n].append(measure(src, n))
 
@@ -117,7 +114,7 @@ def main(argv=None):
             "sanitize_s": "sanitize(add_noise(pm, eps=1e-8, seed=0))",
             "trace_extract_s": "trace_param(pm, seed=0) + extract_complex",
         },
-        "statistic": f"median of {args.runs} runs, one process per run",
+        "statistic": f"median of {RUNS} runs, one process per run",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
@@ -125,7 +122,7 @@ def main(argv=None):
     }
     for i, (_, info) in enumerate(trees):
         rungs = []
-        for n in args.sizes:
+        for n in SIZES:
             rs = runs[i, n]
             rung = {"n": n, "tets": rs[0]["tets"], "blocks": rs[0]["blocks"],
                     "sanitized_sha256": rs[0]["sanitized_sha256"]}
@@ -137,7 +134,7 @@ def main(argv=None):
         info["exponents"] = {
             stage: exponent([r["tets"] for r in rungs], [r[stage + "_median"] for r in rungs])
             for stage in STAGES
-        } if len(rungs) > 1 else {}
+        }
         record["trees"].append(info)
     text = json.dumps(record, indent=1)
     if args.out:
