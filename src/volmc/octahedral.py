@@ -50,6 +50,8 @@ for _i, _a in enumerate(ROTATIONS):
     INVERSE[_i] = _INDEX[tuple(_a.T.ravel().tolist())]
 
 _ROT_FLOAT = np.array(ROTATIONS, dtype=float)
+# Row j of rotation r takes coordinate _PERM[r, j] with sign _SIGN[r, j].
+_PERM, _SIGN = np.abs(_ROT_FLOAT).argmax(-1), _ROT_FLOAT.sum(-1)
 _ROWS = tuple(tuple(tuple(int(x) for x in row) for row in m) for m in ROTATIONS)
 
 
@@ -76,8 +78,10 @@ def fit_rotation(vecs_from, vecs_to, rel_tol: float = 1e-6):
     """
     a = np.asarray(vecs_from, dtype=float)
     b = np.asarray(vecs_to, dtype=float)
-    moved = np.einsum("...ik,rjk->...rij", a, _ROT_FLOAT, optimize=True)
-    err = np.abs(moved - b[..., None, :, :]).max(axis=(-2, -1), initial=0.0)
+    # Rotations only permute and negate coordinates: a gather applies them
+    # exactly, and no matrix product wakes BLAS threads that compete for CPUs.
+    moved = a[..., _PERM] * _SIGN  # (..., n, rotation, 3)
+    err = np.abs(moved - b[..., None, :]).max(axis=(-3, -1), initial=0.0)
     best, best_err = err.argmin(axis=-1), err.min(axis=-1)
     scale = np.maximum(1.0, np.abs(np.concatenate([a, b], axis=-2)).max(axis=(-2, -1), initial=0.0))
     fits = ~(best_err > rel_tol * scale)
