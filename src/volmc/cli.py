@@ -134,6 +134,8 @@ def sanitize_cmd(input, output):
               help="Write per-arc quantized lengths and the objective value.")
 def quantize_cmd(input, seed, reduce_mode, fmt, scale, output, report):
     """Quantize arc lengths and extract a conforming hex mesh."""
+    if input.endswith(".param"):
+        raise click.ClickException("quantize takes a hex mesh (.mesh/.vtk), not a parametrization")
     mesh = read_hex_mesh(input, fmt=None if fmt == "auto" else fmt)
     mc, _ = _build(mesh, seed, reduce_mode)
     qp = build_ip(mc, scale)

@@ -75,8 +75,8 @@ class Fan(NamedTuple):
     with the edge's two boundary facets.
     """
 
-    facets: list
-    cells: list
+    facets: tuple
+    cells: tuple
     closed: bool
 
     # The two accessors are written out rather than sharing a helper: they
@@ -101,14 +101,17 @@ def build_fan(mesh, e) -> Fan:
     """The fan around edge ``e`` of a hex or tet mesh; raises MeshError when
     the cells around ``e`` do not form one manifold fan."""
     facets = mesh.edge_facets[e]
-    cells = mesh.edge_cells[e]
-    pair = {}  # cell -> its two facets at e
-    for c in cells:
-        fs = [f for f in mesh.cell_facets[c] if e in mesh.facet_edges[f]]
-        if len(fs) != 2:
-            raise MeshError(f"{mesh.kind} {c} has {len(fs)} facets at edge {e}")
-        pair[c] = fs
-    boundary = [f for f in facets if mesh.facet_boundary[f]]
+    va, vb = mesh.edge_keys[e]
+    pair = {}  # cell -> its two facets at e, until the walk passes the cell
+    for c in mesh.edge_cells[e]:
+        cell, cf = mesh._cells[c], mesh.cell_facets[c]
+        i, j = mesh.EDGE_FACES[cell.index(va), cell.index(vb)]
+        # A facet whose cycle differs between its cells does not hold e.
+        if cf[i] not in facets or cf[j] not in facets:
+            n = (cf[i] in facets) + (cf[j] in facets)
+            raise MeshError(f"{mesh.kind} {c} has {n} facets at edge {e}")
+        pair[c] = cf[i], cf[j]
+    boundary = [f for f in facets if mesh.facet_boundary[f]] if mesh.edge_boundary[e] else []
     if boundary:
         if len(boundary) != 2:
             raise MeshError(
@@ -118,26 +121,54 @@ def build_fan(mesh, e) -> Fan:
     else:
         start = facets[0]
     fan_f, fan_c = [start], []
-    seen = set()
     f = start
     while True:
-        nxt = [c for c in mesh.facet_cells[f] if c not in seen]
-        if not nxt:
+        cs = mesh.facet_cells[f]  # one or two cells
+        c = cs[0] if cs[0] in pair else cs[-1]
+        ab = pair.pop(c, None)
+        if ab is None:
             break
-        c = nxt[0]
-        seen.add(c)
         fan_c.append(c)
-        a, b = pair[c]
-        f = b if a == f else a
+        f = ab[1] if ab[0] == f else ab[0]
         fan_f.append(f)
     closed = not boundary
     if closed:
-        if fan_f[-1] != start or len(fan_c) != len(cells):
+        if fan_f[-1] != start or pair:
             raise MeshError(f"edge {e} has a non-manifold (split) fan")
-        fan_f = fan_f[:-1]
-    elif len(fan_c) != len(cells) or len(fan_f) != len(facets):
+        fan_f.pop()
+    elif pair or len(fan_f) != len(facets):
         raise MeshError(f"boundary edge {e} has a non-manifold (split) fan")
-    return Fan(fan_f, fan_c, closed)
+    return Fan(tuple(fan_f), tuple(fan_c), closed)
+
+
+def _number(keys, ids, key_list, obj, corner_list=None, corners=None):
+    """Ids of the rows of ``keys`` (n x k), with the sorted distinct keys and
+    their ids. Keys missing from ``ids`` become tuples of ``obj`` ints, numbered
+    in sorted order after all earlier ones; ``corner_list`` then gets the row
+    of ``corners`` at each new key's first occurrence."""
+    order = np.lexsort(keys.T[::-1])
+    head = np.ones(len(keys), bool)
+    head[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    inverse = np.empty(len(keys), np.int64)
+    inverse[order] = np.cumsum(head) - 1
+    uniq, first = keys[order[head]], order[head]  # a stable sort keeps first occurrences first
+    uniq_keys = list(zip(*obj[uniq].T.tolist()))  # tuples without temporary lists
+    uniq_ids = np.array([ids.get(key, -1) for key in uniq_keys], np.int64)
+    new = np.flatnonzero(uniq_ids < 0)
+    uniq_ids[new] = len(key_list) + np.arange(len(new))
+    new_keys = [uniq_keys[i] for i in new.tolist()]
+    ids.update(zip(new_keys, obj[uniq_ids[new]].tolist()))
+    key_list.extend(new_keys)
+    if corner_list is not None:
+        corner_list.extend(zip(*obj[corners[first[new]]].T.tolist()))
+    return uniq_ids[inverse], uniq, uniq_ids
+
+
+def _groups(keys, values, n):
+    """``values`` grouped by ``keys`` in 0..n-1: n lists, each in input order."""
+    vals = values[np.argsort(keys, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return [vals[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 class CellMesh:
@@ -159,8 +190,18 @@ class CellMesh:
     ``facet_corners`` that form the facet's edges, in ``facet_edges`` order),
     ``CYCLIC_FACETS`` (``facet_corners`` is the face cycle of the lowest
     incident cell when true, the sorted key otherwise) and
-    ``_edge_quarters(e)``, the quarter-turn count of an edge.
+    ``_edge_quarters(e)``, the quarter-turn count of an edge. ``EDGE_FACES``
+    is derived from ``FACES`` once per subclass.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Corner pair (either order) -> the two face slots that hold the edge.
+        cls.EDGE_FACES = {}
+        for i, face in enumerate(cls.FACES):
+            for a, b in zip(face, face[1:] + face[:1]):
+                for key in ((a, b), (b, a)):
+                    cls.EDGE_FACES[key] = cls.EDGE_FACES.get(key, ()) + (i,)
 
     def __init__(self, cells):
         self.facet_keys, self.facet_corners, self.facet_id = [], [], {}
@@ -168,79 +209,56 @@ class CellMesh:
         self._build_incidence(cells)
 
     def _build_incidence(self, cells):
-        """Derive all incidence from ``cells``; raises MeshError naming the
-        first bad cell or a facet shared by more than two cells."""
+        """Derive all incidence from ``cells`` in array passes; raises
+        MeshError naming the first bad cell or a facet shared by more than
+        two cells."""
         kind, nv = self.kind, self.n_vertices
-        faces, cyclic = self.FACES, self.CYCLIC_FACETS
-        facet_id, edge_id = self.facet_id, self.edge_id
-        live, cell_fkeys, cell_ekeys = [], [], []
-        new_facets, new_edges = {}, set()  # unseen keys; facets -> corners
-        for c, cell in enumerate(cells):
-            if cell is None:
-                continue
-            if len(set(cell)) != len(cell):
+        faces, fedges = np.array(self.FACES), np.array(self.FACET_EDGES)
+        live = np.array([c for c, cell in enumerate(cells) if cell is not None], np.int64)
+        corners = np.array([cells[c] for c in live], np.int64).reshape(len(live), faces.max() + 1)
+        srt = np.sort(corners, axis=1)
+        repeated = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        bad = np.flatnonzero(repeated | (srt[:, 0] < 0) | (srt[:, -1] >= nv))
+        if len(bad):
+            c = live[bad[0]]
+            if repeated[bad[0]]:
                 raise MeshError(f"{kind} {c} has repeated corners")
-            if min(cell) < 0 or max(cell) >= nv:
-                raise MeshError(f"{kind} {c} references a vertex outside 0..{nv - 1}")
-            fkeys = [tuple(sorted([cell[i] for i in face])) for face in faces]
-            ekeys = []
-            for a, b in self.EDGES:
-                va, vb = cell[a], cell[b]
-                ekeys.append((va, vb) if va < vb else (vb, va))
-            for key, face in zip(fkeys, faces):
-                if key not in facet_id and key not in new_facets:
-                    new_facets[key] = tuple(cell[i] for i in face) if cyclic else key
-            new_edges.update(k for k in ekeys if k not in edge_id)
-            live.append(c)
-            cell_fkeys.append(fkeys)
-            cell_ekeys.append(ekeys)
-        for key in sorted(new_facets):
-            facet_id[key] = len(self.facet_keys)
-            self.facet_keys.append(key)
-            self.facet_corners.append(new_facets[key])
-        for key in sorted(new_edges):
-            edge_id[key] = len(self.edge_keys)
-            self.edge_keys.append(key)
-
+            raise MeshError(f"{kind} {c} references a vertex outside 0..{nv - 1}")
+        cycles = corners[:, faces].reshape(-1, faces.shape[1])
+        fkeys = np.sort(cycles, axis=1)
+        ends = np.sort(corners[:, np.array(self.EDGES)], axis=2).reshape(-1, 2)
+        # One shared int per id in every list built here; tolist() makes one per entry.
+        obj = np.arange(max(nv, len(cells), len(self.facet_keys) + len(fkeys),
+                            len(self.edge_keys) + len(ends))).astype(object)
+        fid, _, _ = _number(fkeys, self.facet_id, self.facet_keys, obj,
+                            self.facet_corners, cycles if self.CYCLIC_FACETS else fkeys)
+        eid, ekeys, ekey_ids = _number(ends, self.edge_id, self.edge_keys, obj)
         nf, ne = len(self.facet_keys), len(self.edge_keys)
         self.cell_facets = [None] * len(cells)
-        facet_cells = self.facet_cells = [[] for _ in range(nf)]
-        edge_cells = self.edge_cells = [[] for _ in range(ne)]
-        vertex_cells = self.vertex_cells = [[] for _ in range(nv)]
-        for c, fkeys, ekeys in zip(live, cell_fkeys, cell_ekeys):
-            fs = self.cell_facets[c] = [facet_id[k] for k in fkeys]
-            for f in fs:
-                facet_cells[f].append(c)
-            for k in ekeys:
-                edge_cells[edge_id[k]].append(c)
-            for v in cells[c]:
-                vertex_cells[v].append(c)
-        for f, fc in enumerate(facet_cells):
-            if len(fc) > 2:
-                raise MeshError(
-                    f"non-manifold facet {self.facet_keys[f]}: {len(fc)} incident {kind}s {fc}"
-                )
-        self.facet_live = [bool(fc) for fc in facet_cells]
-        self.edge_live = [bool(ec) for ec in edge_cells]
-        self.facet_boundary = [len(fc) == 1 for fc in facet_cells]
-        self.facet_edges = [[] for _ in range(nf)]
-        self.edge_facets = [[] for _ in range(ne)]
-        for f in range(nf):
-            if not facet_cells[f]:
-                continue
-            corners = self.facet_corners[f]
-            for i, j in self.FACET_EDGES:
-                va, vb = corners[i], corners[j]
-                e = edge_id[(va, vb) if va < vb else (vb, va)]
-                self.facet_edges[f].append(e)
-                self.edge_facets[e].append(f)
-        self.edge_boundary = [
-            any(self.facet_boundary[f] for f in fs) for fs in self.edge_facets
-        ]
+        for c, fs in zip(live.tolist(), obj[fid].reshape(len(live), len(faces)).tolist()):
+            self.cell_facets[c] = fs
+        facet_cells = self.facet_cells = _groups(fid, obj[live].repeat(len(faces)), nf)
+        self.edge_cells = _groups(eid, obj[live].repeat(len(self.EDGES)), ne)
+        self.vertex_cells = _groups(corners.ravel(), obj[live].repeat(corners.shape[1]), nv)
+        count = np.bincount(fid, minlength=nf)
+        if (count > 2).any():
+            f = int(np.argmax(count > 2))
+            raise MeshError(f"non-manifold facet {self.facet_keys[f]}: "
+                            f"{count[f]} incident {kind}s {facet_cells[f]}")
+        self.facet_live = (count > 0).tolist()
+        self.edge_live = (np.bincount(eid, minlength=ne) > 0).tolist()
+        self.facet_boundary = (count == 1).tolist()
+        # Edges of each live facet, looked up by their keys among the cell edges.
+        lf = np.flatnonzero(count > 0)
+        fcorners = np.array(self.facet_corners, np.int64).reshape(nf, faces.shape[1])
+        pairs = np.sort(fcorners[lf][:, fedges], axis=2)
+        codes = ekeys[:, 0] * nv + ekeys[:, 1]
+        feid = ekey_ids[np.searchsorted(codes, pairs[..., 0] * nv + pairs[..., 1])]
+        self.facet_edges = _groups(lf.repeat(len(fedges)), obj[feid.ravel()], nf)
+        self.edge_facets = _groups(feid.ravel(), obj[lf].repeat(len(fedges)), ne)
+        boundary = np.bincount(feid.ravel(), (count[lf] == 1).repeat(len(fedges)), minlength=ne)
+        self.edge_boundary = (boundary > 0).tolist()
         self._cells = cells
-        self._corner_of = [
-            None if cell is None else {v: i for i, v in enumerate(cell)} for cell in cells
-        ]
         self._fans = {}
         self._eclass = {}
 
@@ -337,7 +355,7 @@ class HexMesh(CellMesh):
 
     def local_coords(self, h, v):
         """Unit-cube corner coordinates of vertex ``v`` within hex ``h``."""
-        return tuple(HEX_CORNER_COORDS[self._corner_of[h][v]])
+        return tuple(HEX_CORNER_COORDS[self._cells[h].index(v)])
 
     def face_gluing(self, h, f, h2) -> Transition:
         """Integer chart transition from hex ``h``'s unit cube to hex ``h2``'s.
@@ -346,8 +364,8 @@ class HexMesh(CellMesh):
         lands on the cube adjacent to h2's across the shared facet ``f``.
         """
         quad = self.facet_keys[f]
-        p = HEX_CORNER_COORDS[[self._corner_of[h][v] for v in quad]]
-        q = HEX_CORNER_COORDS[[self._corner_of[h2][v] for v in quad]]
+        p = HEX_CORNER_COORDS[[self._cells[h].index(v) for v in quad]]
+        q = HEX_CORNER_COORDS[[self._cells[h2].index(v) for v in quad]]
         u1, u2 = p[1] - p[0], p[2] - p[0]
         v1, v2 = q[1] - q[0], q[2] - q[0]
         n_h = HEX_FACE_NORMALS[self.cell_facets[h].index(f)]

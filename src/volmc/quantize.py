@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import IntegrityError, MeshError
 from .hexmesh import HEX_CORNER_COORDS, HexMesh
+from .octahedral import ROTATIONS
 
 
 class QuantizationProblem:
@@ -222,14 +224,11 @@ class _WallGrid:
         self.mc = mc
         self.w = mc.walls[wid]
         self.ell = ell
-        geom = self.w._geom
-        self.geom = geom
+        self.geom = geom = self.w._geom
         x0, x1, y0, y1 = geom.bbox
         self.off = (x0, y0)
         self.W, self.H = x1 - x0, y1 - y0
-        self.sides = {}
-        for s in range(4):
-            self.sides[s] = self._side_arcs(s)
+        self.sides = {s: self._side_arcs(s) for s in range(4)}
         self.P = sum(ell[a] for a, *_ in self.sides[0])
         self.Q = sum(ell[a] for a, *_ in self.sides[3])
         if self.P != sum(ell[a] for a, *_ in self.sides[2]) or self.Q != sum(
@@ -237,7 +236,6 @@ class _WallGrid:
         ):
             raise IntegrityError(f"wall {wid}: opposite side sums differ under quantization")
         self.node_new = {}  # vertex -> wall-local new coords (several on wrap walls)
-        self.node_orig = {}  # vertex -> wall-local original coords
         for s in range(4):
             self._side_nodes(s)
 
@@ -279,54 +277,43 @@ class _WallGrid:
         return out
 
     def _side_nodes(self, s):
-        axis = 0 if s in (0, 2) else 1
-
-        def embed(coord, orig):
-            if s == 0:
-                return (coord, 0), (orig, 0)
-            if s == 2:
-                return (coord, self.Q), (orig, self.H)
-            if s == 3:
-                return (0, coord), (0, orig)
-            return (self.P, coord), (self.W, orig)
-
         for aid, lo, hi, nlo, nhi, fwd in self.sides[s]:
             arc = self.mc.arcs[aid]
-            for vert, coord, orig in (
-                (arc.vertices[0], nlo if fwd else nhi, lo if fwd else hi),
-                (arc.vertices[-1], nhi if fwd else nlo, hi if fwd else lo),
-            ):
-                nw, og = embed(coord, orig)
+            for vert, coord in ((arc.vertices[0], nlo if fwd else nhi),
+                                (arc.vertices[-1], nhi if fwd else nlo)):
+                nw = {0: (coord, 0), 1: (self.P, coord), 2: (coord, self.Q), 3: (0, coord)}[s]
                 if nw not in self.node_new.setdefault(vert, []):
                     self.node_new[vert].append(nw)
-                if og not in self.node_orig.setdefault(vert, []):
-                    self.node_orig[vert].append(og)
 
     def _side_map(self, s, u):
-        """Original side coordinate at new side coordinate ``u``."""
-        for aid, lo, hi, nlo, nhi, fwd in self.sides[s]:
-            if u <= nhi or (aid, lo, hi, nlo, nhi, fwd) == self.sides[s][-1]:
-                return lo + (u - nlo) * (hi - lo) / (nhi - nlo)
-        raise IntegrityError("side coordinate out of range")
+        """Original side coordinates at integer new side coordinates ``u``:
+        affine on the first arc whose new span reaches ``u``."""
+        _, lo, hi, nlo, nhi, _ = map(np.array, zip(*self.sides[s]))
+        k = np.minimum(np.searchsorted(nhi, u), len(nhi) - 1)
+        return lo[k] + (u - nlo[k]) * (hi[k] - lo[k]) / (nhi[k] - nlo[k])
 
     def orig_of(self, u, v):
+        """Wall-local original coordinates (x, y) at integer new coordinates (u, v)."""
         x = (1 - v / self.Q) * self._side_map(0, u) + (v / self.Q) * self._side_map(2, u)
         y = (1 - u / self.P) * self._side_map(3, v) + (u / self.P) * self._side_map(1, v)
         return x, y
 
     def _interior_pos(self, u, v):
+        """Bilinear positions, in the wall's quads, of interior new grid points (u, v)."""
         x, y = self.orig_of(u, v)
-        p = min(self.W - 1, max(0, int(math.floor(x))))
-        q = min(self.H - 1, max(0, int(math.floor(y))))
-        f = self.geom.cells[(p + self.off[0], q + self.off[1])]
-        fx, fy = x - p, y - q
-        quad = self.mc.mesh.facet_corners[f]
-        pos = np.zeros(3)
-        for slot, vert in enumerate(quad):
-            cx, cy = self.geom.corner_coords[f][slot]
-            wx = fx if cx - self.off[0] == p + 1 else 1 - fx
-            wy = fy if cy - self.off[1] == q + 1 else 1 - fy
-            pos += wx * wy * np.asarray(self.mc.mesh.positions[vert], float)
+        p = np.clip(np.floor(x).astype(np.int64), 0, self.W - 1)
+        q = np.clip(np.floor(y).astype(np.int64), 0, self.H - 1)
+        x0, y0 = self.off
+        fs = [self.geom.cells[(a + x0, b + y0)] for a, b in zip(p.tolist(), q.tolist())]
+        corners = np.array([self.geom.corner_coords[f] for f in fs]).reshape(-1, 4, 2)
+        quads = np.array([self.mc.mesh.facet_corners[f] for f in fs], np.int64).reshape(-1, 4)
+        fx, fy = (x - p)[:, None], (y - q)[:, None]
+        wx = np.where(corners[..., 0] - x0 == p[:, None] + 1, fx, 1 - fx)
+        wy = np.where(corners[..., 1] - y0 == q[:, None] + 1, fy, 1 - fy)
+        positions = self.mc.mesh.positions
+        pos = np.zeros((len(fs), 3))
+        for slot in range(4):
+            pos += (wx[:, slot] * wy[:, slot])[:, None] * positions[quads[:, slot]]
         return pos
 
     def _side_point(self, s, u):
@@ -343,17 +330,22 @@ class _WallGrid:
                 return ("a", aid, t), _arc_point(self.mc, aid, t, self.ell[aid])
         raise IntegrityError("side coordinate out of range")
 
-    def point(self, u, v):
-        """(canonical key, position) of the new integer grid point (u, v)."""
-        if v == 0:
-            return self._side_point(0, u)
-        if v == self.Q:
-            return self._side_point(2, u)
-        if u == 0:
-            return self._side_point(3, v)
-        if u == self.P:
-            return self._side_point(1, v)
-        return ("w", self.w.id, u, v), self._interior_pos(u, v)
+    @cached_property
+    def nodes(self):
+        """(keys, positions) of all new grid points (u, v), flattened with v
+        fastest. Keys are canonical: a mesh vertex, an arc point or a point
+        of this wall, so every block touching the wall gets the same ones."""
+        P, Q = self.P, self.Q
+        u, v = np.divmod(np.arange((P + 1) * (Q + 1)), Q + 1)
+        inner = (u % P != 0) & (v % Q != 0)
+        keys = [("w", self.w.id, a, b) for a, b in zip(u.tolist(), v.tolist())]
+        pos = np.empty((len(keys), 3))
+        pos[inner] = self._interior_pos(u[inner], v[inner])
+        for i in np.flatnonzero(~inner).tolist():
+            a, b = keys[i][2:]
+            side = 0 if b == 0 else 2 if b == Q else 3 if a == 0 else 1
+            keys[i], pos[i] = self._side_point(side, a if side in (0, 2) else b)
+        return keys, pos
 
 
 def _fit_transform(p, q):
@@ -371,11 +363,9 @@ def _fit_transform(p, q):
 
 class _FaceGrid:
     """One block face: the walls tiling it, their placements in original and
-    new face coordinates, and new-grid point evaluation."""
+    new face coordinates, and its new grid points."""
 
-    def __init__(self, mc, wall_grids, incidences, axis, side, dims):
-        self.axis = axis
-        self.side = side
+    def __init__(self, mc, wall_grids, incidences, axis):
         self.u_ax, self.v_ax = [a for a in range(3) if a != axis]
         self.walls = {}  # wid -> (R, t_orig, t_new)
         groups = {}
@@ -445,76 +435,116 @@ class _FaceGrid:
         self.dims = tuple(int(x) for x in (np.max([c for _, c in corners], axis=0) - lo))
         self.wall_grids = wall_grids
 
-    def rects(self):
-        out = {}
-        for wid, (R, _, off) in self.walls.items():
+    def nodes(self):
+        """(keys, key index, positions) of the face's new grid points: the
+        index and position grids have shape (dims[0] + 1, dims[1] + 1), the
+        index is -1 where no wall lies, and where walls meet the lowest wall
+        id gives the point."""
+        keys = []
+        index = np.full((self.dims[0] + 1, self.dims[1] + 1), -1, np.int64)
+        pos = np.zeros(index.shape + (3,))
+        for wid in sorted(self.walls, reverse=True):
+            R, _, off = self.walls[wid]
             wg = self.wall_grids[wid]
-            a = R @ np.array([0, 0]) + off
-            b = R @ np.array([wg.P, wg.Q]) + off
-            out[wid] = (np.minimum(a, b), np.maximum(a, b))
-        return out
-
-    def point(self, p, q):
-        pt = np.array([p, q])
-        if not hasattr(self, "_rects"):
-            self._rects = self.rects()
-        for wid in sorted(self.walls):
-            lo, hi = self._rects[wid]
-            if (lo <= pt).all() and (pt <= hi).all():
-                R, _, off = self.walls[wid]
-                local = np.linalg.inv(R.astype(float)) @ (pt - off)
-                u, v = int(round(local[0])), int(round(local[1]))
-                wg = self.wall_grids[wid]
-                if 0 <= u <= wg.P and 0 <= v <= wg.Q:
-                    return wg.point(u, v)
-        raise IntegrityError(f"face point ({p}, {q}) lies on no wall")
+            wkeys, wpos = wg.nodes
+            p, q = R @ np.divmod(np.arange(len(wkeys)), wg.Q + 1) + off[:, None]
+            index[p, q] = len(keys) + np.arange(len(wkeys))
+            pos[p, q] = wpos
+            keys += wkeys
+        return keys, index, pos
 
 
 class BlockMap:
     """Piecewise-affine rescaling of one block: affine per meta-tet spanned
     by the block center and the triangulated integer sub-rectangles of its
-    (rescaled) walls."""
+    (rescaled) walls.
 
-    def __init__(self, bid, dims, new_dims, tets):
-        self.bid = bid
-        self.dims = dims
-        self.new_dims = new_dims
-        self.tets = tets  # list of (orig 4x3, new 4x3, M_new_to_orig, o0, n0)
-        # stacked arrays for fast point location
-        self._n0 = np.array([t[1][0] for t in tets])
-        Tinv = []
-        self._bad = np.zeros(len(tets), bool)
-        for i, t in enumerate(tets):
-            T = (np.array(t[1][1:]) - t[1][0]).T
-            try:
-                Tinv.append(np.linalg.inv(T))
-            except np.linalg.LinAlgError:
-                Tinv.append(np.eye(3))
-                self._bad[i] = True
-        self._Tinv = np.array(Tinv)
-        self._M = np.array([t[2] for t in tets])
-        self._o0 = np.array([t[3] for t in tets])
-        self._nb = np.array([t[4] for t in tets])
+    ``orig`` and ``new`` hold, per meta-tet, its three face-triangle corners
+    in original and new block coordinates (T x 3 x 3); the block centers are
+    the fourth corners.
+    """
+
+    def __init__(self, bid, dims, new_dims, orig, new):
+        self.bid, self.dims, self.new_dims = bid, dims, new_dims
+        self.orig, self.new = orig, new
+        self._o0 = np.array(dims, float) / 2.0
+        self._n0 = np.array(new_dims, float) / 2.0
+        O, N = orig - self._o0, new - self._n0
+        self._Tinv = np.linalg.inv(N.transpose(0, 2, 1))
+        self._M = O.transpose(0, 2, 1) @ self._Tinv
+        # Meta-tets sorted by their unit square: the face axis and the
+        # square's lowest corner in new block coordinates.
+        keys = self._square_key((new == new[:, :1]).all(axis=1).argmax(axis=1), new.min(axis=1))
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+
+    def _square_key(self, axis, low):
+        """Index of the unit square with lowest corner ``low`` on a face normal to ``axis``."""
+        return axis * np.prod(np.add(self.new_dims, 1)) + np.ravel_multi_index(
+            np.rint(low).astype(np.int64).T, np.add(self.new_dims, 1))
 
     def orientation_ok(self):
-        for orig, new, *_ in self.tets:
-            vo = np.linalg.det(np.array(orig[1:]) - orig[0])
-            vn = np.linalg.det(np.array(new[1:]) - new[0])
-            if vo * vn <= 0:
-                return False
-        return True
+        dets = np.linalg.det(self.orig - self._o0) * np.linalg.det(self.new - self._n0)
+        return not np.any(dets <= 0)
+
+    def _candidates(self, pts):
+        """Sorted (point, meta-tet) index pairs that include every meta-tet
+        whose closure holds its point. An integer point other than the center
+        lies in the pyramid over face (a, side) when its offset from the
+        center, scaled by the half-dimensions, is largest in |axis a|, and
+        there over the unit square (both, on a grid line) that holds its
+        projection from the center: exact integer tests. A meta-tet that
+        misses an integer point misses it by a barycentric margin of at least
+        1 / (4 new_dims[a]), so no other one reaches a slack of -1e-9. The
+        center and non-integer points get every meta-tet."""
+        nd = np.array(self.new_dims, np.int64)
+        exact = (pts == np.floor(pts)).all(axis=1)
+        d2 = np.where(exact[:, None], 2 * pts - nd, 0).astype(np.int64)  # twice the offset
+        everywhere = np.flatnonzero(~exact | ~d2.any(axis=1))
+        pi = [np.repeat(everywhere, len(self._keys))]
+        ti = [np.tile(np.arange(len(self._keys)), len(everywhere))]
+        for a in range(3):
+            b, c = [x for x in range(3) if x != a]
+            ha = np.abs(d2[:, a])
+            sel = np.flatnonzero((ha > 0) & (np.abs(d2[:, b]) * nd[a] <= ha * nd[b])
+                                 & (np.abs(d2[:, c]) * nd[a] <= ha * nd[c]))
+            den = 2 * ha[sel]
+            low = np.zeros((len(sel), 3), np.int64)
+            low[:, a] = np.where(d2[sel, a] > 0, nd[a], 0)
+            options = []
+            for x in (b, c):
+                num = nd[x] * ha[sel] + d2[sel, x] * nd[a]
+                k = num // den
+                options.append(np.clip([k, k - (num % den == 0)], 0, nd[x] - 1))
+            for kb in options[0]:
+                for kc in options[1]:
+                    low[:, b], low[:, c] = kb, kc
+                    key = self._square_key(a, low)
+                    lo = np.searchsorted(self._keys, key, "left")
+                    cnt = np.searchsorted(self._keys, key, "right") - lo
+                    rep = np.repeat(np.arange(len(sel)), cnt)
+                    pi.append(sel[rep])
+                    at = lo[rep] + np.arange(len(rep)) - (np.cumsum(cnt) - cnt)[rep]
+                    ti.append(self._order[at])
+        pair = np.unique(np.concatenate(pi) * len(self._keys) + np.concatenate(ti))
+        return np.divmod(pair, len(self._keys))
 
     def to_original(self, p):
-        """Original block coordinates of a new-grid point (inverse of the
-        rescaling); locates the containing meta-tet by barycentric test."""
+        """Original block coordinates of new-grid points, one point (3,) or a
+        stack (n, 3): the inverse of the rescaling. Each point goes through
+        the meta-tet of largest barycentric slack, the lowest index on a tie."""
         p = np.asarray(p, float)
-        lam = np.einsum("tij,tj->ti", self._Tinv, p - self._n0)
+        pts = p.reshape(-1, 3)
+        pi, ti = self._candidates(pts)
+        # One row per pair, bit for bit the rows of a per-point einsum over all meta-tets.
+        lam = np.einsum("kij,kj->ki", self._Tinv[ti], pts[pi] - self._n0)
         slack = np.minimum(lam.min(axis=1), 1.0 - lam.sum(axis=1))
-        slack[self._bad] = -np.inf
-        i = int(np.argmax(slack))
-        if slack[i] < -1e-9:
+        order = np.lexsort((ti, -slack, pi))
+        first = order[np.diff(pi[order], prepend=-1) != 0]
+        if len(first) < len(pts) or (slack[first] < -1e-9).any():
             raise IntegrityError("new grid point outside all meta-tets")
-        return self._o0[i] + self._M[i] @ (p - self._nb[i])
+        out = self._o0 + (self._M[ti[first]] @ (pts - self._n0)[:, :, None])[:, :, 0]
+        return out.reshape(p.shape)
 
 
 class _QuantizedBlock:
@@ -524,19 +554,24 @@ class _QuantizedBlock:
         self.mc = mc
         self.bid = bid
         block = mc.blocks[bid]
-        self.dims, self.trans = grid_block_coords(mc.mesh, mc.field, block.cells)
+        self.dims, trans = grid_block_coords(mc.mesh, mc.field, block.cells)
         mesh = mc.mesh
+        # Block-grid coordinates of every corner slot of every hex.
+        self.cells = np.array(list(trans))
+        rot = np.array([ROTATIONS[trans[c].rot] for c in self.cells])
+        shift = np.array([trans[c].t for c in self.cells], float)
+        loc = HEX_CORNER_COORDS @ rot.transpose(0, 2, 1) + shift[:, None]
+        self.corners = np.rint(loc).astype(np.int64)
+        row = {c: i for i, c in enumerate(self.cells.tolist())}
         # block surface facets with per-vertex block-grid coordinates
         by_face = {}
         for c in block.cells:
+            slots = mesh.cell_vertices(c)
+            loc = self.corners[row[c]].tolist()
             for f in mesh.cell_facets[c]:
                 if f not in mc.field.tagged:
                     continue
-                quad = mesh.facet_corners[f]
-                coords3 = [
-                    tuple(int(x) for x in self.trans[c].apply(mesh.local_coords(c, v)))
-                    for v in quad
-                ]
+                coords3 = [tuple(loc[slots.index(v)]) for v in mesh.facet_corners[f]]
                 for axis in range(3):
                     vals = {c3[axis] for c3 in coords3}
                     if len(vals) == 1 and vals <= {0, self.dims[axis]}:
@@ -546,7 +581,7 @@ class _QuantizedBlock:
                 else:
                     raise IntegrityError(f"facet {f} not axis-aligned on block {bid}")
         self.faces = {
-            key: _FaceGrid(mc, wall_grids, incs, key[0], key[1], self.dims)
+            key: _FaceGrid(mc, wall_grids, incs, key[0])
             for key, incs in by_face.items()
         }
         nd = [None, None, None]
@@ -558,117 +593,102 @@ class _QuantizedBlock:
                 elif nd[ax] != val:
                     raise IntegrityError(f"block {bid}: face grids disagree on new dimensions")
         self.new_dims = tuple(nd)
-        # hex lookup by block grid cell, corner positions in block coords
-        self.cell_hex = {}
-        for c, tr in self.trans.items():
-            a = tr.apply((0, 0, 0))
-            b = tr.apply((1, 1, 1))
-            self.cell_hex[tuple(int(round(min(x, y))) for x, y in zip(a, b))] = c
         self.map = self._build_map()
 
     def _build_map(self):
-        center_o = np.array(self.dims, float) / 2.0
-        center_n = np.array(self.new_dims, float) / 2.0
-        tets = []
+        orig, new = [], []
         for (axis, side), fg in self.faces.items():
-            const_o = 0.0 if side == 0 else float(self.dims[axis])
-            const_n = 0.0 if side == 0 else float(self.new_dims[axis])
-
-            def embed(c2, const, u_ax=fg.u_ax, v_ax=fg.v_ax, axis=axis):
-                out = np.zeros(3)
-                out[axis] = const
-                out[u_ax], out[v_ax] = c2
-                return out
-
             for wid, (R, t_orig, off) in fg.walls.items():
                 wg = fg.wall_grids[wid]
-                for u in range(wg.P):
-                    for v in range(wg.Q):
-                        quad = [(u, v), (u + 1, v), (u + 1, v + 1), (u, v + 1)]
-                        news = [embed(R @ np.array(c) + off, const_n) for c in quad]
-                        origs = [
-                            embed(R @ np.array(wg.orig_of(*c)) + t_orig, const_o)
-                            for c in quad
-                        ]
-                        for tri in ((0, 1, 2), (0, 2, 3)):
-                            new4 = [center_n] + [news[i] for i in tri]
-                            orig4 = [center_o] + [origs[i] for i in tri]
-                            N = np.array(new4[1:]) - new4[0]
-                            O = np.array(orig4[1:]) - orig4[0]
-                            M = O.T @ np.linalg.inv(N.T)
-                            tets.append((orig4, new4, M, new4[0] * 0 + orig4[0], new4[0]))
-        bm = BlockMap(self.bid, self.dims, self.new_dims, tets)
+                P, Q = wg.P, wg.Q
+                u, v = np.divmod(np.arange((P + 1) * (Q + 1)), Q + 1)
+                # Corners (u, v), (u+1, v), (u+1, v+1), (u, v+1) of each quad,
+                # split along the diagonal into two triangles.
+                low = np.flatnonzero((u < P) & (v < Q))
+                tri = low[:, None, None] + np.array([[0, Q + 1, Q + 2], [0, Q + 2, 1]])
+                tri = tri.reshape(-1, 3)
+                # The wall's nodes in original and new face coordinates; R
+                # permutes and negates, so these are exact.
+                on_orig = np.stack(wg.orig_of(u, v), 1) @ R.T + t_orig
+                on_new = np.stack([u, v], 1) @ R.T + off
+                for out, dims, on_face in ((orig, self.dims, on_orig), (new, self.new_dims, on_new)):
+                    nodes = np.empty((len(u), 3))
+                    nodes[:, axis] = side * dims[axis]
+                    nodes[:, [fg.u_ax, fg.v_ax]] = on_face
+                    out.append(nodes[tri])
+        bm = BlockMap(self.bid, self.dims, self.new_dims, np.concatenate(orig), np.concatenate(new))
         if not bm.orientation_ok():
             raise IntegrityError(f"block {self.bid}: inverted meta-tet in rescaling map")
         return bm
 
-    def interior_position(self, i, j, k):
-        u, v, w = self.map.to_original((i, j, k))
+    def _interior_positions(self, ijk):
+        """Trilinear positions, in the original hexes, of interior new grid points."""
         mesh = self.mc.mesh
-        ci = min(self.dims[0] - 1, max(0, int(math.floor(u))))
-        cj = min(self.dims[1] - 1, max(0, int(math.floor(v))))
-        ck = min(self.dims[2] - 1, max(0, int(math.floor(w))))
-        h = self.cell_hex[(ci, cj, ck)]
-        fx, fy, fz = u - ci, v - cj, w - ck
-        pos = np.zeros(3)
-        for corner in mesh.cell_vertices(h):
-            loc = self.trans[h].apply(mesh.local_coords(h, corner))
-            wx = fx if int(round(loc[0])) == ci + 1 else 1 - fx
-            wy = fy if int(round(loc[1])) == cj + 1 else 1 - fy
-            wz = fz if int(round(loc[2])) == ck + 1 else 1 - fz
-            pos += wx * wy * wz * np.asarray(mesh.positions[corner], float)
+        low = self.corners.min(axis=1)
+        grid = np.empty(self.dims, np.int64)
+        grid[tuple(low.T)] = np.arange(len(low))
+        uvw = self.map.to_original(ijk.astype(float))
+        cell = np.clip(np.floor(uvw).astype(np.int64), 0, np.array(self.dims) - 1)
+        h = grid[tuple(cell.T)]
+        f = (uvw - cell)[:, None, :]
+        w = np.where(self.corners[h] > low[h][:, None], f, 1 - f)
+        weight = w[..., 0] * w[..., 1] * w[..., 2]
+        corner = mesh.hexes[self.cells[h]]
+        pos = np.zeros((len(ijk), 3))
+        for slot in range(8):
+            pos += weight[:, slot, None] * mesh.positions[corner[:, slot]]
         return pos
 
-    def point(self, i, j, k):
-        coords = (i, j, k)
+    def points(self):
+        """(keys, positions) of the block's new grid points, flattened with k
+        fastest. A point on the block's boundary takes its key and position
+        from the first face, in sorted order, that holds it; an interior
+        point's key is its own, as no other block shares it."""
+        ijk = np.indices(np.add(self.new_dims, 1)).reshape(3, -1).T
+        keys = [("b", self.bid, i) for i in range(len(ijk))]
+        pos = np.empty((len(ijk), 3))
+        free = np.ones(len(ijk), bool)
         for (axis, side), fg in sorted(self.faces.items()):
-            target = 0 if side == 0 else self.new_dims[axis]
-            if coords[axis] == target:
-                return fg.point(coords[fg.u_ax], coords[fg.v_ax])
-        return ("b", self.bid, i, j, k), self.interior_position(i, j, k)
+            idx = np.flatnonzero(free & (ijk[:, axis] == side * self.new_dims[axis]))
+            free[idx] = False
+            fkeys, index, fpos = fg.nodes()
+            p, q = ijk[idx, fg.u_ax], ijk[idx, fg.v_ax]
+            at = index[p, q]
+            if (at < 0).any():
+                raise IntegrityError(f"face point ({p[at < 0][0]}, {q[at < 0][0]}) lies on no wall")
+            pos[idx] = fpos[p, q]
+            for i, k in zip(idx.tolist(), at.tolist()):
+                keys[i] = fkeys[k]
+        pos[free] = self._interior_positions(ijk[free])
+        return keys, pos
 
 
 def reparametrize_block(mc, bid, ell) -> BlockMap:
     """Piecewise-affine rescaling map of one block under arc lengths ``ell``."""
-    wall_grids = _build_wall_grids(mc, ell)
+    wall_grids = {w.id: _WallGrid(mc, w.id, ell) for w in mc.walls}
     return _QuantizedBlock(mc, wall_grids, bid, ell).map
-
-
-def _build_wall_grids(mc, ell):
-    return {w.id: _WallGrid(mc, w.id, ell) for w in mc.walls}
 
 
 def extract_hexmesh(mc, ell) -> HexMesh:
     """Conforming hex mesh: an l x m x n unit grid per block, glued through
     canonical per-wall/per-arc grid keys so that shared walls (including
-    T-joint sub-walls) carry identical grids from both sides."""
-    wall_grids = _build_wall_grids(mc, ell)
-    vid = {}
-    positions = []
-    hexes = []
-
-    def vertex(key, pos):
-        if key not in vid:
-            vid[key] = len(positions)
-            positions.append(pos)
-        return vid[key]
-
+    T-joint sub-walls) carry identical grids from both sides. Vertices are
+    numbered in order of first appearance, block by block. Only complexes
+    of hex meshes are supported."""
+    if mc.mesh.kind != "hex":
+        raise MeshError(f"hex extraction takes the complex of a hex mesh, not a {mc.mesh.kind} mesh")
+    wall_grids = {w.id: _WallGrid(mc, w.id, ell) for w in mc.walls}
+    vid = {}  # key -> vertex id
+    positions, hexes = [], []
     for block in mc.blocks:
         qb = _QuantizedBlock(mc, wall_grids, block.id, ell)
+        keys, pos = qb.points()
+        n = len(vid)
+        ids = np.array([vid.setdefault(key, len(vid)) for key in keys])
+        fresh, first = np.unique(ids, return_index=True)
+        positions.append(pos[first[fresh >= n]])
         L, M, N = qb.new_dims
-        ids = {}
-        for i in range(L + 1):
-            for j in range(M + 1):
-                for k in range(N + 1):
-                    key, pos = qb.point(i, j, k)
-                    ids[(i, j, k)] = vertex(key, pos)
-        for i in range(L):
-            for j in range(M):
-                for k in range(N):
-                    hexes.append(
-                        [
-                            ids[(i + dx, j + dy, k + dz)]
-                            for dx, dy, dz in HEX_CORNER_COORDS
-                        ]
-                    )
-    return HexMesh(positions, hexes)
+        grid = ids.reshape(L + 1, M + 1, N + 1)
+        hexes.append(np.stack([grid[dx:dx + L, dy:dy + M, dz:dz + N]
+                               for dx, dy, dz in HEX_CORNER_COORDS], axis=-1).reshape(-1, 8))
+    return HexMesh(np.concatenate(positions), np.concatenate(hexes))

@@ -150,7 +150,7 @@ class ParamTetMesh(CellMesh):
 
     def corner_param(self, t, v):
         """Parameter value of vertex ``v`` in tet ``t``'s chart."""
-        return self.params[t][self._corner_of[t][v]]
+        return self.params[t][self.tets[t].index(v)]
 
     @cached_property
     def _charts(self) -> _Charts:
@@ -215,14 +215,14 @@ class ParamTetMesh(CellMesh):
     def dihedral_quarters(self, t, e) -> float:
         """Parametric dihedral angle of tet ``t`` at edge ``e``, in 90° units."""
         va, vb = self.edge_keys[e]
-        corner = self._corner_of[t]
-        return self._charts.dihedral[t, _EDGE_SLOT[corner[va], corner[vb]]]
+        tet = self.tets[t]
+        return self._charts.dihedral[t, _EDGE_SLOT[tet.index(va), tet.index(vb)]]
 
     cell_angle_quarters = dihedral_quarters
 
     def cell_corner_octants(self, t, v) -> float:
         """Parametric solid angle of tet ``t`` at vertex ``v`` in octant units."""
-        return self._charts.octant[t, self._corner_of[t][v]]
+        return self._charts.octant[t, self.tets[t].index(v)]
 
     def _edge_quarters(self, e) -> int:
         """Total parametric dihedral angle at ``e`` as a whole number of 90° turns."""
@@ -347,7 +347,7 @@ class ParamTetMesh(CellMesh):
         for t in sorted(self.edge_cells[e]):
             tet = self.tets[t]
             par = self.params[t]
-            ca, cb = self._corner_of[t][va], self._corner_of[t][vb]
+            ca, cb = tet.index(va), tet.index(vb)
             pv = (1 - lam) * par[ca] + lam * par[cb]
             kids = []
             for corner in (cb, ca):  # keep va in the first sub-tet, vb in the second

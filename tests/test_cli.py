@@ -66,6 +66,14 @@ def test_quantize_writes_mesh_and_report(files, tmp_path):
     assert len(read_hex_mesh(str(mesh_path)).hexes) > 0
 
 
+def test_quantize_rejects_parametrization(files, tmp_path):
+    res = CliRunner().invoke(main, ["quantize", str(files / "box.param"),
+                                    "--output", str(tmp_path / "q.mesh")])
+    assert res.exit_code == 1
+    assert "quantize takes a hex mesh" in res.output
+    assert not (tmp_path / "q.mesh").exists()
+
+
 def test_base_complex_summary(files):
     out = run_cli(["base-complex", str(files / "pie3.mesh")])
     assert "blocks=3" in out

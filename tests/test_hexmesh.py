@@ -75,6 +75,16 @@ def test_non_manifold_facet_rejected():
         HexMesh(pos, hexes)
 
 
+def test_non_manifold_edge_rejected():
+    # two unit cubes that share only the edge x = y = 1
+    pos = [tuple(map(float, c)) for c in HEX_CORNER_COORDS]
+    pos += [tuple(map(float, c + (1, 1, 0))) for c in HEX_CORNER_COORDS]
+    second = [8 + i for i in range(8)]
+    second[0], second[4] = 2, 6  # the shared corners (1, 1, 0) and (1, 1, 1)
+    with pytest.raises(MeshError, match="non-manifold boundary edge"):
+        HexMesh(pos, [list(range(8)), second])
+
+
 def test_local_coords_match_corner_table():
     hm = synth.box_mesh(1, 1, 1)
     h = 0

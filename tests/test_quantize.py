@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import FIXTURE_BUILDERS
 
 from volmc import synth
 from volmc.cellcomplex import (
@@ -11,14 +12,16 @@ from volmc.cellcomplex import (
     reduce_complex,
     split_tori,
 )
-from volmc.errors import IntegrityError
+from volmc.errors import IntegrityError, MeshError
 from volmc.firehex import trace_hex
+from volmc.fireparam import trace_param
 from volmc.quantize import (
     build_ip,
     extract_hexmesh,
     reparametrize_block,
     solve_quantization,
 )
+from volmc.tetparam import hex_to_param
 
 
 def brute_force_optimum(qp, hi=None):
@@ -167,3 +170,47 @@ def test_annulus_wall_rejected(complexes):
             build_ip(full, 1.0)
     else:
         pytest.skip("composite full reduction has no slit/annulus wall")
+
+
+def brute_force_locator(bm):
+    """Reference inverse of a block map, one point at a time: the global
+    argmax of the barycentric slack over all meta-tets, ties to the lowest
+    index, with each meta-tet's map built on its own. Also returns how many
+    meta-tets hold the point."""
+    c_orig, c_new = np.array(bm.dims, float) / 2.0, np.array(bm.new_dims, float) / 2.0
+    tinv = np.array([np.linalg.inv((new - c_new).T) for new in bm.new])
+    maps = [(orig - c_orig).T @ t for orig, t in zip(bm.orig, tinv)]
+
+    def locate(p):
+        lam = np.einsum("tij,tj->ti", tinv, p - np.tile(c_new, (len(tinv), 1)))
+        slack = np.minimum(lam.min(axis=1), 1.0 - lam.sum(axis=1))
+        i = int(np.argmax(slack))
+        assert slack[i] >= -1e-9
+        return c_orig + maps[i] @ (p - c_new), int((slack >= -1e-9).sum())
+
+    return locate
+
+
+def test_point_location_matches_brute_force(complexes):
+    cases = [(_quantizable(complexes[name]), s) for name in FIXTURE_BUILDERS for s in (1, 2, 3, 4)]
+    cases += [(red, 2) for red in small_random_problems(count=2)]
+    shared = centers = 0
+    for red, s in cases:
+        sol = solve_quantization(build_ip(red, float(s)))
+        for b in red.blocks:
+            bm = reparametrize_block(red, b.id, sol)
+            pts = np.indices(np.add(bm.new_dims, 1)).reshape(3, -1).T.astype(float)
+            locate = brute_force_locator(bm)
+            ref = [locate(p) for p in pts]
+            assert np.array_equal(bm.to_original(pts), np.array([r for r, _ in ref]))
+            assert np.array_equal(bm.to_original(pts[-1]), ref[-1][0])  # single-point form
+            shared += sum(n > 1 for _, n in ref)
+            centers += len(bm.orig) in [n for _, n in ref]
+    assert shared > 0 and centers > 0
+
+
+def test_tet_complex_rejected_up_front():
+    work, field = trace_param(hex_to_param(synth.pie_mesh(3)), seed=0)
+    mc = reduce_complex(split_tori(extract_complex(work, field)), mode="full")
+    with pytest.raises(MeshError, match="hex mesh"):
+        extract_hexmesh(mc, {a.id: 1 for a in mc.arcs})

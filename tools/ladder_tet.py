@@ -1,20 +1,25 @@
 """Time the tet pipeline on the notched-box ladder at one or more git revisions.
 
 The rungs are n = 4, 6, 8 (756, 2,580 and 6,132 tets); the input of each
-is ``hex_to_param(notched_box_mesh(n))``. Two stages are timed, each in a
-fresh Python process:
+is ``hex_to_param(notched_box_mesh(n))``. Three stages are timed, each run
+of a rung in a fresh Python process:
 
 - sanitize: ``sanitize(add_noise(pm, eps=1e-8, seed=0))``;
 - trace + extract: ``trace_param(pm, seed=0)`` and ``extract_complex`` of
-  its result.
+  its result;
+- hexmesh: ``build_ip``, ``solve_quantization`` and ``extract_hexmesh`` at
+  s = 2 on the fully reduced complex of ``notched_box_mesh(n)`` itself (the
+  hex pipeline; quantization takes hex complexes only), with the number of
+  hexes it outputs.
 
 Every revision is exported with ``git archive`` to a temporary directory,
 so all trees run the same way. Each rung runs 3 times per tree; runs
 alternate between the trees within each round, so that a slow spell of the
 machine falls on all of them. The record holds every run, the medians, the
 scaling exponent fitted to the medians over the ladder (least squares in
-log-log), the block count and a sha256 of the sanitized parameters per
-rung (equal across trees when the outputs are equal), git shas, the Python
+log-log), the block count, the output hex count and a sha256 of the
+sanitized parameters per rung (equal across trees when the outputs are
+equal), git shas, the Python
 and numpy versions and the CPU count.
 
 Usage::
@@ -44,12 +49,15 @@ import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from volmc import synth
-from volmc.cellcomplex import extract_complex
+from volmc.cellcomplex import extract_complex, reduce_complex, split_tori
+from volmc.firehex import trace_hex
 from volmc.fireparam import trace_param
+from volmc.quantize import build_ip, extract_hexmesh, solve_quantization
 from volmc.sanitize import add_noise, sanitize
 from volmc.tetparam import hex_to_param
 
-pm = hex_to_param(synth.notched_box_mesh(int(sys.argv[2])))
+hm = synth.notched_box_mesh(int(sys.argv[2]))
+pm = hex_to_param(hm)
 noisy = add_noise(pm, eps=1e-8, seed=0)
 t0 = time.perf_counter()
 fixed = sanitize(noisy)
@@ -57,12 +65,17 @@ t1 = time.perf_counter()
 work, field = trace_param(pm, seed=0)
 mc = extract_complex(work, field)
 t2 = time.perf_counter()
+red = reduce_complex(split_tori(extract_complex(hm, trace_hex(hm, seed=0))), mode="full")
+t3 = time.perf_counter()
+hexes = extract_hexmesh(red, solve_quantization(build_ip(red, 2.0))).hexes
+t4 = time.perf_counter()
 digest = hashlib.sha256(b"".join(np.asarray(p).tobytes() for p in fixed.params)).hexdigest()
 print(json.dumps({"tets": pm.n_cells, "sanitize_s": t1 - t0, "trace_extract_s": t2 - t1,
-                  "blocks": len(mc.blocks), "sanitized_sha256": digest}))
+                  "hexmesh_s": t4 - t3, "blocks": len(mc.blocks), "hexes": len(hexes),
+                  "sanitized_sha256": digest}))
 """
 
-STAGES = ("sanitize_s", "trace_extract_s")
+STAGES = ("sanitize_s", "trace_extract_s", "hexmesh_s")
 SIZES = (4, 6, 8)
 RUNS = 3
 
@@ -113,6 +126,8 @@ def main(argv=None):
         "stages": {
             "sanitize_s": "sanitize(add_noise(pm, eps=1e-8, seed=0))",
             "trace_extract_s": "trace_param(pm, seed=0) + extract_complex",
+            "hexmesh_s": "build_ip + solve_quantization + extract_hexmesh at s = 2 on the "
+                         "fully reduced hex complex of notched_box_mesh(n)",
         },
         "statistic": f"median of {RUNS} runs, one process per run",
         "python": platform.python_version(),
@@ -125,7 +140,7 @@ def main(argv=None):
         for n in SIZES:
             rs = runs[i, n]
             rung = {"n": n, "tets": rs[0]["tets"], "blocks": rs[0]["blocks"],
-                    "sanitized_sha256": rs[0]["sanitized_sha256"]}
+                    "hexes": rs[0]["hexes"], "sanitized_sha256": rs[0]["sanitized_sha256"]}
             for stage in STAGES:
                 rung[stage] = [r[stage] for r in rs]
                 rung[stage + "_median"] = statistics.median(rung[stage])
