@@ -9,6 +9,7 @@ specialized per mesh kind.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import logging
 from collections import deque
@@ -110,87 +111,94 @@ class MotorcycleComplex:
         self.wall_of = {}  # facet -> wall id
         self.arc_of = {}  # edge -> arc id
         self.block_of = {}  # cell -> block id
+        self._edges = None  # the field's _EdgeTable
 
     def wall_facet_set(self):
         return set(self.field.tagged)
 
 
-def _tags_by_edge(mesh, tagged):
-    """Edge -> the tagged facets at that edge, in ascending facet order (the
-    order of ``mesh.edge_facets``); edges without a tagged facet are absent."""
-    at = {}
-    for f in sorted(tagged):
-        for e in mesh.facet_edges[f]:
-            at.setdefault(e, []).append(f)
-    return at
+class _EdgeTable:
+    """The per-edge facts of a wall field, derived once per edge with a
+    tagged facet. ``pair[e]``: the two tagged facets at ``e``, ascending,
+    when they continue one wall straight across it. At every other such
+    edge (an arc edge), ``ring[e]``: for each tagged facet in fan order the
+    facet, the quarter turns swept to the next one and the first cell
+    crossed (None, None past the end of an open fan), flattened into one
+    tuple."""
 
+    __slots__ = ("mesh", "field", "pair", "ring")
 
-def _gap(mesh, field, fan, e, i, step):
-    """Walk from tagged facet ``fan.facets[i]`` in direction ``step`` (±1) to
-    the next tagged facet: (quarter turns swept, first cell crossed), or None
-    if the walk runs off the end of an open fan."""
-    side = 0 if step == 1 else -1  # fan.cell(j + side) lies beyond facet j
-    first = cell = fan.cell(i + side)
-    q = 0.0
-    j = i
-    while cell is not None:
-        q += mesh.cell_angle_quarters(cell, e)
-        j += step
-        if fan.facet(j) in field.tagged:
-            return q, first
-        cell = fan.cell(j + side)
-    return None
+    def __init__(self, mesh, field, pair, ring):
+        self.mesh, self.field, self.pair, self.ring = mesh, field, pair, ring
 
+    def facets(self, e):
+        """The tagged facets at edge ``e``."""
+        return self.pair.get(e) or self.ring.get(e, ())[::3]
 
-def _fan_gaps(mesh, field, e):
-    """Cell gaps (in quarter turns) between consecutive tagged facets in the
-    fan around edge ``e``. Requires at least one tagged facet at ``e``."""
-    fan = mesh.edge_fan(e)
-    tag_idx = [i for i, f in enumerate(fan.facets) if f in field.tagged]
-    if not tag_idx:
-        raise IntegrityError(f"no tagged facet at edge {e}")
-    gaps = (_gap(mesh, field, fan, e, i, 1) for i in tag_idx)
-    return [g[0] for g in gaps if g is not None]
+    def derive(self, e):
+        """Re-derive edge ``e`` from the field under ``validate_field``'s
+        per-edge rules."""
+        mesh = self.mesh
+        self.pair.pop(e, None)
+        self.ring.pop(e, None)
+        fan = mesh.edge_fan(e)
+        at = [i for i, f in enumerate(fan.facets) if f in self.field.tagged]
+        if not at:
+            if not mesh.edge_boundary[e] and mesh.classify_edge(e).singular:
+                raise IntegrityError(f"singular edge {e} in block interior")
+            return
+        quarters = [mesh.cell_angle_quarters(c, e) for c in fan.cells] * 2  # twice: wraps
+        ring = []
+        for i, j in zip(at, at[1:] + [at[0] + len(fan.cells) if fan.closed else None]):
+            q = None if j is None else sum(quarters[i:j])
+            if q is not None and q > 2 + _QUARTER_TOL:
+                raise IntegrityError(
+                    f"cell gap of {q * 90:.0f} degrees around edge {e} (open or missing wall)"
+                )
+            ring += (fan.facets[i], q, None if j is None else fan.cells[i])
+        tags = sorted(ring[::3])
+        if len(tags) == 2 and not mesh.classify_edge(e).singular \
+                and mesh.opp_facet(e, tags[0]) == tags[1]:
+            self.pair[e] = tuple(tags)
+        else:
+            self.ring[e] = tuple(ring)
+
+    def untag(self, facets):
+        """Untag ``facets`` and re-derive the edges they touch, in ascending
+        order: every other edge keeps its facts, so this raises exactly when,
+        and as, ``validate_field`` of the new field would."""
+        for f in sorted(facets):
+            if self.mesh.facet_boundary[f]:
+                raise IntegrityError(f"boundary facet {f} untagged")
+        changed = set()
+        for f in facets:
+            self.field.untag(f)
+            changed.update(self.mesh.facet_edges[f])
+        for e in sorted(changed):
+            self.derive(e)
 
 
 def validate_field(mesh, field):
     """Sanity of a tracer fixpoint: boundary tagged, no open wall edges, and
     no cell gap wider than 180° around any edge lying on a wall. Returns the
-    field's ``_tags_by_edge`` map."""
-    at = _tags_by_edge(mesh, field.tagged)
+    field's ``_EdgeTable``."""
     for f in range(mesh.n_facets):
         if mesh.facet_boundary[f] and f not in field.tagged:
             raise IntegrityError(f"boundary facet {f} untagged")
+    edges = _EdgeTable(mesh, field, {}, {})
+    on_walls = {e for f in field.tagged for e in mesh.facet_edges[f]}
     for e in range(mesh.n_edges):
-        if e not in at:
-            if not mesh.edge_boundary[e] and mesh.classify_edge(e).singular:
-                raise IntegrityError(f"singular edge {e} in block interior")
-            continue
-        for g in _fan_gaps(mesh, field, e):
-            if g > 2 + _QUARTER_TOL:
-                raise IntegrityError(
-                    f"cell gap of {g * 90:.0f} degrees around edge {e} (open or missing wall)"
-                )
-    return at
+        # derive raises for a singular interior edge without a tagged facet
+        if e in on_walls or (not mesh.edge_boundary[e] and mesh.classify_edge(e).singular):
+            edges.derive(e)
+    return edges
 
 
-def _wall_neighbor(mesh, at, f, e):
-    """The facet continuing ``f``'s wall straight across edge ``e``, or None
-    when ``e`` is not interior to a wall; ``at`` maps edges to tagged facets."""
-    tagged = at.get(e, ())
-    if (
-        len(tagged) != 2
-        or mesh.classify_edge(e).singular
-        or mesh.opp_facet(e, tagged[0]) != tagged[1]
-    ):
-        return None
-    return tagged[0] if tagged[1] == f else tagged[1]
-
-
-def _wall_components(mesh, at, facets):
+def _wall_components(edges, facets):
     """The walls made of the tagged ``facets``: components under
-    ``_wall_neighbor``, each a sorted facet list, in order of lowest facet;
-    and the facet -> component index map."""
+    ``edges.pair``, each a sorted facet list, in order of lowest facet; and
+    the facet -> component index map."""
+    facet_edges, pair = edges.mesh.facet_edges, edges.pair
     comp_of = {}
     comps = []
     for seed in sorted(facets):
@@ -202,11 +210,13 @@ def _wall_components(mesh, at, facets):
         while dq:
             f = dq.popleft()
             comp.append(f)
-            for e in mesh.facet_edges[f]:
-                other = _wall_neighbor(mesh, at, f, e)
-                if other is not None and other not in comp_of:
-                    comp_of[other] = len(comps)
-                    dq.append(other)
+            for e in facet_edges[f]:
+                p = pair.get(e)
+                if p is not None:
+                    other = p[0] if p[1] == f else p[1]
+                    if other not in comp_of:
+                        comp_of[other] = len(comps)
+                        dq.append(other)
         comps.append(sorted(comp))
     return comps, comp_of
 
@@ -216,7 +226,7 @@ class _WallGeometry:
     facet corner slot, annulus wrap detection, boundary segments, corners."""
 
     __slots__ = (
-        "annulus", "slit", "cells", "bbox", "boundary_segments",
+        "annulus", "slit", "cells", "bbox", "boundary_segments", "segment_sides",
         "corner_vertices", "corner_coords",
     )
 
@@ -226,43 +236,37 @@ class _WallGeometry:
         self.cells = None
         self.bbox = None
         self.boundary_segments = []  # (edge id, (p2d, q2d))
+        self.segment_sides = None  # side index 0..3 per boundary segment, for rectangles
         self.corner_vertices = set()
         self.corner_coords = {}  # facet -> 2D coords per facet_corners slot
 
 
-def _hex_wall_geometry(mesh, at, facets):
+def _hex_wall_geometry(edges, facets):
+    mesh, pair = edges.mesh, edges.pair
     seed = facets[0]
     place = {seed: ((0, 0), (1, 0), (1, 1), (0, 1))}
     geom = _WallGeometry()
     dq = deque([seed])
     while dq:
         f = dq.popleft()
-        quad = mesh.facet_corners[f]
-        co = place[f]
-        cx = sum(p[0] for p in co) / 4.0
-        cy = sum(p[1] for p in co) / 4.0
+        quad, fe = mesh.facet_corners[f], mesh.facet_edges[f]
+        co = place[f]  # a unit square, corners in cyclic order
         for k in range(4):
-            va, vb = quad[k], quad[(k + 1) % 4]
-            e = mesh.edge_id[(va, vb) if va < vb else (vb, va)]
-            f2 = _wall_neighbor(mesh, at, f, e)
+            e = fe[k]  # the edge from corner k to corner k + 1
+            f2 = pair.get(e)
             if f2 is None:
                 continue
-            a, b = co[k], co[(k + 1) % 4]
-            mx, my = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            n = (dy, -dx)
-            if n[0] * (mx - cx) + n[1] * (my - cy) < 0:
-                n = (-dy, dx)
-            quad2 = mesh.facet_corners[f2]
-            j = next(
-                i for i in range(4)
-                if {quad2[i], quad2[(i + 1) % 4]} == {va, vb}
-            )
+            f2 = f2[0] if f2[1] == f else f2[1]
+            a, b, c = co[k], co[(k + 1) % 4], co[(k + 2) % 4]
+            n = (b[0] - c[0], b[1] - c[1])  # unit step across edge k, away from f
+            j = mesh.facet_edges[f2].index(e)
+            if mesh.facet_corners[f2][j] != quad[k]:
+                a, b = b, a
             co2 = [None] * 4
-            co2[j] = a if quad2[j] == va else b
-            co2[(j + 1) % 4] = b if quad2[(j + 1) % 4] == vb else a
-            co2[(j + 2) % 4] = (co2[(j + 1) % 4][0] + n[0], co2[(j + 1) % 4][1] + n[1])
-            co2[(j + 3) % 4] = (co2[j][0] + n[0], co2[j][1] + n[1])
+            co2[j] = a
+            co2[(j + 1) % 4] = b
+            co2[(j + 2) % 4] = (b[0] + n[0], b[1] + n[1])
+            co2[(j + 3) % 4] = (a[0] + n[0], a[1] + n[1])
             co2 = tuple(co2)
             if f2 in place:
                 if place[f2] != co2:
@@ -278,16 +282,16 @@ def _hex_wall_geometry(mesh, at, facets):
                 dq.append(f2)
 
     # Boundary segments and 2D corner vertices.
-    geom.corner_coords = dict(place)
+    geom.corner_coords = place
     seg_dirs = {}
     for f in facets:
-        quad = mesh.facet_corners[f]
+        quad, fe = mesh.facet_corners[f], mesh.facet_edges[f]
         co = place[f]
         for k in range(4):
-            va, vb = quad[k], quad[(k + 1) % 4]
-            e = mesh.edge_id[(va, vb) if va < vb else (vb, va)]
-            if _wall_neighbor(mesh, at, f, e) is not None:
+            e = fe[k]
+            if e in pair:
                 continue
+            va, vb = quad[k], quad[(k + 1) % 4]
             pa, pb = co[k], co[(k + 1) % 4]
             if va > vb:
                 pa, pb = pb, pa
@@ -317,13 +321,21 @@ def _hex_wall_geometry(mesh, at, facets):
         # structure and are never candidates for removal.
         geom.slit = True
         return geom
-    bbox = (x0, x1 + 1, y0, y1 + 1)
-    if any(_segment_side(bbox, p, q) is None for _, (p, q) in geom.boundary_segments):
-        geom.slit = True
-        return geom
-    geom.cells = cells
-    geom.bbox = bbox
+    if _set_sides(geom, (x0, x1 + 1, y0, y1 + 1)):
+        geom.cells = cells
     return geom
+
+
+def _set_sides(geom, bbox):
+    """Record ``bbox`` and the side of every boundary segment of a rectangle
+    layout; a segment off the perimeter makes the wall a slit instead.
+    Returns whether the layout is a rectangle."""
+    sides = [_segment_side(bbox, p, q) for _, (p, q) in geom.boundary_segments]
+    if None in sides:
+        geom.slit = True
+        return False
+    geom.bbox, geom.segment_sides = bbox, sides
+    return True
 
 
 def _segment_side(bbox, p, q, tol=1e-6):
@@ -345,16 +357,17 @@ def _segment_side(bbox, p, q, tol=1e-6):
     return None
 
 
-def _make_wall(mesh, field, at, wid, facets):
+def _make_wall(edges, wid, facets):
     """Wall ``wid`` of the sorted tagged ``facets``, with its geometry."""
+    mesh = edges.mesh
     w = Wall(wid, frozenset(facets), bool(mesh.facet_boundary[facets[0]]),
-             max(field.distance.get(f, 0) for f in facets))
+             max(edges.field.distance.get(f, 0) for f in facets))
     if mesh.kind == "hex":
-        w._geom = _hex_wall_geometry(mesh, at, facets)
+        w._geom = _hex_wall_geometry(edges, facets)
     else:
         from .fireparam import param_wall_geometry
 
-        w._geom = param_wall_geometry(mesh, at, facets)
+        w._geom = param_wall_geometry(edges, facets)
     w.annulus = w._geom.annulus
     w.slit = w._geom.slit
     if not w.annulus and not w.slit:
@@ -365,40 +378,68 @@ def _make_wall(mesh, field, at, wid, facets):
 
 def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
     """Discover the full node/arc/wall/block structure of a wall field."""
-    at = validate_field(mesh, field)
     mc = MotorcycleComplex(mesh, field)
+    mc._edges = edges = validate_field(mesh, field)
+    comps, mc.wall_of = _wall_components(edges, field.tagged)
+    mc.walls = [_make_wall(edges, wid, facets) for wid, facets in enumerate(comps)]
+    _link_arcs(mc)
 
-    comps, mc.wall_of = _wall_components(mesh, at, field.tagged)
-    mc.walls = [_make_wall(mesh, field, at, wid, facets) for wid, facets in enumerate(comps)]
+    # Blocks: components of cells not separated by tagged facets.
+    parent = list(range(mesh.n_cells))
 
-    # Arc edges: on a wall, but not interior to one.
-    arc_edges = set()
-    edge_walls = {}
-    for e, tagged in at.items():
-        if _wall_neighbor(mesh, at, tagged[0], e) is not None:
-            continue
-        arc_edges.add(e)
-        edge_walls[e] = frozenset(mc.wall_of[f] for f in tagged)
+    def root(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for f, cells in enumerate(mesh.facet_cells):
+        if len(cells) == 2 and f not in field.tagged:
+            a, b = sorted((root(cells[0]), root(cells[1])))
+            parent[b] = a
+    _add_blocks(mc, root)
+    log.debug("extract: %d walls, %d wall geometries built, %d arcs, %d blocks",
+              len(mc.walls), len(mc.walls), len(mc.arcs), len(mc.blocks))
+    return mc
+
+
+def _add_blocks(mc, root):
+    """The blocks of ``mc``: the cells grouped by ``root(c)``, numbered by
+    lowest cell, each with the walls on its cells' facets."""
+    mesh, cells_of = mc.mesh, {}
+    for c in range(mesh.n_cells):
+        cells_of.setdefault(root(c), []).append(c)
+    for bid, cells in enumerate(cells_of.values()):
+        walls = {mc.wall_of[f] for c in cells for f in mesh.cell_facets[c] if f in mc.wall_of}
+        mc.blocks.append(Block(bid, frozenset(cells), walls))
+        mc.block_of.update(dict.fromkeys(cells, bid))
+
+
+def _link_arcs(mc):
+    """Nodes and arcs of ``mc``'s walls from its edge table, with
+    ``arc_of``, each wall's arc ids and each rectangle wall's arc ids per
+    side. Arc edges are the edges on a wall but not interior to one."""
+    mesh, table = mc.mesh, mc._edges
+    sig = {  # arc edge -> (its walls, whether it is singular)
+        e: (frozenset(mc.wall_of[f] for f in ring[::3]), mesh.classify_edge(e).singular)
+        for e, ring in table.ring.items()
+    }
 
     corner_vertices = set()
     for w in mc.walls:
         corner_vertices.update(w._geom.corner_vertices)
 
     incident = {}
-    for e in arc_edges:
+    for e in sig:
         for v in mesh.edge_vertices[e]:
             incident.setdefault(v, []).append(e)
     for v in incident:
         incident[v].sort()
 
-    def edge_sig(e):
-        return (edge_walls[e], mesh.classify_edge(e).singular)
-
     node_vertices = set()
     for v, es in incident.items():
         if len(es) != 2 or v in corner_vertices:
             node_vertices.add(v)
-        elif edge_sig(es[0]) != edge_sig(es[1]):
+        elif sig[es[0]] != sig[es[1]]:
             node_vertices.add(v)
 
     for nid, v in enumerate(sorted(node_vertices)):
@@ -431,25 +472,25 @@ def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
             if e not in visited:
                 chains.append(walk(v, e))
     # Remaining cycles: closed loop arcs without nodes.
-    for e in sorted(arc_edges - visited):
+    for e in sorted(sig.keys() - visited):
         if e in visited:
             continue
         v0 = mesh.edge_vertices[e][0]
-        edges, verts = walk(v0, e)
-        chains.append((edges, verts))
+        chains.append(walk(v0, e))
 
-    for aid, (edges, verts) in enumerate(chains):
-        sig = edge_sig(edges[0])
-        for e in edges[1:]:
-            if edge_sig(e) != sig:
+    ring = table.ring
+    for aid, (chain, verts) in enumerate(chains):
+        walls, singular = sig[chain[0]]
+        for e in chain[1:]:
+            if sig[e] != (walls, singular):
                 raise IntegrityError(f"inconsistent arc chain at edge {e}")
-        length = sum(mesh.edge_param_length(e) for e in edges)
-        arc = Arc(aid, edges, verts, sig[0], sig[1], length)
+        length = sum(mesh.edge_param_length(e) for e in chain)
+        arc = Arc(aid, chain, verts, walls, singular, length)
         arc.tarc = (not arc.singular) and any(
-            abs(g - 2) <= _QUARTER_TOL for e in edges for g in _fan_gaps(mesh, field, e)
+            q is not None and abs(q - 2) <= _QUARTER_TOL for e in chain for q in ring[e][1::3]
         )
         mc.arcs.append(arc)
-        for e in edges:
+        for e in chain:
             mc.arc_of[e] = aid
 
     for arc in mc.arcs:
@@ -461,10 +502,7 @@ def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
             # An arc may occur on two different sides of the same wall (a
             # wall wrapping around a split torus), so group per side.
             per_side = [{} for _ in range(4)]
-            for e, (p, q) in w._geom.boundary_segments:
-                side = _segment_side(w._geom.bbox, p, q)
-                if side is None:
-                    raise IntegrityError(f"off-perimeter segment on rectangle wall {w.id}")
+            for (e, (p, q)), side in zip(w._geom.boundary_segments, w._geom.segment_sides):
                 aid = mc.arc_of[e]
                 key = min(p, q)
                 if aid not in per_side[side] or key < per_side[side][aid]:
@@ -473,34 +511,6 @@ def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
                 [aid for _, aid in sorted((k, a) for a, k in d.items())]
                 for d in per_side
             ]
-
-    # Blocks: components of cells not separated by tagged facets.
-    block_of = {}
-    for seed in range(mesh.n_cells):
-        if seed in block_of:
-            continue
-        bid = len(mc.blocks)
-        cells = []
-        dq = deque([seed])
-        block_of[seed] = bid
-        while dq:
-            c = dq.popleft()
-            cells.append(c)
-            for f in mesh.cell_facets[c]:
-                if f in field.tagged:
-                    continue
-                for c2 in mesh.facet_cells[f]:
-                    if c2 != c and c2 not in block_of:
-                        block_of[c2] = bid
-                        dq.append(c2)
-        walls = set()
-        for c in cells:
-            for f in mesh.cell_facets[c]:
-                if f in field.tagged:
-                    walls.add(mc.wall_of[f])
-        mc.blocks.append(Block(bid, frozenset(cells), walls))
-    mc.block_of = block_of
-    return mc
 
 
 # -- block classification ----------------------------------------------------
@@ -675,29 +685,32 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
 # -- reduction ---------------------------------------------------------------
 
 
-def _retractable(mesh, field, w, block, mode):
-    """``removable`` for wall ``w``, with ``block(c)`` the block of cell
-    ``c``. The edges of the wall's arcs are its perimeter edges, the edges of
-    its boundary segments."""
+def _retractable(edges, w, block, mode):
+    """``removable`` for wall ``w`` of the field of edge table ``edges``,
+    with ``block(c)`` the block of cell ``c``. The edges of the wall's arcs
+    are its perimeter edges, the edges of its boundary segments."""
     if mode not in ("full", "regular"):
         raise ValueError(f"unknown reduction mode {mode!r}")
     if w.boundary or w.annulus or w.slit:
         return False
+    mesh = edges.mesh
     if len({block(c) for f in w.facets for c in mesh.facet_cells[f]}) != 2:
         return False
     for e, _ in w._geom.boundary_segments:
         if mode == "regular" and mesh.classify_edge(e).singular:
             return False
-        fan = mesh.edge_fan(e)
-        wf = [i for i, f in enumerate(fan.facets) if f in w.facets]
+        ring = edges.ring[e]
+        wf = [i for i in range(0, len(ring), 3) if ring[i] in w.facets]
         if len(wf) != 1:
             return False
-        sides = []
-        for step in (1, -1):
-            gap = _gap(mesh, field, fan, e, wf[0], step)
-            if gap is None or abs(gap[0] - 1) > _QUARTER_TOL:
+        # The gap before the wall's facet is the one after the previous
+        # tagged facet, wrapping around: on an open fan the first facet has
+        # none, as the last (a boundary facet) has no gap after it.
+        i, sides = wf[0], []
+        for q, c in ((ring[i + 1], ring[i + 2]), (ring[i - 2], ring[i - 1])):
+            if q is None or abs(q - 1) > _QUARTER_TOL:
                 return False
-            sides.append(block(gap[1]))
+            sides.append(block(c))
         if sides[0] == sides[1]:
             return False
     return True
@@ -708,7 +721,7 @@ def removable(mc: MotorcycleComplex, wid, mode="full") -> bool:
     cuboid: at every surrounding arc both blocks form a 90° edge and the
     blocks are distinct; in regular mode all surrounding arcs must also be
     regular."""
-    return _retractable(mc.mesh, mc.field, mc.walls[wid], mc.block_of.__getitem__, mode)
+    return _retractable(mc._edges, mc.walls[wid], mc.block_of.__getitem__, mode)
 
 
 def removable_walls(mc, mode="full"):
@@ -721,25 +734,28 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
 
     Ties go to the wall with the lowest min facet, which is the lowest wall
     id, as extraction numbers walls in order of min facet. The retraction
-    runs on one local state: the tagged facets per edge, the walls keyed by
-    min facet, a union-find over ``mc.block_of`` and the set of removable
-    walls. Removing wall W untags facets only at W's edges, and an edge
-    interior to another wall carries no facet of W, so walls only merge
-    (across W's perimeter edges), never split: only the walls with a facet
-    at W's perimeter can merge, and only those that now continue straight
-    across one of its perimeter edges are re-flooded and get new geometry.
-    Removability is tested again for the walls at W's perimeter and for the
-    walls adjacent to both merged blocks; every other wall sees the same
-    facets, gaps and block partition.
-    All ids of the result come from one ``extract_complex`` of the final
-    field; when no wall is removable, ``mc`` itself is returned.
+    runs on one local state: the edge table, the walls keyed by min facet, a
+    union-find over ``mc.block_of`` and the set of removable walls. Removing
+    wall W untags facets only at W's edges, and an edge interior to another
+    wall carries no facet of W, so walls only merge (across W's perimeter
+    edges), never split: only the walls with a facet at W's perimeter can
+    merge, and only those that now continue straight across one of its
+    perimeter edges are re-flooded and get new geometry. Removability is
+    tested again for the walls at W's perimeter and for the walls adjacent
+    to both merged blocks; every other wall sees the same facets, gaps and
+    block partition. The edge table re-derives, and so re-validates, the
+    edges of W's facets; every other edge keeps its facts.
+
+    The result is assembled from the state, numbered as ``extract_complex``
+    numbers the final field: walls by lowest facet, keeping their geometry,
+    blocks from the union-find by lowest cell, and arcs from the same
+    ``_link_arcs``. When no wall is removable, ``mc`` itself is returned.
     """
     for b in mc.blocks:
         if not classify_block(mc, b.id).cuboid:
             raise VolmcError("reduce requires cuboid blocks; run split_tori first")
-    mesh = mc.mesh
-    field = mc.field.copy()
-    at = _tags_by_edge(mesh, field.tagged)
+    mesh, t = mc.mesh, mc._edges
+    edges = _EdgeTable(mesh, mc.field.copy(), dict(t.pair), dict(t.ring))
     key = [min(w.facets) for w in mc.walls]
     walls = {key[w.id]: w for w in mc.walls}
     wall_of = {f: key[wid] for f, wid in mc.wall_of.items()}
@@ -756,14 +772,14 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     def adjacent(w):
         return {block(c) for f in w.facets for c in mesh.facet_cells[f]}
 
-    ok, heap = set(), []
+    ok, heap, fresh = set(), [], set()  # fresh: keys of the walls laid out here
     tests = rebuilt = removed = 0
 
     def retest(keys):
         nonlocal tests
         for k in keys:
             tests += 1
-            if not _retractable(mesh, field, walls[k], block, mode):
+            if not _retractable(edges, walls[k], block, mode):
                 ok.discard(k)
             elif k not in ok:
                 ok.add(k)
@@ -782,35 +798,44 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
         block_walls[a] |= block_walls[b]
         block_walls[a].discard(k)
         parent[b] = a
+        edges.untag(w.facets)
         for f in w.facets:
-            field.untag(f)
             del wall_of[f]
-            for e in mesh.facet_edges[f]:
-                at[e].remove(f)
-                if not at[e]:
-                    del at[e]
         touched, joined = set(), set()  # walls at W's perimeter; those it now joins
         for e, _ in w._geom.boundary_segments:
-            tags = at.get(e, ())
+            tags = edges.facets(e)
             touched.update(wall_of[g] for g in tags)
-            if tags and _wall_neighbor(mesh, at, tags[0], e) is not None:
+            if e in edges.pair:
                 joined.update(wall_of[g] for g in tags)
         for t in joined:
             ok.discard(t)
             for bb in adjacent(walls[t]):
                 block_walls[bb].discard(t)
-        merged = _wall_components(mesh, at, [f for t in joined for f in walls.pop(t).facets])[0]
+        merged = _wall_components(edges, [f for t in joined for f in walls.pop(t).facets])[0]
         for facets in merged:
-            nw = walls[facets[0]] = _make_wall(mesh, field, at, facets[0], facets)
+            nw = walls[facets[0]] = _make_wall(edges, facets[0], facets)
             rebuilt += 1
+            fresh.add(facets[0])
             for f in facets:
                 wall_of[f] = facets[0]
             for bb in adjacent(nw):
                 block_walls[bb].add(facets[0])
         retest({facets[0] for facets in merged} | {t for t in touched | both if t in walls})
-    log.debug("reduce %s: %d walls removed, %d removability tests, %d wall geometries rebuilt",
-              mode, removed, tests, rebuilt)
-    return extract_complex(mesh, field) if removed else mc
+    log.debug("reduce %s: %d walls removed, %d removability tests, %d wall geometries "
+              "rebuilt, %d reused", mode, removed, tests, rebuilt, len(walls.keys() - fresh))
+    if not removed:
+        return mc
+
+    red = MotorcycleComplex(mesh, edges.field)
+    red._edges = edges
+    for wid, k in enumerate(sorted(walls)):
+        w = copy.copy(walls[k])  # the same facets and geometry, renumbered
+        w.id, w.arcs = wid, []
+        red.walls.append(w)
+        red.wall_of.update(dict.fromkeys(w.facets, wid))
+    _add_blocks(red, block)
+    _link_arcs(red)
+    return red
 
 
 # -- tracer dispatch and base complex ----------------------------------------

@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from .cellcomplex import _segment_side, _wall_neighbor, _WallGeometry
+from .cellcomplex import _set_sides, _WallGeometry
 from .errors import IntegrityError, MeshError
 from .firehex import WallField, alive
 from .octahedral import Transition
@@ -285,10 +285,11 @@ def _entry_direction(pm, forest, f, n, t_ref):
     return np.asarray(tr.apply_vector(n), float)
 
 
-def param_wall_geometry(mesh, at, facets):
+def param_wall_geometry(edges, facets):
     """Planar 2D layout of a wall made of iso-triangles: corner placement by
     chart transport, annulus detection, boundary segments and corners.
-    ``at`` maps edges to their tagged facets (``cellcomplex._tags_by_edge``)."""
+    ``edges`` is the field's ``cellcomplex._EdgeTable``."""
+    mesh = edges.mesh
     geom = _WallGeometry()
     f0 = facets[0]
     t0 = mesh.anchor(f0)
@@ -315,9 +316,10 @@ def param_wall_geometry(mesh, at, facets):
     while dq:
         f = dq.popleft()
         for e in mesh.facet_edges[f]:
-            g = _wall_neighbor(mesh, at, f, e)
+            g = edges.pair.get(e)
             if g is None:
                 continue
+            g = g[0] if g[1] == f else g[1]
             tg = trans[f].compose(mesh.fan_transition(e, mesh.anchor(g), mesh.anchor(f)))
             coords = corners_2d(g, tg)
             if g in place:
@@ -334,16 +336,15 @@ def param_wall_geometry(mesh, at, facets):
                 dq.append(g)
 
     tol = 1e-6
-    geom.corner_coords = dict(place)
+    geom.corner_coords = place
     seg_dirs = {}
     for f in facets:
         key = mesh.facet_keys[f]
         co = place[f]
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            va, vb = key[i], key[j]
-            e = mesh.edge_id[(va, vb) if va < vb else (vb, va)]
-            if _wall_neighbor(mesh, at, f, e) is not None:
+        for e, (i, j) in zip(mesh.facet_edges[f], mesh.FACET_EDGES):
+            if e in edges.pair:
                 continue
+            va, vb = key[i], key[j]
             p, q = co[i], co[j]
             geom.boundary_segments.append((e, (p, q)))
             horizontal = abs(p[1] - q[1]) <= tol
@@ -369,11 +370,7 @@ def param_wall_geometry(mesh, at, facets):
     if abs(area - (x1 - x0) * (y1 - y0)) > tol * max(1.0, area):
         geom.slit = True
         return geom
-    bbox = (x0, x1, y0, y1)
-    if any(_segment_side(bbox, p, q) is None for _, (p, q) in geom.boundary_segments):
-        geom.slit = True
-        return geom
-    geom.bbox = bbox
+    _set_sides(geom, (x0, x1, y0, y1))
     return geom
 
 

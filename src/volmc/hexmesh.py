@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MeshError
-from .octahedral import Transition, rotation_index
+from .octahedral import _INDEX, Transition
 
 # Local integer coordinates of the 8 VTK corners inside a unit cube.
 HEX_CORNER_COORDS = np.array(
@@ -44,6 +44,9 @@ HEX_FACE_NORMALS = np.array(
     [(0, 0, -1), (0, 0, 1), (0, -1, 0), (0, 1, 0), (1, 0, 0), (-1, 0, 0)],
     dtype=np.int64,
 )
+# The two tables above as tuples of ints, for exact arithmetic without numpy.
+_CORNERS = tuple(map(tuple, HEX_CORNER_COORDS.tolist()))
+_NORMALS = tuple(map(tuple, HEX_FACE_NORMALS.tolist()))
 
 
 class EdgeClass:
@@ -362,24 +365,30 @@ class HexMesh(CellMesh):
 
         Maps h-local corner coordinates to h2-local coordinates; h's cube
         lands on the cube adjacent to h2's across the shared facet ``f``.
+        The corners ``p`` of ``f``'s first three key vertices span a
+        unimodular basis with the face normal (one column may be a face
+        diagonal), so the basis inverse is its adjugate times det = ±1.
         """
         quad = self.facet_keys[f]
-        p = HEX_CORNER_COORDS[[self._cells[h].index(v) for v in quad]]
-        q = HEX_CORNER_COORDS[[self._cells[h2].index(v) for v in quad]]
-        u1, u2 = p[1] - p[0], p[2] - p[0]
-        v1, v2 = q[1] - q[0], q[2] - q[0]
-        n_h = HEX_FACE_NORMALS[self.cell_facets[h].index(f)]
-        n_h2 = HEX_FACE_NORMALS[self.cell_facets[h2].index(f)]
-        basis_from = np.column_stack([u1, u2, n_h])
-        basis_to = np.column_stack([v1, v2, -n_h2])
-        det = int(round(np.linalg.det(basis_from)))
-        if det == 0:
+        ch, ch2 = self._cells[h], self._cells[h2]
+        p0, p1, p2 = (_CORNERS[ch.index(v)] for v in quad[:3])
+        q0, q1, q2 = (_CORNERS[ch2.index(v)] for v in quad[:3])
+        n = _NORMALS[self.cell_facets[h].index(f)]
+        n2 = _NORMALS[self.cell_facets[h2].index(f)]
+        # Rows of the bases [p1 - p0, p2 - p0, n] and [q1 - q0, q2 - q0, -n2].
+        b = [(p1[i] - p0[i], p2[i] - p0[i], n[i]) for i in range(3)]
+        c = [(q1[i] - q0[i], q2[i] - q0[i], -n2[i]) for i in range(3)]
+        adj = [[b[(j + 1) % 3][(i + 1) % 3] * b[(j + 2) % 3][(i + 2) % 3]
+                - b[(j + 1) % 3][(i + 2) % 3] * b[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        det = sum(b[0][k] * adj[k][0] for k in range(3))
+        if det not in (1, -1):
             raise MeshError(f"degenerate facet {f} corner configuration")
-        inv = np.linalg.inv(basis_from.astype(float))
-        rot_mat = basis_to.astype(float) @ inv
-        rot = rotation_index(rot_mat)
-        t = q[0] - np.array([int(round(x)) for x in rot_mat @ p[0]], dtype=np.int64)
-        return Transition(rot, tuple(int(x) for x in t))
+        m = [[det * sum(c[i][k] * adj[k][j] for k in range(3)) for j in range(3)]
+             for i in range(3)]
+        rot = _INDEX[tuple(x for row in m for x in row)]  # KeyError off the group
+        t = tuple(q0[i] - sum(m[i][j] * p0[j] for j in range(3)) for i in range(3))
+        return Transition(rot, t)
 
     # Generic name used by block transport (same signature for tet meshes).
     cell_gluing = face_gluing

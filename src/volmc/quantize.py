@@ -244,13 +244,11 @@ class _WallGrid:
         return {v: cs[0] for v, cs in self.node_new.items() if len(cs) == 1}
 
     def _side_arcs(self, s):
-        from .cellcomplex import _segment_side
-
         axis = 0 if s in (0, 2) else 1
         spans = {}
         segs = {}
-        for e, (p, q) in self.geom.boundary_segments:
-            if _segment_side(self.geom.bbox, p, q) != s:
+        for (e, (p, q)), side in zip(self.geom.boundary_segments, self.geom.segment_sides):
+            if side != s:
                 continue
             aid = self.mc.arc_of[e]
             lo = min(p[axis], q[axis]) - self.off[axis]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
@@ -34,6 +39,25 @@ def run_cli(args):
 def test_mc_hex_summary(files):
     out = run_cli(["mc-hex", str(files / "pie3.mesh"), "--reduce", "full"])
     assert "blocks=2" in out and "raw=3" in out
+
+
+def test_debug_log_goes_to_stderr_only(files):
+    """--log-level debug adds the extraction and reduction lines on stderr;
+    stdout stays byte-identical."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    runs = [
+        subprocess.run([sys.executable, "-m", "volmc.cli", *level, "mc-hex",
+                        str(files / "pie3.mesh"), "--reduce", "full"],
+                       capture_output=True, text=True, env=env, check=True)
+        for level in ([], ["--log-level", "debug"])
+    ]
+    assert runs[0].stdout == runs[1].stdout and runs[0].stderr == ""
+    lines = runs[1].stderr.splitlines()
+    assert "DEBUG volmc.cellcomplex: extract: 15 walls, 15 wall geometries built, " \
+           "25 arcs, 3 blocks" in lines
+    assert any(line.startswith("DEBUG volmc.cellcomplex: reduce full: 1 walls removed")
+               and line.endswith("3 wall geometries rebuilt, 8 reused") for line in lines)
 
 
 def test_mc_hex_reduce_none(files):

@@ -4,6 +4,7 @@ from volmc import synth
 from volmc.cellcomplex import extract_complex, split_tori, validate_field
 from volmc.errors import IntegrityError
 from volmc.firehex import (
+    WallField,
     alive,
     necessary,
     trace_hex,
@@ -81,3 +82,57 @@ def test_base_complex_conforming(meshes):
     for name, hm in meshes.items():
         bc = split_tori(extract_complex(hm, trace_hex_base(hm, seed=0)))
         assert not any(a.tarc for a in bc.arcs), name
+
+
+# -- validate_field's rules, one broken field per rule -----------------------
+#
+# Each rule must fail the same way through extract_complex and through the
+# re-check that reduce_complex runs on the edges it changes (the edge table's
+# ``untag``, started from the valid traced field).
+
+
+def _rejections(hm, untag):
+    """The IntegrityError messages of extracting the traced field with the
+    facets ``untag`` untagged, and of untagging them from its edge table."""
+    field = trace_hex(hm, seed=0)
+    broken = field.copy()
+    for f in untag:
+        broken.untag(f)
+    with pytest.raises(IntegrityError) as extracted:
+        extract_complex(hm, broken)
+    with pytest.raises(IntegrityError) as rechecked:
+        validate_field(hm, field).untag(untag)
+    assert str(rechecked.value) == str(extracted.value)
+    return str(extracted.value)
+
+
+def test_untagged_boundary_facet_rejected():
+    hm = synth.pie_mesh(3)
+    f = max(f for f in range(hm.n_facets) if hm.facet_boundary[f])
+    assert _rejections(hm, [f]) == f"boundary facet {f} untagged"
+
+
+def test_open_wall_rejected():
+    """One interior wall facet untagged leaves a 360° gap at one of its edges."""
+    hm = synth.composite_mesh()
+    field = trace_hex(hm, seed=0)
+    f = next(f for f in sorted(field.tagged) if not hm.facet_boundary[f])
+    msg = _rejections(hm, [f])
+    assert msg.startswith("cell gap of 360 degrees around edge ")
+    assert int(msg.split()[7]) in hm.facet_edges[f]
+
+
+def test_singular_edge_in_block_interior_rejected():
+    """Only the boundary tagged: the pie's singular axis lies inside a block."""
+    hm = synth.pie_mesh(3)
+    boundary_only = WallField()
+    for f in range(hm.n_facets):
+        if hm.facet_boundary[f]:
+            boundary_only.tag(f, 0, None)
+    with pytest.raises(IntegrityError, match="singular edge") as exc:
+        extract_complex(hm, boundary_only)
+    e = int(str(exc.value).split()[2])
+    assert hm.classify_edge(e).singular and not hm.edge_boundary[e]
+    field = trace_hex(hm, seed=0)
+    interior = [f for f in field.tagged if not hm.facet_boundary[f]]
+    assert _rejections(hm, interior) == str(exc.value)

@@ -3,7 +3,8 @@ import pytest
 
 from volmc import synth
 from volmc.errors import MeshError
-from volmc.hexmesh import HEX_CORNER_COORDS, HexMesh
+from volmc.hexmesh import HEX_CORNER_COORDS, HEX_FACE_NORMALS, HexMesh
+from volmc.octahedral import Transition, rotation_index
 
 
 def test_box_counts():
@@ -103,6 +104,38 @@ def test_face_gluing_is_rigid_and_consistent():
         a = hm.local_coords(h1, v)
         b = hm.local_coords(h2, v)
         assert np.allclose(g.apply(a), b)
+
+
+def float_face_gluing(hm, h, f, h2):
+    """Reference: the transition solved in floats with ``det`` and ``inv``."""
+    quad = hm.facet_keys[f]
+    p = HEX_CORNER_COORDS[[hm.hexes[h].tolist().index(v) for v in quad]]
+    q = HEX_CORNER_COORDS[[hm.hexes[h2].tolist().index(v) for v in quad]]
+    basis_from = np.column_stack([p[1] - p[0], p[2] - p[0],
+                                  HEX_FACE_NORMALS[hm.cell_facets[h].index(f)]])
+    basis_to = np.column_stack([q[1] - q[0], q[2] - q[0],
+                                -HEX_FACE_NORMALS[hm.cell_facets[h2].index(f)]])
+    assert int(round(np.linalg.det(basis_from))) != 0
+    rot_mat = basis_to.astype(float) @ np.linalg.inv(basis_from.astype(float))
+    t = q[0] - np.array([int(round(x)) for x in rot_mat @ p[0]], dtype=np.int64)
+    return Transition(rotation_index(rot_mat), tuple(int(x) for x in t))
+
+
+def test_face_gluing_matches_float_reference():
+    """The integer adjugate solve gives the float solve's transition on
+    every interior facet, in both cell orders."""
+    meshes = [synth.composite_mesh(), synth.notched_box_mesh(4), synth.pie_mesh(5),
+              synth.torus_mesh()] + [synth.random_glued_cubes(seed, 40) for seed in range(10)]
+    checked = 0
+    for hm in meshes:
+        for f in range(hm.n_facets):
+            if len(hm.facet_cells[f]) == 2:
+                for h, h2 in (hm.facet_cells[f], hm.facet_cells[f][::-1]):
+                    got = hm.face_gluing(h, f, h2)
+                    assert got == float_face_gluing(hm, h, f, h2), (f, h, h2)
+                    assert all(type(x) is int for x in got.t)
+                    checked += 1
+    assert checked > 1500
 
 
 def test_edge_fan_structure():

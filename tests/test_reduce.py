@@ -4,6 +4,8 @@ The reference below is the plain greedy loop: test every wall, remove the
 farthest removable one (ties by lowest wall id), re-extract the whole
 complex, repeat. ``reduce_complex`` must reach the same complex: the same
 block count and the same wall facet sets, with no removable wall left.
+It assembles its result from its own state, so that result must also equal
+a fresh extraction of its field in every attribute and id.
 """
 
 import pytest
@@ -39,13 +41,37 @@ def _walls(mc):
     return sorted(sorted(w.facets) for w in mc.walls)
 
 
+def _attrs(mc):
+    """Everything extraction numbers or derives, with its ids."""
+    return {
+        "walls": [(w.id, w.facets, w.boundary, w.distance, w.annulus, w.slit, w.dims,
+                   w.sides, w.arcs) for w in mc.walls],
+        "arcs": [(a.id, a.edges, a.vertices, a.walls, a.singular, a.tarc, a.length)
+                 for a in mc.arcs],
+        "nodes": [(n.id, n.vertex) for n in mc.nodes],
+        "blocks": [(b.id, b.cells, b.walls) for b in mc.blocks],
+        "wall_of": mc.wall_of,
+        "arc_of": mc.arc_of,
+        "block_of": mc.block_of,
+    }
+
+
+def assert_same_as_extraction(red):
+    fresh = _attrs(extract_complex(red.mesh, red.field))
+    got = _attrs(red)
+    for key, want in fresh.items():
+        assert got[key] == want, key
+
+
 def _check(mc, mode):
-    """Compare with the reference; returns the reference's merge count."""
+    """Compare with the reference and with a fresh extraction of the result;
+    returns the reference's merge count."""
     ref, merges = reference_reduce(mc, mode)
     red = reduce_complex(mc, mode=mode)
     assert len(red.blocks) == len(ref.blocks)
     assert _walls(red) == _walls(ref)
     assert removable_walls(red, mode) == []
+    assert_same_as_extraction(red)
     return merges
 
 
@@ -68,6 +94,12 @@ def test_param_fixtures_match_reference(meshes, name):
     assert mc.mesh.kind != "hex"
     for mode in MODES:
         _check(mc, mode)
+
+
+@pytest.mark.parametrize("name", ["pie3", "pie5", "notch", "composite"])
+def test_hex_fixtures_match_reference(complexes, name):
+    for mode in MODES:
+        _check(complexes[name], mode)
 
 
 def test_t_junction_merge_covered():

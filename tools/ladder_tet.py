@@ -1,8 +1,7 @@
-"""Time the tet pipeline on the notched-box ladder at one or more git revisions.
+"""Time the tet and hex ladders at one or more git revisions.
 
-The rungs are n = 4, 6, 8 (756, 2,580 and 6,132 tets); the input of each
-is ``hex_to_param(notched_box_mesh(n))``. Three stages are timed, each run
-of a rung in a fresh Python process:
+Tet ladder: rungs n = 4, 6, 8 (756, 2,580 and 6,132 tets); the input of
+each is ``hex_to_param(notched_box_mesh(n))``. Three stages are timed:
 
 - sanitize: ``sanitize(add_noise(pm, eps=1e-8, seed=0))``;
 - trace + extract: ``trace_param(pm, seed=0)`` and ``extract_complex`` of
@@ -12,15 +11,26 @@ of a rung in a fresh Python process:
   hex pipeline; quantization takes hex complexes only), with the number of
   hexes it outputs.
 
-Every revision is exported with ``git archive`` to a temporary directory,
-so all trees run the same way. Each rung runs 3 times per tree; runs
-alternate between the trees within each round, so that a slow spell of the
-machine falls on all of them. The record holds every run, the medians, the
-scaling exponent fitted to the medians over the ladder (least squares in
-log-log), the block count, the output hex count and a sha256 of the
-sanitized parameters per rung (equal across trees when the outputs are
-equal), git shas, the Python
-and numpy versions and the CPU count.
+Hex ladder: rungs n = 120, 400, 1000, the blob ``random_glued_cubes(3, n)``
+traced with ``trace_hex(hm, seed=0)`` (untimed). Four stages are timed:
+
+- extract: ``extract_complex`` of the traced field (then ``split_tori``,
+  untimed);
+- reduce full: ``reduce_complex(raw, mode="full")``;
+- base complex: ``base_complex(hm, seed=0)``, its tracing included;
+- grid oracle: ``check_grid_blocks`` of the fully reduced complex;
+
+with the raw, fully reduced and base block counts.
+
+Each run of a rung is a fresh Python process. Every revision is exported
+with ``git archive`` to a temporary directory, so all trees run the same
+way. Each rung runs 3 times per tree; runs alternate between the trees
+within each round, so that a slow spell of the machine falls on all of
+them. The record holds every run, the medians, the scaling exponent fitted
+to the medians over each ladder (least squares in log-log), the block
+counts, the output hex count and a sha256 of the sanitized parameters per
+tet rung (equal across trees when the outputs are equal), git shas, the
+Python and numpy versions and the CPU count.
 
 Usage::
 
@@ -75,8 +85,43 @@ print(json.dumps({"tets": pm.n_cells, "sanitize_s": t1 - t0, "trace_extract_s": 
                   "sanitized_sha256": digest}))
 """
 
-STAGES = ("sanitize_s", "trace_extract_s", "hexmesh_s")
-SIZES = (4, 6, 8)
+# Runs in the child process: argv = [src dir, n].
+HEX_CHILD = r"""
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from volmc import synth
+from volmc.cellcomplex import (base_complex, check_grid_blocks, extract_complex,
+                               reduce_complex, split_tori)
+from volmc.firehex import trace_hex
+
+hm = synth.random_glued_cubes(3, int(sys.argv[2]))
+field = trace_hex(hm, seed=0)
+t0 = time.perf_counter()
+mc = extract_complex(hm, field)
+t1 = time.perf_counter()
+raw = split_tori(mc)
+t2 = time.perf_counter()
+full = reduce_complex(raw, mode="full")
+t3 = time.perf_counter()
+bc = base_complex(hm, seed=0)
+t4 = time.perf_counter()
+check_grid_blocks(full)
+t5 = time.perf_counter()
+print(json.dumps({"hexes": hm.n_cells, "extract_s": t1 - t0, "reduce_full_s": t3 - t2,
+                  "base_complex_s": t4 - t3, "grid_oracle_s": t5 - t4,
+                  "raw_blocks": len(raw.blocks), "full_blocks": len(full.blocks),
+                  "base_blocks": len(bc.blocks)}))
+"""
+
+# Per ladder: child script, rungs, timed stages, the size that the exponents
+# are fitted over, and the per-rung facts that are the same in every run.
+LADDERS = {
+    "tet": (CHILD, (4, 6, 8), ("sanitize_s", "trace_extract_s", "hexmesh_s"), "tets",
+            ("blocks", "hexes", "sanitized_sha256")),
+    "hex": (HEX_CHILD, (120, 400, 1000),
+            ("extract_s", "reduce_full_s", "base_complex_s", "grid_oracle_s"), "hexes",
+            ("raw_blocks", "full_blocks", "base_blocks")),
+}
 RUNS = 3
 
 
@@ -96,8 +141,8 @@ def export(rev, into):
     return dest / "src", {"rev": rev, "git_sha": git("rev-parse", rev)}
 
 
-def measure(src, n):
-    out = subprocess.run([sys.executable, "-c", CHILD, str(src), str(n)], capture_output=True,
+def measure(child, src, n):
+    out = subprocess.run([sys.executable, "-c", child, str(src), str(n)], capture_output=True,
                          text=True, check=True).stdout
     return json.loads(out)
 
@@ -115,11 +160,12 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = [export(rev, tmp) for rev in args.rev]
-        runs = {(i, n): [] for i in range(len(trees)) for n in SIZES}
+        runs = {}  # (ladder, tree, n) -> runs
         for _ in range(RUNS):
-            for n in SIZES:
-                for i, (src, _) in enumerate(trees):
-                    runs[i, n].append(measure(src, n))
+            for ladder, (child, sizes, *_) in LADDERS.items():
+                for n in sizes:
+                    for i, (src, _) in enumerate(trees):
+                        runs.setdefault((ladder, i, n), []).append(measure(child, src, n))
 
     record = {
         "ladder": "hex_to_param(notched_box_mesh(n))",
@@ -129,6 +175,13 @@ def main(argv=None):
             "hexmesh_s": "build_ip + solve_quantization + extract_hexmesh at s = 2 on the "
                          "fully reduced hex complex of notched_box_mesh(n)",
         },
+        "hex_ladder": "random_glued_cubes(3, n), traced by trace_hex(hm, seed=0)",
+        "hex_stages": {
+            "extract_s": "extract_complex of the traced field",
+            "reduce_full_s": "reduce_complex(split_tori(raw), mode='full')",
+            "base_complex_s": "base_complex(hm, seed=0), tracing included",
+            "grid_oracle_s": "check_grid_blocks of the fully reduced complex",
+        },
         "statistic": f"median of {RUNS} runs, one process per run",
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -136,20 +189,21 @@ def main(argv=None):
         "trees": [],
     }
     for i, (_, info) in enumerate(trees):
-        rungs = []
-        for n in SIZES:
-            rs = runs[i, n]
-            rung = {"n": n, "tets": rs[0]["tets"], "blocks": rs[0]["blocks"],
-                    "hexes": rs[0]["hexes"], "sanitized_sha256": rs[0]["sanitized_sha256"]}
-            for stage in STAGES:
-                rung[stage] = [r[stage] for r in rs]
-                rung[stage + "_median"] = statistics.median(rung[stage])
-            rungs.append(rung)
-        info["ladder"] = rungs
-        info["exponents"] = {
-            stage: exponent([r["tets"] for r in rungs], [r[stage + "_median"] for r in rungs])
-            for stage in STAGES
-        }
+        for ladder, (_, sizes, stages, size, facts) in LADDERS.items():
+            rungs = []
+            for n in sizes:
+                rs = runs[ladder, i, n]
+                rung = {"n": n, size: rs[0][size], **{k: rs[0][k] for k in facts}}
+                for stage in stages:
+                    rung[stage] = [r[stage] for r in rs]
+                    rung[stage + "_median"] = statistics.median(rung[stage])
+                rungs.append(rung)
+            prefix = "" if ladder == "tet" else ladder + "_"
+            info[prefix + "ladder"] = rungs
+            info[prefix + "exponents"] = {
+                stage: exponent([r[size] for r in rungs], [r[stage + "_median"] for r in rungs])
+                for stage in stages
+            }
         record["trees"].append(info)
     text = json.dumps(record, indent=1)
     if args.out:
