@@ -283,7 +283,7 @@ def _hex_wall_geometry(edges, facets):
 
     # Boundary segments and 2D corner vertices.
     geom.corner_coords = place
-    seg_dirs = {}
+    on_segments = (set(), set())  # vertices on vertical, on horizontal segments
     for f in facets:
         quad, fe = mesh.facet_corners[f], mesh.facet_edges[f]
         co = place[f]
@@ -299,9 +299,8 @@ def _hex_wall_geometry(edges, facets):
             # the smaller of the edge's two vertex ids
             geom.boundary_segments.append((e, (pa, pb)))
             horizontal = co[k][1] == co[(k + 1) % 4][1]
-            for v in (va, vb):
-                seg_dirs.setdefault(v, set()).add(horizontal)
-    geom.corner_vertices = {v for v, dirs in seg_dirs.items() if len(dirs) == 2}
+            on_segments[horizontal].update((va, vb))
+    geom.corner_vertices = on_segments[0] & on_segments[1]
 
     if geom.annulus:
         return geom

@@ -337,7 +337,7 @@ def param_wall_geometry(edges, facets):
 
     tol = 1e-6
     geom.corner_coords = place
-    seg_dirs = {}
+    on_segments = (set(), set())  # vertices on vertical, on horizontal segments
     for f in facets:
         key = mesh.facet_keys[f]
         co = place[f]
@@ -352,9 +352,8 @@ def param_wall_geometry(edges, facets):
             if not horizontal and not vertical:
                 geom.slit = True
                 continue
-            for v in (va, vb):
-                seg_dirs.setdefault(v, set()).add(horizontal)
-    geom.corner_vertices = {v for v, dirs in seg_dirs.items() if len(dirs) == 2}
+            on_segments[horizontal].update((va, vb))
+    geom.corner_vertices = on_segments[0] & on_segments[1]
 
     if geom.annulus or geom.slit:
         return geom
