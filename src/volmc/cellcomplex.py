@@ -9,7 +9,6 @@ specialized per mesh kind.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import logging
 from collections import deque
@@ -124,7 +123,8 @@ class _EdgeTable:
     edge (an arc edge), ``ring[e]``: for each tagged facet in fan order the
     facet, the quarter turns swept to the next one and the first cell
     crossed (None, None past the end of an open fan), flattened into one
-    tuple."""
+    tuple. A quarter-turn count within ``_QUARTER_TOL`` of a whole number is
+    stored as that int, so consumers compare it exactly."""
 
     __slots__ = ("mesh", "field", "pair", "ring")
 
@@ -150,12 +150,16 @@ class _EdgeTable:
         quarters = [mesh.cell_angle_quarters(c, e) for c in fan.cells] * 2  # twice: wraps
         ring = []
         for i, j in zip(at, at[1:] + [at[0] + len(fan.cells) if fan.closed else None]):
-            q = None if j is None else sum(quarters[i:j])
-            if q is not None and q > 2 + _QUARTER_TOL:
-                raise IntegrityError(
-                    f"cell gap of {q * 90:.0f} degrees around edge {e} (open or missing wall)"
-                )
-            ring += (fan.facets[i], q, None if j is None else fan.cells[i])
+            q = c = None
+            if j is not None:
+                q, c = sum(quarters[i:j]), fan.cells[i]
+                if q > 2 + _QUARTER_TOL:
+                    raise IntegrityError(
+                        f"cell gap of {q * 90:.0f} degrees around edge {e} (open or missing wall)"
+                    )
+                if abs(q - round(q)) <= _QUARTER_TOL:
+                    q = round(q)
+            ring += (fan.facets[i], q, c)
         tags = sorted(ring[::3])
         if len(tags) == 2 and not mesh.classify_edge(e).singular \
                 and mesh.opp_facet(e, tags[0]) == tags[1]:
@@ -485,9 +489,7 @@ def _link_arcs(mc):
                 raise IntegrityError(f"inconsistent arc chain at edge {e}")
         length = sum(mesh.edge_param_length(e) for e in chain)
         arc = Arc(aid, chain, verts, walls, singular, length)
-        arc.tarc = (not arc.singular) and any(
-            q is not None and abs(q - 2) <= _QUARTER_TOL for e in chain for q in ring[e][1::3]
-        )
+        arc.tarc = (not arc.singular) and any(2 in ring[e][1::3] for e in chain)
         mc.arcs.append(arc)
         for e in chain:
             mc.arc_of[e] = aid
@@ -707,7 +709,7 @@ def _retractable(edges, w, block, mode):
         # none, as the last (a boundary facet) has no gap after it.
         i, sides = wf[0], []
         for q, c in ((ring[i + 1], ring[i + 2]), (ring[i - 2], ring[i - 1])):
-            if q is None or abs(q - 1) > _QUARTER_TOL:
+            if q != 1:
                 return False
             sides.append(block(c))
         if sides[0] == sides[1]:
@@ -828,8 +830,9 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     red = MotorcycleComplex(mesh, edges.field)
     red._edges = edges
     for wid, k in enumerate(sorted(walls)):
-        w = copy.copy(walls[k])  # the same facets and geometry, renumbered
-        w.id, w.arcs = wid, []
+        old = walls[k]  # the same facets and geometry, renumbered
+        w = Wall(wid, old.facets, old.boundary, old.distance)
+        w.annulus, w.slit, w.dims, w._geom = old.annulus, old.slit, old.dims, old._geom
         red.walls.append(w)
         red.wall_of.update(dict.fromkeys(w.facets, wid))
     _add_blocks(red, block)

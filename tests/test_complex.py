@@ -44,6 +44,19 @@ def test_blocks_partition_cells(complexes):
         assert sorted(seen) == list(range(mc.mesh.n_cells)), name
 
 
+def test_ids_follow_lowest_elements(complexes):
+    """Extraction numbers walls by lowest facet, blocks by lowest cell and
+    nodes by vertex; reduction numbers its result the same way."""
+    for name, mc in complexes.items():
+        for c in (mc, reduce_complex(mc, mode="full")):
+            for items, low in ((c.walls, lambda w: min(w.facets)),
+                               (c.blocks, lambda b: min(b.cells)),
+                               (c.nodes, lambda n: n.vertex)):
+                keys = [low(x) for x in items]
+                assert keys == sorted(keys), name
+                assert [x.id for x in items] == list(range(len(items))), name
+
+
 def test_grid_oracle_all_levels(complexes):
     for name, mc in complexes.items():
         for mode in ("regular", "full"):

@@ -42,8 +42,11 @@ def _walls(mc):
 
 
 def _attrs(mc):
-    """Everything extraction numbers or derives, with its ids."""
+    """Everything extraction numbers or derives, with its ids, and the edge
+    table that reduction keeps current instead of re-deriving it."""
     return {
+        "edge pairs": mc._edges.pair,
+        "edge rings": mc._edges.ring,
         "walls": [(w.id, w.facets, w.boundary, w.distance, w.annulus, w.slit, w.dims,
                    w.sides, w.arcs) for w in mc.walls],
         "arcs": [(a.id, a.edges, a.vertices, a.walls, a.singular, a.tarc, a.length)
@@ -56,7 +59,7 @@ def _attrs(mc):
     }
 
 
-def assert_same_as_extraction(red):
+def _assert_same_as_extraction(red):
     fresh = _attrs(extract_complex(red.mesh, red.field))
     got = _attrs(red)
     for key, want in fresh.items():
@@ -71,7 +74,7 @@ def _check(mc, mode):
     assert len(red.blocks) == len(ref.blocks)
     assert _walls(red) == _walls(ref)
     assert removable_walls(red, mode) == []
-    assert_same_as_extraction(red)
+    _assert_same_as_extraction(red)
     return merges
 
 
