@@ -755,8 +755,8 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     for b in mc.blocks:
         if not classify_block(mc, b.id).cuboid:
             raise VolmcError("reduce requires cuboid blocks; run split_tori first")
-    mesh, t = mc.mesh, mc._edges
-    edges = _EdgeTable(mesh, mc.field.copy(), dict(t.pair), dict(t.ring))
+    mesh = mc.mesh
+    edges = _EdgeTable(mesh, mc.field.copy(), dict(mc._edges.pair), dict(mc._edges.ring))
     key = [min(w.facets) for w in mc.walls]
     walls = {key[w.id]: w for w in mc.walls}
     wall_of = {f: key[wid] for f, wid in mc.wall_of.items()}
