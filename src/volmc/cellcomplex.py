@@ -3,8 +3,8 @@ blocks, plus block classification, torus splitting and reduction by wall
 retraction.
 
 Works on any mesh implementing the generic cell-mesh interface (hexahedral
-meshes and refined parametrized tet meshes). Wall rectangle geometry is
-specialized per mesh kind.
+meshes and refined parametrized tet meshes). One wall layout serves both;
+the mesh places a neighbour facet's corners (``_wall_layout``).
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from collections import deque
 
 from .errors import IntegrityError, VolmcError
 from .firehex import WallField, trace_hex, trace_hex_base
+from .fireparam import trace_param, trace_param_base
+from .hexmesh import LAYOUT_TOL
 from .octahedral import ROTATIONS, Transition, rotation_index
 
 _QUARTER_TOL = 0.25
@@ -71,19 +73,32 @@ class Arc:
 
 
 class Wall:
-    __slots__ = ("id", "facets", "boundary", "annulus", "slit", "distance", "arcs", "sides", "dims", "_geom")
+    __slots__ = ("id", "facets", "boundary", "distance", "arcs", "sides", "_geom")
 
-    def __init__(self, id, facets, boundary, distance):
+    def __init__(self, id, facets, boundary, distance, geom):
         self.id = id
         self.facets = facets
         self.boundary = boundary
         self.distance = distance
-        self.annulus = False
-        self.slit = False
         self.arcs = []
         self.sides = None  # 4 lists of arc ids for rectangle walls
-        self.dims = None  # (p, q) cell dimensions for rectangle walls
-        self._geom = None
+        self._geom = geom  # its _WallGeometry
+
+    @property
+    def annulus(self):
+        return self._geom.annulus
+
+    @property
+    def slit(self):
+        return self._geom.slit
+
+    @property
+    def dims(self):
+        """(p, q) cell dimensions for rectangle walls, None otherwise."""
+        if self._geom.bbox is None:
+            return None
+        x0, x1, y0, y1 = self._geom.bbox
+        return (x1 - x0, y1 - y0)
 
 
 class Block:
@@ -226,18 +241,20 @@ def _wall_components(edges, facets):
 
 
 class _WallGeometry:
-    """2D layout of a wall: integer (hex) or parametric (tet) coordinates per
-    facet corner slot, annulus wrap detection, boundary segments, corners."""
+    """2D layout of a wall: coordinates per facet corner slot, in
+    ``facet_corners`` order (the sorted key on a tet mesh), integer cells on
+    a hex mesh and chart coordinates on a tet mesh; annulus wrap detection,
+    boundary segments and corners. Coordinates within ``LAYOUT_TOL`` count
+    as equal, so integer layouts compare exactly."""
 
     __slots__ = (
-        "annulus", "slit", "cells", "bbox", "boundary_segments", "segment_sides",
+        "annulus", "slit", "bbox", "boundary_segments", "segment_sides",
         "corner_vertices", "corner_coords",
     )
 
     def __init__(self):
         self.annulus = False
         self.slit = False
-        self.cells = None
         self.bbox = None
         self.boundary_segments = []  # (edge id, (p2d, q2d))
         self.segment_sides = None  # side index 0..3 per boundary segment, for rectangles
@@ -245,103 +262,79 @@ class _WallGeometry:
         self.corner_coords = {}  # facet -> 2D coords per facet_corners slot
 
 
-def _hex_wall_geometry(edges, facets):
+def _wall_geometry(edges, facets):
+    """Layout of the wall made of the sorted ``facets``: breadth-first
+    placement from the lowest facet by the mesh's ``_wall_layout`` hook,
+    boundary segments ordered by vertex id, corner vertices (on both a
+    horizontal and a vertical segment), and the rectangle test. A layout
+    placing a facet twice by a shift is an annulus; by anything else it
+    raises. A diagonal segment, or facet areas summing to less than the
+    bounding box, makes the wall a slit; a sum above it raises."""
     mesh, pair = edges.mesh, edges.pair
     seed = facets[0]
-    place = {seed: ((0, 0), (1, 0), (1, 1), (0, 1))}
+    co, place_across = mesh._wall_layout(seed)
+    place = {seed: co}
     geom = _WallGeometry()
     dq = deque([seed])
     while dq:
         f = dq.popleft()
-        quad, fe = mesh.facet_corners[f], mesh.facet_edges[f]
-        co = place[f]  # a unit square, corners in cyclic order
-        for k in range(4):
-            e = fe[k]  # the edge from corner k to corner k + 1
-            f2 = pair.get(e)
-            if f2 is None:
+        for k, e in enumerate(mesh.facet_edges[f]):
+            g = pair.get(e)
+            if g is None:
                 continue
-            f2 = f2[0] if f2[1] == f else f2[1]
-            a, b, c = co[k], co[(k + 1) % 4], co[(k + 2) % 4]
-            n = (b[0] - c[0], b[1] - c[1])  # unit step across edge k, away from f
-            j = mesh.facet_edges[f2].index(e)
-            if mesh.facet_corners[f2][j] != quad[k]:
-                a, b = b, a
-            co2 = [None] * 4
-            co2[j] = a
-            co2[(j + 1) % 4] = b
-            co2[(j + 2) % 4] = (b[0] + n[0], b[1] + n[1])
-            co2[(j + 3) % 4] = (a[0] + n[0], a[1] + n[1])
-            co2 = tuple(co2)
-            if f2 in place:
-                if place[f2] != co2:
-                    old, new = place[f2], co2
-                    shift = (old[0][0] - new[0][0], old[0][1] - new[0][1])
-                    if any(
-                        (o[0] - q[0], o[1] - q[1]) != shift for o, q in zip(old, new)
-                    ):
-                        raise IntegrityError("twisted wall layout")
+            g = g[0] if g[1] == f else g[1]
+            co = place_across(f, place[f], k, e, g)
+            old = place.get(g)
+            if old is None:
+                place[g] = co
+                dq.append(g)
+            elif old != co:
+                d = [x - y for o, q in zip(old, co) for x, y in zip(o, q)]  # dx, dy per corner
+                if max(map(abs, d)) > LAYOUT_TOL:
+                    if max(abs(x - d[i % 2]) for i, x in enumerate(d)) > LAYOUT_TOL:
+                        raise IntegrityError("twisted wall layout")  # not one shift
                     geom.annulus = True
-            else:
-                place[f2] = co2
-                dq.append(f2)
 
-    # Boundary segments and 2D corner vertices.
     geom.corner_coords = place
     on_segments = (set(), set())  # vertices on vertical, on horizontal segments
     for f in facets:
-        quad, fe = mesh.facet_corners[f], mesh.facet_edges[f]
-        co = place[f]
-        for k in range(4):
-            e = fe[k]
+        vs, co = mesh.facet_corners[f], place[f]
+        for e, (i, j) in zip(mesh.facet_edges[f], mesh.FACET_EDGES):
             if e in pair:
                 continue
-            va, vb = quad[k], quad[(k + 1) % 4]
-            pa, pb = co[k], co[(k + 1) % 4]
+            va, vb, p, q = vs[i], vs[j], co[i], co[j]
             if va > vb:
-                pa, pb = pb, pa
-            # segment coords ordered by vertex id: first entry belongs to
-            # the smaller of the edge's two vertex ids
-            geom.boundary_segments.append((e, (pa, pb)))
-            horizontal = co[k][1] == co[(k + 1) % 4][1]
+                va, vb, p, q = vb, va, q, p
+            geom.boundary_segments.append((e, (p, q)))
+            horizontal = abs(p[1] - q[1]) <= LAYOUT_TOL
+            if not horizontal and abs(p[0] - q[0]) > LAYOUT_TOL:
+                geom.slit = True
+                continue
             on_segments[horizontal].update((va, vb))
     geom.corner_vertices = on_segments[0] & on_segments[1]
-
-    if geom.annulus:
+    if geom.annulus or geom.slit:
         return geom
 
-    cells = {}
-    for f, co in place.items():
-        cell = (min(p[0] for p in co), min(p[1] for p in co))
-        if cell in cells:
-            raise IntegrityError("wall overlaps itself")
-        cells[cell] = f
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    if (x1 - x0 + 1) * (y1 - y0 + 1) != len(cells):
-        # Non-rectangular layout (an L shape or a slit). Such walls appear on
-        # block facets shared with several other walls; they carry no side
-        # structure and are never candidates for removal.
+    xs, ys = zip(*(p for co in place.values() for p in co))
+    bbox = x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    area = 0.0  # shoelace sum over the facets, each fanned from its first corner
+    for (ax, ay), *rest in place.values():
+        area += abs(sum((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+                        for (bx, by), (cx, cy) in zip(rest, rest[1:]))) / 2.0
+    excess, tol = area - (x1 - x0) * (y1 - y0), LAYOUT_TOL * max(1.0, area)
+    if excess > tol:
+        raise IntegrityError("wall overlaps itself")
+    sides = [_segment_side(bbox, p, q) for _, (p, q) in geom.boundary_segments]
+    if excess < -tol or None in sides:
+        # Not a rectangle: an L shape or a slit, as on block facets shared
+        # with several other walls. No side structure; never removable.
         geom.slit = True
-        return geom
-    if _set_sides(geom, (x0, x1 + 1, y0, y1 + 1)):
-        geom.cells = cells
+    else:
+        geom.bbox, geom.segment_sides = bbox, sides
     return geom
 
 
-def _set_sides(geom, bbox):
-    """Record ``bbox`` and the side of every boundary segment of a rectangle
-    layout; a segment off the perimeter makes the wall a slit instead.
-    Returns whether the layout is a rectangle."""
-    sides = [_segment_side(bbox, p, q) for _, (p, q) in geom.boundary_segments]
-    if None in sides:
-        geom.slit = True
-        return False
-    geom.bbox, geom.segment_sides = bbox, sides
-    return True
-
-
-def _segment_side(bbox, p, q, tol=1e-6):
+def _segment_side(bbox, p, q, tol=LAYOUT_TOL):
     """Side index 0..3 of a boundary segment of a rectangle wall layout,
     from its coordinates; None for off-perimeter segments. Stays correct
     when an edge occurs on two opposite sides (walls wrapping around a
@@ -362,21 +355,9 @@ def _segment_side(bbox, p, q, tol=1e-6):
 
 def _make_wall(edges, wid, facets):
     """Wall ``wid`` of the sorted tagged ``facets``, with its geometry."""
-    mesh = edges.mesh
-    w = Wall(wid, frozenset(facets), bool(mesh.facet_boundary[facets[0]]),
-             max(edges.field.distance.get(f, 0) for f in facets))
-    if mesh.kind == "hex":
-        w._geom = _hex_wall_geometry(edges, facets)
-    else:
-        from .fireparam import param_wall_geometry
-
-        w._geom = param_wall_geometry(edges, facets)
-    w.annulus = w._geom.annulus
-    w.slit = w._geom.slit
-    if not w.annulus and not w.slit:
-        x0, x1, y0, y1 = w._geom.bbox
-        w.dims = (x1 - x0, y1 - y0)
-    return w
+    return Wall(wid, frozenset(facets), bool(edges.mesh.facet_boundary[facets[0]]),
+                max(edges.field.distance.get(f, 0) for f in facets),
+                _wall_geometry(edges, facets))
 
 
 def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
@@ -831,8 +812,7 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     red._edges = edges
     for wid, k in enumerate(sorted(walls)):
         old = walls[k]  # the same facets and geometry, renumbered
-        w = Wall(wid, old.facets, old.boundary, old.distance)
-        w.annulus, w.slit, w.dims, w._geom = old.annulus, old.slit, old.dims, old._geom
+        w = Wall(wid, old.facets, old.boundary, old.distance, old._geom)
         red.walls.append(w)
         red.wall_of.update(dict.fromkeys(w.facets, wid))
     _add_blocks(red, block)
@@ -850,8 +830,6 @@ def _trace(mesh, seed=None, base=False):
     whose fronts never stop at burnt terrain."""
     if mesh.kind == "hex":
         return mesh, (trace_hex_base if base else trace_hex)(mesh, seed)
-    from .fireparam import trace_param, trace_param_base
-
     return (trace_param_base if base else trace_param)(mesh, seed)
 
 

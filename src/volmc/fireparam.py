@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 
 import numpy as np
 
-from .cellcomplex import _set_sides, _WallGeometry
-from .errors import IntegrityError, MeshError
+from .errors import MeshError
 from .firehex import WallField, alive
-from .octahedral import Transition
 from .tetparam import ISO_TOL, ParamTetMesh
 
 
@@ -283,94 +280,6 @@ def _entry_direction(pm, forest, f, n, t_ref):
     other = next(t for t in pm.facet_cells[f] if t != anchor)
     tr = pm.cell_gluing(other, f, anchor)
     return np.asarray(tr.apply_vector(n), float)
-
-
-def param_wall_geometry(edges, facets):
-    """Planar 2D layout of a wall made of iso-triangles: corner placement by
-    chart transport, annulus detection, boundary segments and corners.
-    ``edges`` is the field's ``cellcomplex._EdgeTable``."""
-    mesh = edges.mesh
-    geom = _WallGeometry()
-    f0 = facets[0]
-    t0 = mesh.anchor(f0)
-    plane0 = mesh.facet_plane(f0, t0)
-    if plane0 is None:
-        raise MeshError(f"tagged facet {f0} is not an iso-facet")
-    n_ax = int(np.argmax(np.abs(plane0[0])))
-    u_ax, v_ax = [a for a in range(3) if a != n_ax]
-    iso_val = plane0[1]
-
-    def corners_2d(f, tr):
-        out = []
-        anchor = mesh.anchor(f)
-        for v in mesh.facet_keys[f]:
-            p = np.asarray(tr.apply(mesh.corner_param(anchor, v)), float)
-            if abs(p[n_ax] - iso_val) > 1e-6:
-                raise MeshError(f"wall facet {f} leaves its iso-plane under transport")
-            out.append((float(p[u_ax]), float(p[v_ax])))
-        return tuple(out)
-
-    trans = {f0: Transition()}
-    place = {f0: corners_2d(f0, trans[f0])}
-    dq = deque([f0])
-    while dq:
-        f = dq.popleft()
-        for e in mesh.facet_edges[f]:
-            g = edges.pair.get(e)
-            if g is None:
-                continue
-            g = g[0] if g[1] == f else g[1]
-            tg = trans[f].compose(mesh.fan_transition(e, mesh.anchor(g), mesh.anchor(f)))
-            coords = corners_2d(g, tg)
-            if g in place:
-                old = np.array(place[g])
-                new = np.array(coords)
-                if np.abs(old - new).max() > 1e-6:
-                    shift = old[0] - new[0]
-                    if np.abs((old - new) - shift).max() > 1e-6:
-                        raise IntegrityError("twisted wall layout")
-                    geom.annulus = True
-            else:
-                place[g] = coords
-                trans[g] = tg
-                dq.append(g)
-
-    tol = 1e-6
-    geom.corner_coords = place
-    on_segments = (set(), set())  # vertices on vertical, on horizontal segments
-    for f in facets:
-        key = mesh.facet_keys[f]
-        co = place[f]
-        for e, (i, j) in zip(mesh.facet_edges[f], mesh.FACET_EDGES):
-            if e in edges.pair:
-                continue
-            va, vb = key[i], key[j]
-            p, q = co[i], co[j]
-            geom.boundary_segments.append((e, (p, q)))
-            horizontal = abs(p[1] - q[1]) <= tol
-            vertical = abs(p[0] - q[0]) <= tol
-            if not horizontal and not vertical:
-                geom.slit = True
-                continue
-            on_segments[horizontal].update((va, vb))
-    geom.corner_vertices = on_segments[0] & on_segments[1]
-
-    if geom.annulus or geom.slit:
-        return geom
-
-    pts = np.array([p for co in place.values() for p in co])
-    x0, x1 = float(pts[:, 0].min()), float(pts[:, 0].max())
-    y0, y1 = float(pts[:, 1].min()), float(pts[:, 1].max())
-    area = 0.0
-    for co in place.values():
-        a, b, c = np.array(co)
-        u, v = b - a, c - a
-        area += abs(float(u[0] * v[1] - u[1] * v[0])) / 2.0
-    if abs(area - (x1 - x0) * (y1 - y0)) > tol * max(1.0, area):
-        geom.slit = True
-        return geom
-    _set_sides(geom, (x0, x1, y0, y1))
-    return geom
 
 
 def trace_param(pm: ParamTetMesh, seed=None):

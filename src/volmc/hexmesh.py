@@ -14,6 +14,11 @@ import numpy as np
 from .errors import MeshError
 from .octahedral import _INDEX, Transition
 
+# Wall layouts treat 2D coordinates within this distance as equal, and a tet
+# wall facet's corners must stay this close to their iso-plane; integer (hex)
+# layouts thus compare exactly.
+LAYOUT_TOL = 1e-6
+
 # Local integer coordinates of the 8 VTK corners inside a unit cube.
 HEX_CORNER_COORDS = np.array(
     [
@@ -192,9 +197,10 @@ class CellMesh:
     ``EDGES`` (corner pairs), ``FACET_EDGES`` (pairs of positions in
     ``facet_corners`` that form the facet's edges, in ``facet_edges`` order),
     ``CYCLIC_FACETS`` (``facet_corners`` is the face cycle of the lowest
-    incident cell when true, the sorted key otherwise) and
-    ``_edge_quarters(e)``, the quarter-turn count of an edge. ``EDGE_FACES``
-    is derived from ``FACES`` once per subclass.
+    incident cell when true, the sorted key otherwise),
+    ``_edge_quarters(e)``, the quarter-turn count of an edge, and
+    ``_wall_layout(seed)``, the corner placement of a wall layout.
+    ``EDGE_FACES`` is derived from ``FACES`` once per subclass.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -346,6 +352,27 @@ class HexMesh(CellMesh):
         return len(self.edge_cells[e])
 
     _edge_quarters = edge_valence
+
+    def _wall_layout(self, seed):
+        """Layout hook of ``cellcomplex._wall_geometry``: the unit square of
+        facet ``seed`` in ``facet_corners`` order, and a function giving the
+        unit square of facet ``g`` unfolded across edge ``e``, slot ``k``,
+        of a placed facet ``f`` with corners ``co``."""
+        corners, facet_edges = self.facet_corners, self.facet_edges
+
+        def unfold(f, co, k, e, g):
+            a, b, c = co[k], co[(k + 1) % 4], co[(k + 2) % 4]
+            n = (b[0] - c[0], b[1] - c[1])  # unit step across edge k, away from f
+            j = facet_edges[g].index(e)
+            if corners[g][j] != corners[f][k]:
+                a, b = b, a
+            out = [None] * 4
+            out[j], out[(j + 1) % 4] = a, b
+            out[(j + 2) % 4] = (b[0] + n[0], b[1] + n[1])
+            out[(j + 3) % 4] = (a[0] + n[0], a[1] + n[1])
+            return tuple(out)
+
+        return ((0, 0), (1, 0), (1, 1), (0, 1)), unfold
 
     def opp_facet(self, e, f):
         """The facet continuing ``f`` straight across regular edge ``e``; None if absent."""

@@ -296,13 +296,19 @@ class _WallGrid:
         y = (1 - u / self.P) * self._side_map(3, v) + (u / self.P) * self._side_map(1, v)
         return x, y
 
+    @cached_property
+    def cells(self):
+        """Lower-left corner -> facet of each unit square of a hex wall's layout."""
+        return {(min(p[0] for p in co), min(p[1] for p in co)): f
+                for f, co in self.geom.corner_coords.items()}
+
     def _interior_pos(self, u, v):
         """Bilinear positions, in the wall's quads, of interior new grid points (u, v)."""
         x, y = self.orig_of(u, v)
         p = np.clip(np.floor(x).astype(np.int64), 0, self.W - 1)
         q = np.clip(np.floor(y).astype(np.int64), 0, self.H - 1)
         x0, y0 = self.off
-        fs = [self.geom.cells[(a + x0, b + y0)] for a, b in zip(p.tolist(), q.tolist())]
+        fs = [self.cells[(a + x0, b + y0)] for a, b in zip(p.tolist(), q.tolist())]
         corners = np.array([self.geom.corner_coords[f] for f in fs]).reshape(-1, 4, 2)
         quads = np.array([self.mc.mesh.facet_corners[f] for f in fs], np.int64).reshape(-1, 4)
         fx, fy = (x - p)[:, None], (y - q)[:, None]

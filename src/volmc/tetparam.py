@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MeshError, NotSeamlessError
-from .hexmesh import CellMesh, HexMesh
+from .hexmesh import LAYOUT_TOL, CellMesh, HexMesh
 from .octahedral import _ROT_FLOAT, ROTATIONS, Transition, fit_rotation
 
 # Facets whose parameter image is constant in one coordinate within this
@@ -294,6 +294,36 @@ class ParamTetMesh(CellMesh):
             tr = self.cell_gluing(t, g, t2).compose(tr)
             t = t2
         return tr
+
+    def _wall_layout(self, seed):
+        """Layout hook of ``cellcomplex._wall_geometry``: the in-plane chart
+        coordinates of facet ``seed``'s corners in ``facet_corners`` (sorted
+        key) order, and a function giving those of facet ``g`` across edge
+        ``e`` of a placed facet ``f``, carried through the fan transition
+        into ``f``'s layout chart. Raises MeshError for a seed that is not
+        an iso-facet and for a corner carried off the seed's iso-plane."""
+        plane = self._iso_plane(seed, self.anchor(seed))
+        if plane is None:
+            raise MeshError(f"tagged facet {seed} is not an iso-facet")
+        n_ax, value = plane
+        u_ax, v_ax = [a for a in range(3) if a != n_ax]
+        trans = {seed: Transition()}  # placed facet -> its anchor chart to the seed's
+
+        def corners(g, tr):
+            anchor, out = self.anchor(g), []
+            for v in self.facet_keys[g]:
+                p = np.asarray(tr.apply(self.corner_param(anchor, v)), float)
+                if abs(p[n_ax] - value) > LAYOUT_TOL:
+                    raise MeshError(f"wall facet {g} leaves its iso-plane under transport")
+                out.append((float(p[u_ax]), float(p[v_ax])))
+            return tuple(out)
+
+        def carry(f, co, k, e, g):
+            tr = trans[f].compose(self.fan_transition(e, self.anchor(g), self.anchor(f)))
+            trans.setdefault(g, tr)  # the first placement of g is the one kept
+            return corners(g, tr)
+
+        return corners(seed, trans[seed]), carry
 
     def opp_facet(self, e, f):
         """The iso-facet continuing ``f`` coplanarly across regular edge ``e``

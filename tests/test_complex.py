@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from volmc import synth
 from volmc.cellcomplex import (
+    _wall_geometry,
     base_complex,
     check_grid_blocks,
     classify_block,
@@ -14,6 +17,7 @@ from volmc.cellcomplex import (
 )
 from volmc.errors import IntegrityError
 from volmc.firehex import trace_hex
+from volmc.hexmesh import HexMesh
 
 EXPECTED_BLOCKS = {
     # raw (post torus split), regular, full
@@ -156,3 +160,55 @@ def test_random_blobs_grid_and_ordering(seed):
     bc = split_tori(base_complex(hm, seed=0))
     assert len(full.blocks) <= len(plus.blocks) <= len(mc.blocks)
     assert len(full.blocks) <= len(bc.blocks)
+
+
+class _QuadWall:
+    """Stub mesh of one wall: unit quads given as vertex ids in cyclic
+    order, laid out by the hex mesh's own hook; ``edges`` is its edge table,
+    pairing the two quads at every shared edge."""
+
+    FACET_EDGES = HexMesh.FACET_EDGES
+    _wall_layout = HexMesh._wall_layout
+
+    def __init__(self, quads):
+        self.facet_corners, self.facet_edges = quads, []
+        edge_id, at = {}, {}
+        for f, quad in enumerate(quads):
+            fe = [edge_id.setdefault(tuple(sorted((quad[i], quad[j]))), len(edge_id))
+                  for i, j in self.FACET_EDGES]
+            self.facet_edges.append(fe)
+            for e in fe:
+                at.setdefault(e, []).append(f)
+        self.edges = SimpleNamespace(mesh=self, pair={e: tuple(fs) for e, fs in at.items()
+                                                      if len(fs) == 2})
+
+
+def _layout(quads):
+    return _wall_geometry(_QuadWall(quads).edges, list(range(len(quads))))
+
+
+def _grid_quads(nx, cells):
+    """The quads of grid cells (i, j) of a grid nx cells wide."""
+    def v(i, j):
+        return i + (nx + 1) * j
+
+    return [(v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)) for i, j in cells]
+
+
+def test_wall_layout_verdicts_on_stub_meshes():
+    rect = _layout(_grid_quads(2, [(i, j) for j in range(3) for i in range(2)]))
+    assert (rect.annulus, rect.slit, rect.bbox) == (False, False, (0, 2, 0, 3))
+    assert rect.corner_vertices == {0, 2, 9, 11}
+    assert sorted(rect.segment_sides) == [0, 0, 1, 1, 1, 2, 2, 3, 3, 3]
+    ell = _layout(_grid_quads(2, [(0, 0), (1, 0), (0, 1)]))
+    assert (ell.annulus, ell.slit, ell.bbox) == (False, True, None)
+    n = 4  # a strip of n quads between vertices b[i] (bottom) and t[i] (top)
+    b, t = range(n), range(n, 2 * n)
+    ring = _layout([(b[i], b[(i + 1) % n], t[(i + 1) % n], t[i]) for i in range(n)])
+    assert (ring.annulus, ring.slit, ring.corner_vertices) == (True, False, set())
+    mobius = [(b[i], b[i + 1], t[i + 1], t[i]) for i in range(n - 1)]
+    with pytest.raises(IntegrityError, match="twisted wall layout"):
+        _layout(mobius + [(b[n - 1], t[0], b[0], t[n - 1])])
+    cone = [(16, i, 8 + i, (i + 1) % 8) for i in range(8)]  # 720 degrees around vertex 16
+    with pytest.raises(IntegrityError, match="wall overlaps itself"):
+        _layout(cone)

@@ -9,6 +9,7 @@ from volmc.cellcomplex import (
     reduce_complex,
     split_tori,
 )
+from volmc.firehex import trace_hex
 from volmc.fireparam import split_opp, trace_param, trace_param_base
 from volmc.tetparam import ParamTetMesh, hex_to_param
 
@@ -38,6 +39,40 @@ def _param_counts(pm):
 def test_param_matches_hex_pipeline(meshes, name):
     hm = meshes[name]
     assert _param_counts(hex_to_param(hm)) == _hex_counts(hm)
+
+
+def _layouts(mc):
+    """The multiset of wall layout verdicts, dims in ascending order (the two
+    kinds may lay a wall out transposed)."""
+    return sorted((w.annulus, w.slit, w.dims and tuple(sorted(w.dims))) for w in mc.walls)
+
+
+def _layout_levels(hm, pm):
+    """Wall layout verdicts of the hex mesh ``hm`` and of its parametrization
+    ``pm`` at the raw, regular, full and base levels."""
+    out = []
+    for mesh, raw in ((hm, extract_complex(hm, trace_hex(hm, seed=0))),
+                      (pm, extract_complex(*trace_param(pm, seed=0)))):
+        mc = split_tori(raw)
+        out.append({"raw": raw, "regular": reduce_complex(mc, mode="regular"),
+                    "full": reduce_complex(mc, mode="full"), "base": base_complex(mesh, seed=0)})
+    return out
+
+
+def test_wall_layouts_match_across_mesh_kinds(meshes):
+    """The hex and tet layouts of the same walls agree: annulus, slit and
+    dims, on the fixtures at every level and on the base complex of blobs
+    (their raw complexes differ by tie order)."""
+    seen = set()
+    for name, hm in meshes.items():
+        hex_levels, tet_levels = _layout_levels(hm, hex_to_param(hm))
+        for level, mc in hex_levels.items():
+            assert _layouts(mc) == _layouts(tet_levels[level]), (name, level)
+            seen.update((w.annulus, w.slit) for w in tet_levels[level].walls)
+    for seed in range(3):
+        hm = synth.random_glued_cubes(seed, 40)
+        assert _layouts(base_complex(hm, seed=0)) == _layouts(base_complex(hex_to_param(hm), seed=0))
+    assert {(True, False), (False, True)} <= seen  # annulus and slit tet walls both occur
 
 
 def test_param_blocks_partition_tets(meshes):

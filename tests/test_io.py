@@ -1,9 +1,12 @@
+import random
+import re
+
 import numpy as np
 import pytest
 
 from volmc import synth
 from volmc.cellcomplex import extract_complex, split_tori
-from volmc.errors import MeshError, ParseError
+from volmc.errors import MeshError, ParseError, VolmcError
 from volmc.firehex import trace_hex
 from volmc.meshio import (
     export_walls,
@@ -113,6 +116,44 @@ def test_param_bad_tet_rejected(tmp_path, tet_line):
     path.write_text(f"4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n{tet_line}\n")
     with pytest.raises(MeshError, match="tet 0"):
         read_param(str(path))
+
+
+def _corruptions(text, rng, n):
+    """``n`` corruptions of ``text``: a truncation, one token replaced by a
+    bad value, or one token dropped."""
+    tokens = [m.span() for m in re.finditer(r"\S+", text)]
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield text[:rng.randrange(len(text))]
+            continue
+        a, b = rng.choice(tokens)
+        bad = rng.choice(["-1", "999999", "nan", "x", "1e400"]) if kind == 1 else ""
+        yield text[:a] + bad + text[b:]
+
+
+def test_corrupted_files_raise_volmc_error(tmp_path):
+    """A corrupted mesh or parametrization file parses or raises a
+    VolmcError subclass, never a raw exception."""
+    rng = random.Random(0)
+    hm = synth.box_mesh(2, 1, 1)
+    sources = []
+    for ext in ("mesh", "vtk"):
+        write_hex_mesh(hm, str(tmp_path / f"m.{ext}"))
+        sources.append((ext, read_hex_mesh))
+    write_param(hex_to_param(synth.box_mesh(1, 1, 1)), str(tmp_path / "m.param"))
+    sources.append(("param", read_param))
+    outcomes = {"parsed": 0, "rejected": 0}
+    for ext, read in sources:
+        path = tmp_path / f"bad.{ext}"
+        for text in _corruptions((tmp_path / f"m.{ext}").read_text(), rng, 150):
+            path.write_text(text)
+            try:
+                read(str(path))
+                outcomes["parsed"] += 1
+            except VolmcError:
+                outcomes["rejected"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_obj_group_count_equals_wall_count(tmp_path, complexes):

@@ -30,7 +30,8 @@ them. The record holds every run, the medians, the scaling exponent fitted
 to the medians over each ladder (least squares in log-log), the block
 counts, the output hex count and a sha256 of the sanitized parameters per
 tet rung (equal across trees when the outputs are equal), git shas, the
-Python and numpy versions and the CPU count.
+source size per tree (``src_lines``, the total of ``wc -l src/volmc/*.py``),
+the Python and numpy versions and the CPU count.
 
 Usage::
 
@@ -131,14 +132,16 @@ def git(*args):
 
 
 def export(rev, into):
-    """The ``src`` directory of revision ``rev`` and the record of where it came from."""
+    """The ``src`` directory of revision ``rev`` and the record of where it
+    came from, with its line count."""
     tar = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True,
                          check=True).stdout
     dest = Path(into) / rev.replace("/", "_")
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         # The "data" filter, where this Python has it, refuses unsafe members.
         tf.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-    return dest / "src", {"rev": rev, "git_sha": git("rev-parse", rev)}
+    lines = sum(p.read_bytes().count(b"\n") for p in (dest / "src" / "volmc").glob("*.py"))
+    return dest / "src", {"rev": rev, "git_sha": git("rev-parse", rev), "src_lines": lines}
 
 
 def measure(child, src, n):
