@@ -48,8 +48,8 @@ def _layouts(mc):
 
 
 def _layout_levels(hm, pm):
-    """Wall layout verdicts of the hex mesh ``hm`` and of its parametrization
-    ``pm`` at the raw, regular, full and base levels."""
+    """The complexes of the hex mesh ``hm`` and of its parametrization
+    ``pm``, each keyed by level: raw, regular, full and base."""
     out = []
     for mesh, raw in ((hm, extract_complex(hm, trace_hex(hm, seed=0))),
                       (pm, extract_complex(*trace_param(pm, seed=0)))):
