@@ -6,9 +6,9 @@ from .cellcomplex import (
     MotorcycleComplex,
     base_complex,
     check_grid_blocks,
-    classify_block,
     extract_complex,
     grid_check_block,
+    is_cuboid,
     reduce_complex,
     removable_walls,
     split_tori,
@@ -53,12 +53,12 @@ __all__ = [
     "base_complex",
     "build_ip",
     "check_grid_blocks",
-    "classify_block",
     "export_walls",
     "extract_complex",
     "extract_hexmesh",
     "grid_check_block",
     "hex_to_param",
+    "is_cuboid",
     "read_hex_mesh",
     "read_param",
     "reduce_complex",

@@ -17,36 +17,10 @@ from .errors import IntegrityError, VolmcError
 from .firehex import WallField, trace_hex, trace_hex_base
 from .fireparam import trace_param, trace_param_base
 from .hexmesh import LAYOUT_TOL
-from .octahedral import ROTATIONS, Transition, rotation_index
+from .octahedral import Transition
 
 _QUARTER_TOL = 0.25
 log = logging.getLogger(__name__)
-
-
-class BlockType:
-    """Cuboid, or toroidal with a twist counted in quarter turns."""
-
-    __slots__ = ("kind", "twist")
-
-    def __init__(self, kind, twist=0):
-        self.kind = kind
-        self.twist = twist
-
-    @property
-    def cuboid(self):
-        return self.kind == "cuboid"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockType)
-            and self.kind == other.kind
-            and self.twist == other.twist
-        )
-
-    def __repr__(self):
-        if self.kind == "cuboid":
-            return "BlockType(cuboid)"
-        return f"BlockType(toroidal, twist={self.twist})"
 
 
 class Node:
@@ -102,13 +76,13 @@ class Wall:
 
 
 class Block:
-    __slots__ = ("id", "cells", "walls", "type")
+    __slots__ = ("id", "cells", "walls", "corners")
 
     def __init__(self, id, cells, walls):
         self.id = id
         self.cells = cells
         self.walls = walls
-        self.type = None
+        self.corners = None  # set by is_cuboid
 
 
 class MotorcycleComplex:
@@ -411,56 +385,11 @@ def _link_arcs(mc):
     corner_vertices = set()
     for w in mc.walls:
         corner_vertices.update(w._geom.corner_vertices)
-
-    incident = {}
-    for e in sig:
-        for v in mesh.edge_vertices[e]:
-            incident.setdefault(v, []).append(e)
-    for v in incident:
-        incident[v].sort()
-
-    node_vertices = set()
-    for v, es in incident.items():
-        if len(es) != 2 or v in corner_vertices:
-            node_vertices.add(v)
-        elif sig[es[0]] != sig[es[1]]:
-            node_vertices.add(v)
-
-    for nid, v in enumerate(sorted(node_vertices)):
-        mc.nodes.append(Node(nid, v))
-
-    visited = set()
-
-    def other_vertex(e, v):
-        a, b = mesh.edge_vertices[e]
-        return b if a == v else a
-
-    def walk(v0, e0):
-        edges = [e0]
-        verts = [v0, other_vertex(e0, v0)]
-        visited.add(e0)
-        while verts[-1] not in node_vertices:
-            v = verts[-1]
-            nxt = [e for e in incident[v] if e not in visited]
-            if not nxt:
-                break
-            e = nxt[0]
-            visited.add(e)
-            edges.append(e)
-            verts.append(other_vertex(e, v))
-        return edges, verts
-
-    chains = []
-    for v in sorted(node_vertices):
-        for e in incident.get(v, []):
-            if e not in visited:
-                chains.append(walk(v, e))
-    # Remaining cycles: closed loop arcs without nodes.
-    for e in sorted(sig.keys() - visited):
-        if e in visited:
-            continue
-        v0 = mesh.edge_vertices[e][0]
-        chains.append(walk(v0, e))
+    incident = mesh.edge_incidence(sig)
+    nodes = {v for v, es in incident.items()
+             if len(es) != 2 or v in corner_vertices or sig[es[0]] != sig[es[1]]}
+    mc.nodes = [Node(nid, v) for nid, v in enumerate(sorted(nodes))]
+    chains = mesh.edge_chains(incident, nodes)
 
     ring = table.ring
     for aid, (chain, verts) in enumerate(chains):
@@ -498,100 +427,22 @@ def _link_arcs(mc):
 # -- block classification ----------------------------------------------------
 
 
-def _block_corner_count(mc, block):
-    mesh, field = mc.mesh, mc.field
-    verts = sorted({v for c in block.cells for v in mesh.cell_vertices(c)})
-    corners = 0
-    for v in verts:
-        cells_at_v = [c for c in mesh.vertex_cells[v] if c in block.cells]
-        seen = set()
-        for c0 in cells_at_v:
-            if c0 in seen:
-                continue
-            sector = []
-            dq = deque([c0])
-            seen.add(c0)
-            while dq:
-                c = dq.popleft()
-                sector.append(c)
-                for f in mesh.cell_facets[c]:
-                    if f in field.tagged or v not in mesh.facet_vertices(f):
-                        continue
-                    for c2 in mesh.facet_cells[f]:
-                        if c2 != c and c2 in block.cells and c2 not in seen:
-                            seen.add(c2)
-                            dq.append(c2)
-            octants = sum(mesh.cell_corner_octants(c, v) for c in sector)
-            if abs(octants - 1.0) < 1e-6:
-                corners += 1
-    return corners
-
-
-def _torus_twist(mc, block):
-    """Holonomy of chart transport around the toroidal block, in quarter turns."""
-    mesh = mc.mesh
-    seed = min(block.cells)
-    trans = {seed: Transition()}
-    dq = deque([seed])
-    holonomy = None
-    while dq:
-        c = dq.popleft()
-        for f in sorted(mesh.cell_facets[c]):
-            if f in mc.field.tagged:
-                continue
-            for c2 in mesh.facet_cells[f]:
-                if c2 == c or c2 not in block.cells:
-                    continue
-                t2 = trans[c].compose(mesh.cell_gluing(c2, f, c))
-                if c2 in trans:
-                    if trans[c2].rot != t2.rot or holonomy is None:
-                        h = trans[c2].inverse().compose(t2)
-                        if not h.is_identity(1e-9):
-                            holonomy = h
-                else:
-                    trans[c2] = t2
-                    dq.append(c2)
-    if holonomy is None or holonomy.rot == 0:
-        return 0
-    # Quarter turns about the loop direction (the holonomy translation).
-    t = holonomy.t
-    axis = max(range(3), key=lambda i: abs(t[i]))
-    rot = ROTATIONS[holonomy.rot]
-    for k in (1, 2, 3):
-        m = _axis_rotation(axis, k if t[axis] > 0 else -k % 4)
-        if rotation_index(m) == holonomy.rot:
-            return k
-    raise IntegrityError("toroidal holonomy is not a rotation about the loop axis")
-
-
-def _axis_rotation(axis, quarters):
-    import numpy as np
-
-    c = [1, 0, -1, 0][quarters % 4]
-    s = [0, 1, 0, -1][quarters % 4]
-    m = np.zeros((3, 3), dtype=int)
-    i, j = (axis + 1) % 3, (axis + 2) % 3
-    m[axis, axis] = 1
-    m[i, i] = c
-    m[i, j] = -s
-    m[j, i] = s
-    m[j, j] = c
-    return m
-
-
-def classify_block(mc, bid) -> BlockType:
-    """Cuboid for 8 corners, toroidal for 0; any other count is invalid."""
+def is_cuboid(mc, bid) -> bool:
+    """Whether block ``bid`` is a cuboid (8 corners) rather than toroidal (0
+    corners); any other count raises. A corner is a vertex sector of one
+    octant; one pass over the vertices counts them for every block."""
     block = mc.blocks[bid]
-    if block.type is not None:
-        return block.type
-    corners = _block_corner_count(mc, block)
-    if corners == 8:
-        block.type = BlockType("cuboid")
-    elif corners == 0:
-        block.type = BlockType("toroidal", _torus_twist(mc, block))
-    else:
-        raise IntegrityError(f"block {bid} has {corners} corners (must be 0 or 8)")
-    return block.type
+    if block.corners is None:
+        mesh, corners = mc.mesh, [0] * len(mc.blocks)
+        for v in range(mesh.n_vertices):
+            for sector in mesh.vertex_sectors(v, mc.field.tagged):
+                if abs(sum(mesh.cell_corner_octants(c, v) for c in sector) - 1.0) < 1e-6:
+                    corners[mc.block_of[sector[0]]] += 1
+        for b, n in zip(mc.blocks, corners):
+            b.corners = n
+    if block.corners not in (0, 8):
+        raise IntegrityError(f"block {bid} has {block.corners} corners (must be 0 or 8)")
+    return block.corners == 8
 
 
 # -- torus splitting ---------------------------------------------------------
@@ -613,7 +464,7 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
     blocks become (possibly self-adjacent) cuboids."""
     mesh = mc.mesh
     while True:
-        toroidal = [b.id for b in mc.blocks if not classify_block(mc, b.id).cuboid]
+        toroidal = [b.id for b in mc.blocks if not is_cuboid(mc, b.id)]
         if not toroidal:
             return mc
         block = mc.blocks[toroidal[0]]
@@ -734,7 +585,7 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     ``_link_arcs``. When no wall is removable, ``mc`` itself is returned.
     """
     for b in mc.blocks:
-        if not classify_block(mc, b.id).cuboid:
+        if not is_cuboid(mc, b.id):
             raise VolmcError("reduce requires cuboid blocks; run split_tori first")
     mesh = mc.mesh
     edges = _EdgeTable(mesh, mc.field.copy(), dict(mc._edges.pair), dict(mc._edges.ring))

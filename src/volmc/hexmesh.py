@@ -318,6 +318,71 @@ class CellMesh:
             if self.edge_live[e] and self.classify_edge(e).singular
         ]
 
+    def vertex_sectors(self, v, walls):
+        """The cells at vertex ``v`` joined through the facets at ``v`` not
+        in ``walls``: sorted lists, ordered by lowest cell."""
+        seen, out = set(), []
+        for c0 in self.vertex_cells[v]:  # ascending, so sectors come by lowest cell
+            if c0 in seen:
+                continue
+            seen.add(c0)
+            sector = [c0]
+            for c in sector:  # grows while it is read
+                for f in self.cell_facets[c]:
+                    if f in walls or v not in self.facet_keys[f]:
+                        continue
+                    for c2 in self.facet_cells[f]:
+                        if c2 not in seen:
+                            seen.add(c2)
+                            sector.append(c2)
+            out.append(sorted(sector))
+        return out
+
+    def edge_incidence(self, edges):
+        """Vertex -> the ``edges`` at it, ascending."""
+        incident = {}
+        for e in sorted(edges):
+            for v in self.edge_keys[e]:
+                incident.setdefault(v, []).append(e)
+        return incident
+
+    def edge_chains(self, incident, nodes):
+        """The edges of ``incident`` (from ``edge_incidence``) as maximal
+        chains between vertices in ``nodes``, each (edges, vertices). A walk
+        leaves every node in ascending order along each of its edges not yet
+        walked, in ascending order, and takes the lowest such edge at every
+        other vertex; closed loops without a node follow, each from its
+        lowest edge's lower vertex back to it."""
+        keys, walked, chains = self.edge_keys, set(), []
+
+        def other(e, v):
+            a, b = keys[e]
+            return b if a == v else a
+
+        def walk(v, e):
+            # Lists made by a literal are allocated to size: most chains are
+            # one or two edges long, and every complex keeps its chains.
+            edges, verts = [e], [v, other(e, v)]
+            walked.add(e)
+            while verts[-1] not in nodes:
+                v = verts[-1]
+                e = next((e2 for e2 in incident[v] if e2 not in walked), None)
+                if e is None:
+                    break
+                walked.add(e)
+                edges.append(e)
+                verts.append(other(e, v))
+            chains.append((edges, verts))
+
+        for v in sorted(nodes):
+            for e in incident.get(v, ()):
+                if e not in walked:
+                    walk(v, e)
+        for e in sorted({e for es in incident.values() for e in es}):
+            if e not in walked:
+                walk(keys[e][0], e)
+        return chains
+
 
 class HexMesh(CellMesh):
     """Immutable hexahedral mesh; every edge fan is built, and so checked to

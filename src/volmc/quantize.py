@@ -25,12 +25,10 @@ class QuantizationProblem:
     """Integer length variables (one per arc) with two balance rows per wall
     and a separable quadratic objective."""
 
-    def __init__(self, arcs, lengths, s, rows, walls):
+    def __init__(self, arcs, lengths, s, rows):
         self.arcs = arcs  # arc ids, sorted
-        self.lengths = lengths  # arc id -> original parametric length
         self.s = float(s)
         self.rows = rows  # list of {arc id: integer coefficient}
-        self.walls = walls  # wall ids the rows came from, parallel to rows
         self.targets = {a: self.s * lengths[a] for a in arcs}  # arc id -> s * length
         self.relaxed = None  # arc id -> relaxed (real) length, set by build_ip
         self.incumbent = None  # (objective, lengths) of a feasible point, set by build_ip
@@ -46,7 +44,7 @@ def build_ip(mc, s) -> QuantizationProblem:
             raise IntegrityError(f"wall {w.id} is a slit; quantization undefined")
     arcs = sorted(a.id for a in mc.arcs)
     lengths = {a.id: float(a.length) for a in mc.arcs}
-    rows, row_walls = [], []
+    rows = []
     for w in mc.walls:
         for lo, hi in ((0, 2), (3, 1)):
             row = {}
@@ -57,8 +55,7 @@ def build_ip(mc, s) -> QuantizationProblem:
             row = {a: c for a, c in row.items() if c}
             if row:
                 rows.append(row)
-                row_walls.append(w.id)
-    qp = QuantizationProblem(arcs, lengths, s, rows, row_walls)
+    qp = QuantizationProblem(arcs, lengths, s, rows)
     qp.relaxed = _relaxed(qp)
     qp.incumbent = _first_feasible(qp)
     if qp.incumbent is None:

@@ -38,7 +38,6 @@ def reanchor(pm: ParamTetMesh) -> ParamTetMesh:
     non-identity facets form a small cut set."""
     n = pm.n_cells
     acc = [None] * n
-    order = []
     for seed in range(n):
         if acc[seed] is not None:
             continue
@@ -46,7 +45,6 @@ def reanchor(pm: ParamTetMesh) -> ParamTetMesh:
         dq = deque([seed])
         while dq:
             t = dq.popleft()
-            order.append(t)
             for f in sorted(pm.cell_facets[t]):
                 for t2 in pm.facet_cells[f]:
                     if t2 == t or acc[t2] is not None:
@@ -100,31 +98,9 @@ class CutStructure:
     def sectors(self, v):
         """Partition of the tets at vertex ``v`` into sectors separated by
         cut facets; sorted lists, ordered by their lowest tet."""
-        if v in self._sector_cache:
-            return self._sector_cache[v]
-        pm = self.pm
-        cells = pm.vertex_cells[v]
-        parent = {t: t for t in cells}
-
-        def find(t):
-            while parent[t] != t:
-                parent[t] = parent[parent[t]]
-                t = parent[t]
-            return t
-
-        for t in cells:
-            for f in pm.cell_facets[t]:
-                if pm.facet_boundary[f] or f in self.cut_facets:
-                    continue
-                if v not in pm.facet_keys[f]:
-                    continue
-                a, b = pm.facet_cells[f]
-                parent[find(a)] = find(b)
-        groups = {}
-        for t in cells:
-            groups.setdefault(find(t), []).append(t)
-        out = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-        self._sector_cache[v] = out
+        out = self._sector_cache.get(v)
+        if out is None:
+            out = self._sector_cache[v] = self.pm.vertex_sectors(v, self.cut_facets)
         return out
 
     def sector_index(self, v, t):
@@ -186,10 +162,7 @@ def detect_cut_structure(pm: ParamTetMesh) -> CutStructure:
                 if len(bf) == 2 and align_axis[bf[0]] != align_axis[bf[1]]:
                     cs.cut_edges.add(e)
 
-    incid = {}
-    for e in cs.cut_edges:
-        for v in pm.edge_keys[e]:
-            incid.setdefault(v, []).append(e)
+    incid = pm.edge_incidence(cs.cut_edges)
     for v, es in incid.items():
         if len(es) == 1 or len(es) > 2:
             cs.nodes.add(v)
@@ -212,41 +185,14 @@ def detect_cut_structure(pm: ParamTetMesh) -> CutStructure:
 
 def _build_branches(cs, incid):
     pm = cs.pm
-    visited = set()
-
-    def other(e, v):
-        a, b = pm.edge_keys[e]
-        return b if a == v else a
-
-    def walk(v0, e0):
-        edges = [e0]
-        visited.add(e0)
-        v = other(e0, v0)
-        while v not in cs.nodes:
-            nxt = [e for e in incid[v] if e not in visited]
-            if not nxt:
-                break
-            e = min(nxt)
-            visited.add(e)
-            edges.append(e)
-            v = other(e, v)
-        return edges, v
-
-    for v in sorted(cs.nodes):
-        for e in sorted(incid.get(v, [])):
-            if e not in visited:
-                edges, end = walk(v, e)
-                cs.branches.append(Branch(len(cs.branches), edges, (v, end)))
-    # circular branches: closed cut-edge cycles without any node
-    for e in sorted(cs.cut_edges - visited):
-        if e in visited:
-            continue
-        v0 = pm.edge_keys[e][0]
-        edges, end = walk(v0, e)
-        verts = sorted({v for e2 in edges for v in pm.edge_keys[e2]})
-        for aux in verts[:2]:
-            cs.nodes.add(aux)
-        cs.branches.append(Branch(len(cs.branches), edges, (verts[0], verts[0])))
+    for edges, verts in pm.edge_chains(incid, cs.nodes):
+        ends = (verts[0], verts[-1])
+        if verts[0] not in cs.nodes:
+            # circular branch: a closed cut-edge cycle without any node
+            loop = sorted({v for e in edges for v in pm.edge_keys[e]})
+            cs.nodes.update(loop[:2])
+            ends = (loop[0], loop[0])
+        cs.branches.append(Branch(len(cs.branches), edges, ends))
     # loop branches: start and end at the same node, no interior node
     for br in cs.branches:
         if br.ends[0] == br.ends[1] and len(br.edges) > 1:

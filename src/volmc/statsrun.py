@@ -19,8 +19,8 @@ from contextlib import nullcontext
 from .cellcomplex import (
     _trace,
     base_complex,
-    classify_block,
     extract_complex,
+    is_cuboid,
     reduce_complex,
     split_tori,
 )
@@ -50,7 +50,7 @@ def model_stats(path, seed=0) -> dict:
     mesh, field = _trace(mesh, seed)
     t1 = time.perf_counter()
     raw = extract_complex(mesh, field)
-    n_tori = sum(not classify_block(raw, b.id).cuboid for b in raw.blocks)
+    n_tori = sum(not is_cuboid(raw, b.id) for b in raw.blocks)
     mc = split_tori(raw)
     t2 = time.perf_counter()
     plus = reduce_complex(mc, mode="regular")

@@ -16,8 +16,8 @@ from volmc import synth
 from volmc.cellcomplex import (
     base_complex,
     check_grid_blocks,
-    classify_block,
     extract_complex,
+    is_cuboid,
     reduce_complex,
     removable_walls,
     split_tori,
@@ -151,11 +151,11 @@ def test_criterion_07_torus(meshes):
     with criterion(7, "torus: one toroidal block pre-split, cuboids after"):
         hm = meshes["torus"]
         pre = extract_complex(hm, trace_hex(hm, seed=0))
-        toroidal = [b for b in pre.blocks if not classify_block(pre, b.id).cuboid]
+        toroidal = [b for b in pre.blocks if not is_cuboid(pre, b.id)]
         assert len(pre.blocks) == 1 and len(toroidal) == 1
         post = split_tori(pre)
         for b in post.blocks:
-            assert classify_block(post, b.id).cuboid
+            assert is_cuboid(post, b.id)
         check_grid_blocks(post)  # every block a full l x m x n box (8 corners)
 
 

@@ -17,6 +17,7 @@ from volmc.tetparam import hex_to_param
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
     write_hex_mesh(synth.pie_mesh(3), str(d / "pie3.mesh"))
+    write_param(hex_to_param(synth.pie_mesh(3)), str(d / "pie3.param"))
     write_hex_mesh(synth.torus_mesh(), str(d / "torus.vtk"))
     write_param(hex_to_param(synth.box_mesh(2, 2, 2)), str(d / "box.param"))
     write_param(
@@ -101,6 +102,26 @@ def test_quantize_rejects_parametrization(files, tmp_path):
 def test_base_complex_summary(files):
     out = run_cli(["base-complex", str(files / "pie3.mesh")])
     assert "blocks=3" in out
+
+
+def test_base_complex_of_parametrization(files):
+    """A .param input runs the parametrization pipeline to the same count."""
+    counts = [run_cli(["base-complex", str(files / f"pie3.{ext}")]).split()[0]
+              for ext in ("mesh", "param")]
+    assert counts == ["blocks=3"] * 2
+
+
+def test_stats_of_parametrization_matches_hex_mesh(files, tmp_path):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    for ext in ("mesh", "param"):
+        (corpus / f"pie3.{ext}").write_bytes((files / f"pie3.{ext}").read_bytes())
+    csv_path = tmp_path / "s.csv"
+    run_cli(["stats", str(corpus), "--output", str(csv_path)])
+    header, *rows = [line.split(";") for line in csv_path.read_text().splitlines()]
+    counts = [[row[header.index(c)] for c in ("BC", "BC-", "raw", "MC+", "MC")] for row in rows]
+    assert len(counts) == 2 and counts[0] == counts[1]
+    assert [row[header.index("error")] for row in rows] == ["", ""]
 
 
 def test_export_obj(files, tmp_path):

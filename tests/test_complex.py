@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,16 +9,18 @@ from volmc.cellcomplex import (
     _wall_geometry,
     base_complex,
     check_grid_blocks,
-    classify_block,
     extract_complex,
     grid_check_block,
+    is_cuboid,
     reduce_complex,
     removable_walls,
     split_tori,
 )
 from volmc.errors import IntegrityError
 from volmc.firehex import trace_hex
+from volmc.fireparam import trace_param
 from volmc.hexmesh import HexMesh
+from volmc.tetparam import hex_to_param
 
 EXPECTED_BLOCKS = {
     # raw (post torus split), regular, full
@@ -83,11 +86,71 @@ def test_torus_classification():
     hm = synth.torus_mesh()
     mc = extract_complex(hm, trace_hex(hm, seed=0))
     assert len(mc.blocks) == 1
-    assert not classify_block(mc, 0).cuboid
+    assert not is_cuboid(mc, 0)
     split = split_tori(mc)
     for b in split.blocks:
-        assert classify_block(split, b.id).cuboid
+        assert is_cuboid(split, b.id)
     check_grid_blocks(split)
+
+
+def _ring_mesh(m, turns, k=8):
+    """Ring of k sections of m x m hexes, closed after ``turns`` quarter
+    turns of the cross-section."""
+    def vid(j, a, b):
+        if j == k:
+            j = 0
+            for _ in range(turns):
+                a, b = b, m - a
+        return (j * (m + 1) + a) * (m + 1) + b
+
+    positions = [((2 + a / m) * math.cos(2 * math.pi * j / k),
+                  (2 + a / m) * math.sin(2 * math.pi * j / k), b / m)
+                 for j in range(k) for a in range(m + 1) for b in range(m + 1)]
+    hexes = []
+    for j in range(k):
+        for a in range(m):
+            for b in range(m):
+                quad = ((a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1))
+                hexes.append([vid(j + 1, *p) for p in quad] + [vid(j, *p) for p in quad])
+    return HexMesh(positions, hexes)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("turns", [0, 1, 2])
+def test_thick_and_twisted_rings_split_into_one_cuboid(m, turns):
+    """Both pipelines find one toroidal block and cut it with one wall
+    across the ring: m * m hex facets, or twice as many tet facets; the
+    confined flood reaches past its seed facets for m > 1."""
+    hm = _ring_mesh(m, turns)
+    for mesh, field, per_quad in ((hm, trace_hex(hm, seed=0), 1),
+                                  (*trace_param(hex_to_param(hm), seed=0), 2)):
+        raw = extract_complex(mesh, field)
+        assert [is_cuboid(raw, b.id) for b in raw.blocks] == [False]
+        split = split_tori(raw)
+        assert [is_cuboid(split, b.id) for b in split.blocks] == [True]
+        cut = [w for w in split.walls if not w.facets <= raw.wall_facet_set()]
+        assert [len(w.facets) for w in cut] == [per_quad * m * m]
+        if mesh is hm:
+            assert check_grid_blocks(split) == [(m, m, 8)]
+
+
+def _disjoint_union(*parts):
+    positions, hexes = [], []
+    for hm in parts:
+        hexes += (hm.hexes + len(positions)).tolist()
+        positions += hm.positions.tolist()
+    return HexMesh(positions, hexes)
+
+
+def test_corners_count_for_their_own_block():
+    """A torus ring beside pie columns, whose blocks share vertices: every
+    block is told apart, whichever comes first."""
+    for parts, torus_first in (((synth.torus_mesh(), synth.pie_mesh(3)), True),
+                               ((synth.pie_mesh(3), synth.torus_mesh()), False)):
+        hm = _disjoint_union(*parts)
+        mc = extract_complex(hm, trace_hex(hm, seed=0))
+        got = [is_cuboid(mc, b.id) for b in mc.blocks]
+        assert got == ([False] + [True] * 3 if torus_first else [True] * 3 + [False])
 
 
 def test_reduction_monotone_and_irreducible(complexes):

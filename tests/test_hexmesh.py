@@ -146,3 +146,28 @@ def test_edge_fan_structure():
     hm2 = synth.box_mesh(1, 1, 1)
     facets2, cells2, closed2 = hm2.edge_fan(0)
     assert not closed2 and len(facets2) == len(cells2) + 1
+
+
+def test_edge_chains_close_a_loop_from_its_lowest_edge():
+    hm = synth.box_mesh(1, 1, 1)  # vertex x + 2y + 4z
+    bottom = hm.facet_edges[hm.facet_id[(0, 1, 2, 3)]]
+    chains = hm.edge_chains(hm.edge_incidence(bottom), set())
+    e = hm.edge_id
+    assert chains == [([e[0, 1], e[1, 3], e[2, 3], e[0, 2]], [0, 1, 3, 2, 0])]
+
+
+def test_edge_chains_leave_a_node_along_each_edge():
+    hm = synth.box_mesh(3, 1, 1)  # vertices 0..3 along the x axis
+    e = hm.edge_id
+    line = [e[0, 1], e[1, 2], e[2, 3]]
+    chains = hm.edge_chains(hm.edge_incidence(line), {1})
+    assert chains == [([e[0, 1]], [1, 0]), ([e[1, 2], e[2, 3]], [1, 2, 3])]
+
+
+def test_vertex_sectors_split_at_walls():
+    hm = synth.box_mesh(2, 2, 2)  # cell x + 2y + 4z around centre vertex 13
+    mid = {f for f, key in enumerate(hm.facet_keys)
+           if all(hm.positions[v][0] == 1 for v in key)}  # the plane x = 1
+    assert hm.vertex_sectors(13, set()) == [list(range(8))]
+    assert hm.vertex_sectors(13, mid) == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    assert hm.vertex_sectors(0, mid) == [[0]]

@@ -3,6 +3,8 @@ import pytest
 
 from volmc import synth
 from volmc.sanitize import (
+    CutStructure,
+    _build_branches,
     add_noise,
     detect_cut_structure,
     reanchor,
@@ -84,3 +86,17 @@ def test_different_noise_seeds_converge(meshes):
     for f in fixed:
         assert verify_seamless(f) == []
         assert _singular_set(f) == _singular_set(pm)
+
+
+@pytest.mark.parametrize("nodes, ends, added", [(set(), (0, 0), {0, 1}), ({0}, (0, 0), {1})])
+def test_cut_edge_cycle_becomes_one_branch(nodes, ends, added):
+    """A closed cycle of cut edges: without a node it gets its two lowest
+    vertices as nodes; from a node it gets its lowest other vertex."""
+    hm = synth.box_mesh(1, 1, 1)  # the bottom face's boundary: vertices 0, 1, 3, 2
+    cs = CutStructure(hm)
+    cs.cut_edges = set(hm.facet_edges[hm.facet_id[(0, 1, 2, 3)]])
+    cs.nodes = set(nodes)
+    _build_branches(cs, hm.edge_incidence(cs.cut_edges))
+    e = hm.edge_id
+    assert [(b.edges, b.ends) for b in cs.branches] == [([e[0, 1], e[1, 3], e[2, 3], e[0, 2]], ends)]
+    assert cs.nodes == set(nodes) | added
