@@ -5,6 +5,10 @@ retraction.
 Works on any mesh implementing the generic cell-mesh interface (hexahedral
 meshes and refined parametrized tet meshes). One wall layout serves both;
 the mesh places a neighbour facet's corners (``_wall_layout``).
+
+Extraction and reduction build walls and blocks only. Nodes and arcs, with
+each wall's arcs and sides, are linked on first read (``_Links``): only
+quantization and the T-arc statistics read them.
 """
 
 from __future__ import annotations
@@ -47,16 +51,25 @@ class Arc:
 
 
 class Wall:
-    __slots__ = ("id", "facets", "boundary", "distance", "arcs", "sides", "_geom")
+    __slots__ = ("id", "facets", "boundary", "distance", "_geom", "_links")
 
     def __init__(self, id, facets, boundary, distance, geom):
         self.id = id
         self.facets = facets
         self.boundary = boundary
         self.distance = distance
-        self.arcs = []
-        self.sides = None  # 4 lists of arc ids for rectangle walls
         self._geom = geom  # its _WallGeometry
+        self._links = None  # its complex's _Links
+
+    @property
+    def arcs(self):
+        """Its arc ids, ascending."""
+        return self._links.linked().wall_arcs[self.id]
+
+    @property
+    def sides(self):
+        """4 lists of arc ids for rectangle walls, None otherwise."""
+        return self._links.linked().wall_sides[self.id]
 
     @property
     def annulus(self):
@@ -87,22 +100,59 @@ class Block:
 
 class MotorcycleComplex:
     """Nodes, arcs, walls and blocks extracted from a wall field, with
-    lookup maps back into the underlying mesh."""
+    lookup maps back into the underlying mesh. Walls and blocks are built
+    with the complex; nodes, arcs and ``arc_of`` are linked the first time
+    any of them, or a wall's arcs or sides, is read."""
 
     def __init__(self, mesh, field):
         self.mesh = mesh
         self.field = field
-        self.nodes = []
-        self.arcs = []
         self.walls = []
         self.blocks = []
         self.wall_of = {}  # facet -> wall id
-        self.arc_of = {}  # edge -> arc id
         self.block_of = {}  # cell -> block id
         self._edges = None  # the field's _EdgeTable
+        self._links = None  # its _Links, shared with its walls
+
+    @property
+    def nodes(self):
+        return self._links.linked().nodes
+
+    @property
+    def arcs(self):
+        return self._links.linked().arcs
+
+    @property
+    def arc_of(self):
+        """Edge -> arc id."""
+        return self._links.linked().arc_of
 
     def wall_facet_set(self):
         return set(self.field.tagged)
+
+
+class _Links:
+    """What ``_link_arcs`` reads (the edge table, ``wall_of`` and each
+    wall's geometry) and, once it has run, what it derives: nodes, arcs,
+    ``arc_of``, and per wall its arc ids and sides. Built from a complex
+    whose walls are final, it points the complex and its walls at itself; it
+    refers to neither, so they form no reference cycle."""
+
+    __slots__ = ("edges", "wall_of", "geoms", "nodes", "arcs", "arc_of",
+                 "wall_arcs", "wall_sides")
+
+    def __init__(self, mc):
+        self.edges, self.wall_of = mc._edges, mc.wall_of
+        self.geoms = [w._geom for w in mc.walls]
+        self.nodes = None
+        mc._links = self
+        for w in mc.walls:
+            w._links = self
+
+    def linked(self):
+        if self.nodes is None:
+            _link_arcs(self)
+        return self
 
 
 class _EdgeTable:
@@ -340,7 +390,7 @@ def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
     mc._edges = edges = validate_field(mesh, field)
     comps, mc.wall_of = _wall_components(edges, field.tagged)
     mc.walls = [_make_wall(edges, wid, facets) for wid, facets in enumerate(comps)]
-    _link_arcs(mc)
+    _Links(mc)
 
     # Blocks: components of cells not separated by tagged facets.
     parent = list(range(mesh.n_cells))
@@ -355,8 +405,9 @@ def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
             a, b = sorted((root(cells[0]), root(cells[1])))
             parent[b] = a
     _add_blocks(mc, root)
-    log.debug("extract: %d walls, %d wall geometries built, %d arcs, %d blocks",
-              len(mc.walls), len(mc.walls), len(mc.arcs), len(mc.blocks))
+    if log.isEnabledFor(logging.DEBUG):  # the arc count links the complex
+        log.debug("extract: %d walls, %d wall geometries built, %d arcs, %d blocks",
+                  len(mc.walls), len(mc.walls), len(mc.arcs), len(mc.blocks))
     return mc
 
 
@@ -372,26 +423,26 @@ def _add_blocks(mc, root):
         mc.block_of.update(dict.fromkeys(cells, bid))
 
 
-def _link_arcs(mc):
-    """Nodes and arcs of ``mc``'s walls from its edge table, with
+def _link_arcs(links):
+    """Nodes and arcs of the walls of ``links`` from its edge table, with
     ``arc_of``, each wall's arc ids and each rectangle wall's arc ids per
     side. Arc edges are the edges on a wall but not interior to one."""
-    mesh, table = mc.mesh, mc._edges
+    table, wall_of, geoms = links.edges, links.wall_of, links.geoms
+    mesh = table.mesh
     sig = {  # arc edge -> (its walls, whether it is singular)
-        e: (frozenset(mc.wall_of[f] for f in ring[::3]), mesh.classify_edge(e).singular)
+        e: (frozenset(wall_of[f] for f in ring[::3]), mesh.classify_edge(e).singular)
         for e, ring in table.ring.items()
     }
 
     corner_vertices = set()
-    for w in mc.walls:
-        corner_vertices.update(w._geom.corner_vertices)
+    for geom in geoms:
+        corner_vertices.update(geom.corner_vertices)
     incident = mesh.edge_incidence(sig)
     nodes = {v for v, es in incident.items()
              if len(es) != 2 or v in corner_vertices or sig[es[0]] != sig[es[1]]}
-    mc.nodes = [Node(nid, v) for nid, v in enumerate(sorted(nodes))]
     chains = mesh.edge_chains(incident, nodes)
 
-    ring = table.ring
+    ring, arcs, arc_of = table.ring, [], {}
     for aid, (chain, verts) in enumerate(chains):
         walls, singular = sig[chain[0]]
         for e in chain[1:]:
@@ -400,28 +451,33 @@ def _link_arcs(mc):
         length = sum(mesh.edge_param_length(e) for e in chain)
         arc = Arc(aid, chain, verts, walls, singular, length)
         arc.tarc = (not arc.singular) and any(2 in ring[e][1::3] for e in chain)
-        mc.arcs.append(arc)
+        arcs.append(arc)
         for e in chain:
-            mc.arc_of[e] = aid
+            arc_of[e] = aid
 
-    for arc in mc.arcs:
+    wall_arcs = [[] for _ in geoms]
+    for arc in arcs:
         for wid in arc.walls:
-            mc.walls[wid].arcs.append(arc.id)
-    for w in mc.walls:
-        w.arcs.sort()
-        if not w.annulus and not w.slit:
+            wall_arcs[wid].append(arc.id)
+    wall_sides = [None] * len(geoms)
+    for wid, geom in enumerate(geoms):
+        wall_arcs[wid].sort()
+        if geom.segment_sides is not None:
             # An arc may occur on two different sides of the same wall (a
             # wall wrapping around a split torus), so group per side.
             per_side = [{} for _ in range(4)]
-            for (e, (p, q)), side in zip(w._geom.boundary_segments, w._geom.segment_sides):
-                aid = mc.arc_of[e]
+            for (e, (p, q)), side in zip(geom.boundary_segments, geom.segment_sides):
+                aid = arc_of[e]
                 key = min(p, q)
                 if aid not in per_side[side] or key < per_side[side][aid]:
                     per_side[side][aid] = key
-            w.sides = [
+            wall_sides[wid] = [
                 [aid for _, aid in sorted((k, a) for a, k in d.items())]
                 for d in per_side
             ]
+    links.nodes = [Node(nid, v) for nid, v in enumerate(sorted(nodes))]
+    links.arcs, links.arc_of = arcs, arc_of
+    links.wall_arcs, links.wall_sides = wall_arcs, wall_sides
 
 
 # -- block classification ----------------------------------------------------
@@ -581,8 +637,9 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
 
     The result is assembled from the state, numbered as ``extract_complex``
     numbers the final field: walls by lowest facet, keeping their geometry,
-    blocks from the union-find by lowest cell, and arcs from the same
-    ``_link_arcs``. When no wall is removable, ``mc`` itself is returned.
+    and blocks from the union-find by lowest cell. Nodes and arcs are linked
+    on first read, by the same ``_link_arcs`` as an extracted complex's.
+    When no wall is removable, ``mc`` itself is returned.
     """
     for b in mc.blocks:
         if not is_cuboid(mc, b.id):
@@ -667,7 +724,7 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
         red.walls.append(w)
         red.wall_of.update(dict.fromkeys(w.facets, wid))
     _add_blocks(red, block)
-    _link_arcs(red)
+    _Links(red)
     return red
 
 

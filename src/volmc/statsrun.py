@@ -52,6 +52,7 @@ def model_stats(path, seed=0) -> dict:
     raw = extract_complex(mesh, field)
     n_tori = sum(not is_cuboid(raw, b.id) for b in raw.blocks)
     mc = split_tori(raw)
+    n_arcs = len(mc.arcs)  # links its arcs inside t_build
     t2 = time.perf_counter()
     plus = reduce_complex(mc, mode="regular")
     full = reduce_complex(mc, mode="full")
@@ -65,7 +66,6 @@ def model_stats(path, seed=0) -> dict:
     row["MC"] = len(full.blocks)
     row["MC+/BC%"] = f"{100.0 * len(plus.blocks) / len(bc.blocks):.1f}"
     row["MC/BC%"] = f"{100.0 * len(full.blocks) / len(bc.blocks):.1f}"
-    n_arcs = len(mc.arcs)
     row["T%"] = f"{100.0 * sum(a.tarc for a in mc.arcs) / n_arcs:.1f}" if n_arcs else "0.0"
     row["torus_splits"] = n_tori
     row["t_trace"] = f"{t1 - t0:.3f}"

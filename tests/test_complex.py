@@ -1,10 +1,13 @@
+import gc
+import logging
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from volmc import synth
+from volmc import cellcomplex, synth
 from volmc.cellcomplex import (
     _wall_geometry,
     base_complex,
@@ -223,6 +226,67 @@ def test_random_blobs_grid_and_ordering(seed):
     bc = split_tori(base_complex(hm, seed=0))
     assert len(full.blocks) <= len(plus.blocks) <= len(mc.blocks)
     assert len(full.blocks) <= len(bc.blocks)
+
+
+def _counted_link_arcs(monkeypatch):
+    """Wrap ``cellcomplex._link_arcs`` in a call counter; returns the count."""
+    calls, link = [0], cellcomplex._link_arcs
+
+    def counted(links):
+        calls[0] += 1
+        return link(links)
+
+    monkeypatch.setattr(cellcomplex, "_link_arcs", counted)
+    return calls
+
+
+def test_arcs_are_linked_on_first_read(monkeypatch, caplog):
+    """The hex pipeline (trace, extract, split_tori, both reductions, grid
+    oracle, base complex) reads no arc, so it links none; the first read of
+    arcs, nodes or a wall's sides links that complex once."""
+    caplog.set_level(logging.INFO, logger="volmc.cellcomplex")
+    calls = _counted_link_arcs(monkeypatch)
+    hm = synth.random_glued_cubes(3, n_cells=120)
+    raw = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
+    plus = reduce_complex(raw, mode="regular")
+    full = reduce_complex(raw, mode="full")
+    assert plus is not raw and full is not raw  # both reductions build a complex
+    check_grid_blocks(full)
+    split_tori(base_complex(hm, seed=0))
+    assert calls[0] == 0
+    full.arcs, full.nodes, full.walls[0].sides
+    assert calls[0] == 1
+    full.arc_of, full.walls[-1].arcs
+    assert calls[0] == 1
+    caplog.set_level(logging.DEBUG, logger="volmc.cellcomplex")
+    extract_complex(hm, trace_hex(hm, seed=0))  # its debug line counts the arcs
+    assert calls[0] == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: synth.random_glued_cubes(3, n_cells=60),
+    synth.pie_mesh,
+    lambda: hex_to_param(synth.pie_mesh(3)),
+], ids=["blob", "pie", "param"])
+def test_complexes_form_no_reference_cycles(build):
+    """Complexes, their walls and their mesh are freed by reference counting
+    alone, linked or not."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mesh = build()
+        work, field = (mesh, trace_hex(mesh, seed=0)) if mesh.kind == "hex" \
+            else trace_param(mesh, seed=0)
+        raw = split_tori(extract_complex(work, field))
+        full = reduce_complex(raw, mode="full")
+        bc = split_tori(base_complex(mesh, seed=0))
+        full.arcs, full.walls[0].sides
+        refs = [weakref.ref(x) for x in (raw, full, bc, mesh, work)]
+        del mesh, work, field, raw, full, bc
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _QuadWall:
