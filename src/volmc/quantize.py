@@ -6,11 +6,23 @@ cuboids), with the objective sum (l_a - s ||a||)^2 pulling the assignment
 toward a target sizing s. Blocks are then rescaled by a piecewise-affine map
 and tiled by l x m x n unit-hex grids that agree across shared walls,
 including across T-joints.
+
+The lengths come from one exact mixed-integer linear program, the chord
+program. For an integer v, (v - t)^2 equals the largest of the chords of
+x -> (x - t)^2 between consecutive integers k and k + 1, the lines
+(k - t)^2 + (2 (k - t) + 1) (v - k). So with one integer v_a >= 1 and one
+real z_a per arc, minimizing sum z_a subject to the balance rows and z_a
+above every chord of arc a over an integer range [lo_a, hi_a] around its
+target is the quantization problem exactly, as long as each v_a stays
+inside its range: outside it, the chords only underestimate the square.
+When every target is already an integer >= 1 and balances every row, the
+targets are an assignment of objective 0 and so the unique optimum, a
+certificate that needs no solver; hex complexes at a whole-number s always
+give one.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from functools import cached_property
 
@@ -30,8 +42,6 @@ class QuantizationProblem:
         self.s = float(s)
         self.rows = rows  # list of {arc id: integer coefficient}
         self.targets = {a: self.s * lengths[a] for a in arcs}  # arc id -> s * length
-        self.relaxed = None  # arc id -> relaxed (real) length, set by build_ip
-        self.incumbent = None  # (objective, lengths) of a feasible point, set by build_ip
 
 
 def build_ip(mc, s) -> QuantizationProblem:
@@ -55,140 +65,66 @@ def build_ip(mc, s) -> QuantizationProblem:
             row = {a: c for a, c in row.items() if c}
             if row:
                 rows.append(row)
-    qp = QuantizationProblem(arcs, lengths, s, rows)
-    qp.relaxed = _relaxed(qp)
-    qp.incumbent = _first_feasible(qp)
-    if qp.incumbent is None:
-        raise IntegrityError("quantization constraints are infeasible")
-    return qp
-
-
-def _relaxed(qp):
-    """Projection of the targets onto the row null space (bounds ignored)."""
-    n = len(qp.arcs)
-    idx = {a: i for i, a in enumerate(qp.arcs)}
-    t = np.array([qp.targets[a] for a in qp.arcs])
-    if not qp.rows:
-        return dict(zip(qp.arcs, t))
-    A = np.zeros((len(qp.rows), n))
-    for r, row in enumerate(qp.rows):
-        for a, c in row.items():
-            A[r, idx[a]] = c
-    At = A @ t
-    lam, *_ = np.linalg.lstsq(A @ A.T, At, rcond=None)
-    x = t - A.T @ lam
-    return dict(zip(qp.arcs, x))
-
-
-def _dfs(qp, lo, hi, best_obj, best_sol, first_only=False):
-    """Exact search over the integer box with constraint propagation.
-
-    Rows with a single unassigned variable force it; otherwise the most
-    constrained variable is branched on, values ordered by distance to the
-    relaxed solution. Returns (objective, assignment) of the best leaf."""
-    arcs = qp.arcs
-    targets = qp.targets
-    relaxed = qp.relaxed
-    mincost = {
-        a: 0.0
-        if lo[a] <= targets[a] <= hi[a]
-        else min((lo[a] - targets[a]) ** 2, (hi[a] - targets[a]) ** 2)
-        for a in arcs
-    }
-    rows = qp.rows
-    arc_rows = {a: [] for a in arcs}
-    for r, row in enumerate(rows):
-        for a in row:
-            arc_rows[a].append(r)
-    assign = {}
-    state = [[sum(1 for _ in row), 0] for row in rows]  # [unassigned, sum]
-    found = [best_obj, dict(best_sol) if best_sol else None]
-    stop = [False]
-
-    def bound(partial):
-        return partial + sum(mincost[a] for a in arcs if a not in assign)
-
-    def choose():
-        for r, (cnt, _) in enumerate(state):
-            if cnt == 1:
-                a = next(a for a in rows[r] if a not in assign)
-                c = rows[r][a]
-                val = -state[r][1] // c if state[r][1] % c == 0 else None
-                return a, (None if val is None else [val]), r
-        free = [a for a in arcs if a not in assign]
-        a = max(free, key=lambda x: (len(arc_rows[x]), -x))
-        vals = sorted(range(lo[a], hi[a] + 1), key=lambda v: (abs(v - relaxed[a]), v))
-        return a, vals, None
-
-    def rec(partial):
-        if stop[0]:
-            return
-        if found[0] is not None and bound(partial) >= found[0]:
-            return
-        if len(assign) == len(arcs):
-            if all(s == 0 for cnt, s in state):
-                found[0] = partial
-                found[1] = dict(assign)
-                if first_only:
-                    stop[0] = True
-            return
-        a, vals, forced_row = choose()
-        if vals is None:
-            return  # forced value is fractional: dead end
-        for v in vals:
-            if not lo[a] <= v <= hi[a]:
-                continue
-            ok = True
-            assign[a] = v
-            for r in arc_rows[a]:
-                state[r][0] -= 1
-                state[r][1] += rows[r][a] * v
-                if state[r][0] == 0 and state[r][1] != 0:
-                    ok = False
-            if ok:
-                rec(partial + (v - targets[a]) ** 2)
-            for r in arc_rows[a]:
-                state[r][0] += 1
-                state[r][1] -= rows[r][a] * v
-            del assign[a]
-            if stop[0]:
-                return
-            if forced_row is not None:
-                break  # a forced variable has a single admissible value
-
-    rec(0.0)
-    return found[0], found[1]
-
-
-def _first_feasible(qp):
-    u0 = max(3, int(math.ceil(2 * max([1.0] + list(qp.targets.values())))) + 2)
-    for _ in range(10):
-        lo = {a: 1 for a in qp.arcs}
-        hi = {a: u0 for a in qp.arcs}
-        obj, sol = _dfs(qp, lo, hi, None, None, first_only=True)
-        if sol is not None:
-            return obj, sol
-        u0 *= 2
-    return None
+    return QuantizationProblem(arcs, lengths, s, rows)
 
 
 def solve_quantization(qp: QuantizationProblem) -> dict:
-    """Optimal integer arc lengths of a problem from build_ip: its feasible
-    incumbent bounds the search box (any better solution has every
-    |l_a - t_a| below the square root of the incumbent objective), then an
-    exact search runs inside that box."""
-    if qp.incumbent is None:
-        raise IntegrityError("quantization problem has no feasible point; build it with build_ip")
-    obj0, sol0 = qp.incumbent
-    r = math.sqrt(obj0)
-    targets = qp.targets
-    lo = {a: max(1, int(math.ceil(targets[a] - r))) for a in qp.arcs}
-    hi = {a: max(1, int(math.floor(targets[a] + r))) for a in qp.arcs}
-    _, sol = _dfs(qp, lo, hi, obj0 + 1e-12, sol0)  # starts from a copy of sol0
-    for row in qp.rows:
-        if sum(c * sol[a] for a, c in row.items()) != 0:
-            raise IntegrityError("quantization row violated by solver output")
-    return sol
+    """Optimal integer arc lengths (all >= 1) of a problem from build_ip.
+
+    When every target is an integer >= 1 and balances every row, the
+    targets themselves are the unique optimum (objective 0) and are returned
+    as they are. Otherwise the chord program of the module docstring is
+    solved with HiGHS; where a solution leaves an arc's chord range, the
+    ranges are doubled and it is solved again. HiGHS stops at a relative gap
+    of 0 or at its default absolute gap of 1e-6, which ``milp`` does not
+    expose, so the objective is optimal to within 1e-6. Raises
+    IntegrityError when no assignment satisfies the rows."""
+    n = len(qp.arcs)
+    t = np.array([qp.targets[a] for a in qp.arcs])
+
+    def balanced(ell):
+        return all(sum(c * ell[a] for a, c in row.items()) == 0 for row in qp.rows)
+
+    if (t == np.floor(t)).all() and (t >= 1).all():
+        ell = {a: int(x) for a, x in zip(qp.arcs, t)}
+        if balanced(ell):
+            return ell
+
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    col = {a: i for i, a in enumerate(qp.arcs)}
+    entries = [(r, col[a], c) for r, row in enumerate(qp.rows) for a, c in row.items()]
+    r, j, c = np.array(entries, float).reshape(-1, 3).T
+    balance = csr_array((c, (r, j)), shape=(len(qp.rows), 2 * n))
+    cost = np.r_[np.zeros(n), np.ones(n)]  # variables: lengths v, then chord bounds z
+    bounds = Bounds(np.r_[np.ones(n), np.full(n, -np.inf)], np.inf)
+    integrality = np.r_[np.ones(n), np.zeros(n)]
+    width = 2
+    while True:
+        lo = np.maximum(1, np.floor(t) - width)
+        hi = np.ceil(t) + width
+        count = (hi - lo).astype(np.int64)  # chords per arc, between k and k + 1
+        arc = np.repeat(np.arange(n), count)
+        k = lo[arc] + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        slope = 2 * (k - t[arc]) + 1
+        chords = csr_array((np.r_[slope, -np.ones(len(k))],
+                            (np.tile(np.arange(len(k)), 2), np.r_[arc, n + arc])),
+                           shape=(len(k), 2 * n))
+        res = milp(cost, integrality=integrality, bounds=bounds,
+                   constraints=[LinearConstraint(balance, 0, 0),
+                                LinearConstraint(chords, -np.inf, slope * k - (k - t[arc]) ** 2)],
+                   options={"mip_rel_gap": 0})
+        if res.x is None:
+            raise IntegrityError(f"quantization has no solution: {res.message}")
+        v = np.rint(res.x[:n])
+        if ((lo <= v) & (v <= hi)).all():
+            break
+        width *= 2
+    ell = {a: int(x) for a, x in zip(qp.arcs, v)}
+    if not balanced(ell):
+        raise IntegrityError("quantization row violated by solver output")
+    return ell
 
 
 # -- geometric realization ---------------------------------------------------

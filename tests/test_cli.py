@@ -8,9 +8,11 @@ from click.testing import CliRunner
 
 from volmc import synth
 from volmc.cli import main
-from volmc.meshio import write_hex_mesh, write_param
+from volmc.meshio import read_hex_mesh, write_hex_mesh, write_param
 from volmc.sanitize import add_noise
 from volmc.tetparam import hex_to_param
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +47,7 @@ def test_mc_hex_summary(files):
 def test_debug_log_goes_to_stderr_only(files):
     """--log-level debug adds the extraction and reduction lines on stderr;
     stdout stays byte-identical."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     runs = [
         subprocess.run([sys.executable, "-m", "volmc.cli", *level, "mc-hex",
                         str(files / "pie3.mesh"), "--reduce", "full"],
@@ -86,9 +87,32 @@ def test_quantize_writes_mesh_and_report(files, tmp_path):
     ])
     assert "hexes=" in out
     assert "objective" in rep_path.read_text()
-    from volmc.meshio import read_hex_mesh
-
     assert len(read_hex_mesh(str(mesh_path)).hexes) > 0
+
+
+def test_quantize_is_byte_identical_across_processes(files, tmp_path):
+    """Three fresh processes quantizing at a scale that is not whole (so the
+    integer program runs) write identical reports, meshes and stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    outputs = []
+    for run in range(3):
+        o = tmp_path / f"run{run}"
+        o.mkdir()
+        res = subprocess.run([sys.executable, "-m", "volmc.cli", "quantize",
+                              str(files / "pie3.mesh"), "--scale", "1.3", "--output",
+                              str(o / "q.mesh"), "--report", str(o / "q.txt")],
+                             capture_output=True, text=True, env=env, check=True)
+        outputs.append((res.stdout, (o / "q.txt").read_bytes(), (o / "q.mesh").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert "objective=2.76" in outputs[0][0]
+
+
+def test_quantize_regular_complex_of_a_400_hex_blob(tmp_path):
+    write_hex_mesh(synth.random_glued_cubes(3, 400), str(tmp_path / "blob.mesh"))
+    out = run_cli(["quantize", str(tmp_path / "blob.mesh"), "--reduce", "regular",
+                   "--scale", "2", "--output", str(tmp_path / "q.mesh")])
+    assert "arcs=1485 hexes=3200 objective=0" in out
+    assert len(read_hex_mesh(str(tmp_path / "q.mesh")).hexes) == 3200
 
 
 def test_quantize_rejects_parametrization(files, tmp_path):

@@ -14,7 +14,7 @@ each is ``hex_to_param(notched_box_mesh(n))``. Three stages are timed:
   time the same work.
 
 Hex ladder: rungs n = 120, 400, 1000, the blob ``random_glued_cubes(3, n)``
-traced with ``trace_hex(hm, seed=0)`` (untimed). Five stages are timed:
+traced with ``trace_hex(hm, seed=0)`` (untimed). Seven stages are timed:
 
 - extract: ``extract_complex`` of the traced field (then ``split_tori``,
   untimed);
@@ -23,15 +23,22 @@ traced with ``trace_hex(hm, seed=0)`` (untimed). Five stages are timed:
   on trees that link arcs during extraction and reduction);
 - base complex: ``base_complex(hm, seed=0)``, its tracing included;
 - grid oracle: ``check_grid_blocks`` of the fully reduced complex;
+- quantize at s = 1.5 and at s = 2: ``build_ip`` and ``solve_quantization``
+  on the regular complex (its arcs read and ``scipy.optimize`` imported
+  before the timer starts, so the stage times the solve, not the import of
+  about 0.5 s). A run that raises records the exception's type name in place of its time, and
+  a run that takes over 30 s is stopped and records ``timeout``;
 
-with the raw, fully reduced and base block counts.
+with the raw, fully reduced and base block counts, the regular complex's
+arc count and the quantization objective at each scale.
 
 Each run of a rung is a fresh Python process. Every revision is exported
 with ``git archive`` to a temporary directory, so all trees run the same
 way. Each rung runs 3 times per tree; runs alternate between the trees
 within each round, so that a slow spell of the machine falls on all of
-them. The record holds every run, the medians, the scaling exponent fitted
-to the medians over each ladder (least squares in log-log), the block
+them. The record holds every run, the medians (or a failure, where a run
+failed), the scaling exponent fitted to the medians over each ladder (least
+squares in log-log; null where a rung failed), the block
 counts, the output hex count and a sha256 of the sanitized parameters per
 tet rung (equal across trees when the outputs are equal), git shas, the
 source size per tree (``src_lines``, the total of ``wc -l src/volmc/*.py``),
@@ -93,12 +100,13 @@ print(json.dumps({"tets": pm.n_cells, "sanitize_s": t1 - t0, "trace_extract_s": 
 
 # Runs in the child process: argv = [src dir, n].
 HEX_CHILD = r"""
-import json, sys, time
+import json, signal, sys, time
 sys.path.insert(0, sys.argv[1])
 from volmc import synth
 from volmc.cellcomplex import (base_complex, check_grid_blocks, extract_complex,
                                reduce_complex, split_tori)
 from volmc.firehex import trace_hex
+from volmc.quantize import build_ip, solve_quantization
 
 hm = synth.random_glued_cubes(3, int(sys.argv[2]))
 field = trace_hex(hm, seed=0)
@@ -115,10 +123,35 @@ bc = base_complex(hm, seed=0)
 t5 = time.perf_counter()
 check_grid_blocks(full)
 t6 = time.perf_counter()
-print(json.dumps({"hexes": hm.n_cells, "extract_s": t1 - t0, "reduce_full_s": t3 - t2,
-                  "link_s": t4 - t3, "base_complex_s": t5 - t4, "grid_oracle_s": t6 - t5,
-                  "raw_blocks": len(raw.blocks), "full_blocks": len(full.blocks),
-                  "base_blocks": len(bc.blocks)}))
+out = {"hexes": hm.n_cells, "extract_s": t1 - t0, "reduce_full_s": t3 - t2,
+       "link_s": t4 - t3, "base_complex_s": t5 - t4, "grid_oracle_s": t6 - t5,
+       "raw_blocks": len(raw.blocks), "full_blocks": len(full.blocks),
+       "base_blocks": len(bc.blocks)}
+reg = reduce_complex(raw, mode="regular")
+out["regular_arcs"] = len(reg.arcs)
+import scipy.optimize
+
+
+def stop(signum, frame):
+    raise TimeoutError
+
+
+signal.signal(signal.SIGALRM, stop)
+for s in (1.5, 2):
+    signal.alarm(30)
+    t7 = time.perf_counter()
+    try:
+        qp = build_ip(reg, s)
+        ell = solve_quantization(qp)
+        out[f"quantize_{s}_s"] = time.perf_counter() - t7
+        out[f"objective_{s}"] = sum((ell[a] - qp.targets[a]) ** 2 for a in qp.arcs)
+    except TimeoutError:
+        out[f"quantize_{s}_s"] = "timeout"
+    except Exception as exc:
+        out[f"quantize_{s}_s"] = type(exc).__name__
+    finally:
+        signal.alarm(0)
+print(json.dumps(out))
 """
 
 # Per ladder: child script, rungs, timed stages, the size that the exponents
@@ -127,8 +160,10 @@ LADDERS = {
     "tet": (CHILD, (4, 6, 8), ("sanitize_s", "trace_extract_s", "hexmesh_s"), "tets",
             ("blocks", "hexes", "sanitized_sha256")),
     "hex": (HEX_CHILD, (120, 400, 1000),
-            ("extract_s", "reduce_full_s", "link_s", "base_complex_s", "grid_oracle_s"), "hexes",
-            ("raw_blocks", "full_blocks", "base_blocks")),
+            ("extract_s", "reduce_full_s", "link_s", "base_complex_s", "grid_oracle_s",
+             "quantize_1.5_s", "quantize_2_s"), "hexes",
+            ("raw_blocks", "full_blocks", "base_blocks", "regular_arcs", "objective_1.5",
+             "objective_2")),
 }
 RUNS = 3
 
@@ -157,7 +192,16 @@ def measure(child, src, n):
     return json.loads(out)
 
 
+def median(values):
+    """Median of the run times, or the first failure ("timeout" or an
+    exception's type name) when a run failed."""
+    failed = [v for v in values if isinstance(v, str)]
+    return failed[0] if failed else statistics.median(values)
+
+
 def exponent(tets, seconds):
+    if any(isinstance(x, str) for x in seconds):
+        return None
     return float(np.polyfit(np.log(tets), np.log(seconds), 1)[0])
 
 
@@ -193,6 +237,10 @@ def main(argv=None):
             "link_s": "first read of the fully reduced complex's arcs",
             "base_complex_s": "base_complex(hm, seed=0), tracing included",
             "grid_oracle_s": "check_grid_blocks of the fully reduced complex",
+            "quantize_1.5_s": "build_ip + solve_quantization at s = 1.5 on the regular "
+                              "complex, its arcs read before timing; a failed run records "
+                              "the exception's type name, one over 30 s 'timeout'",
+            "quantize_2_s": "the same at s = 2",
         },
         "statistic": f"median of {RUNS} runs, one process per run",
         "python": platform.python_version(),
@@ -205,10 +253,10 @@ def main(argv=None):
             rungs = []
             for n in sizes:
                 rs = runs[ladder, i, n]
-                rung = {"n": n, size: rs[0][size], **{k: rs[0][k] for k in facts}}
+                rung = {"n": n, size: rs[0][size], **{k: rs[0].get(k) for k in facts}}
                 for stage in stages:
                     rung[stage] = [r[stage] for r in rs]
-                    rung[stage + "_median"] = statistics.median(rung[stage])
+                    rung[stage + "_median"] = median(rung[stage])
                 rungs.append(rung)
             prefix = "" if ladder == "tet" else ladder + "_"
             info[prefix + "ladder"] = rungs
