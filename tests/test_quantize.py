@@ -172,7 +172,7 @@ def test_objective_matches_brute_force_at_any_scale(index, s):
 
 
 def test_forced_zero_length_is_infeasible():
-    qp = QuantizationProblem([0, 1], {0: 1.0, 1: 2.0}, 1.3, [{0: 1}, {0: 1, 1: -1}])
+    qp = QuantizationProblem([0, 1], {0: 1.0, 1: 2.0}, 1.3, [{0: 1}])
     with pytest.raises(IntegrityError):
         solve_quantization(qp)
 

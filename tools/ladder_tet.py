@@ -26,8 +26,9 @@ traced with ``trace_hex(hm, seed=0)`` (untimed). Seven stages are timed:
 - quantize at s = 1.5 and at s = 2: ``build_ip`` and ``solve_quantization``
   on the regular complex (its arcs read and ``scipy.optimize`` imported
   before the timer starts, so the stage times the solve, not the import of
-  about 0.5 s). A run that raises records the exception's type name in place of its time, and
-  a run that takes over 30 s is stopped and records ``timeout``;
+  about 0.5 s). A run that raises records the exception's type name in
+  place of its time, and a run that takes over 30 s is stopped and records
+  ``timeout``;
 
 with the raw, fully reduced and base block counts, the regular complex's
 arc count and the quantization objective at each scale.
@@ -102,6 +103,7 @@ print(json.dumps({"tets": pm.n_cells, "sanitize_s": t1 - t0, "trace_extract_s": 
 HEX_CHILD = r"""
 import json, signal, sys, time
 sys.path.insert(0, sys.argv[1])
+import scipy.optimize  # imported before timing, so the quantize stage times the solve only
 from volmc import synth
 from volmc.cellcomplex import (base_complex, check_grid_blocks, extract_complex,
                                reduce_complex, split_tori)
@@ -129,7 +131,6 @@ out = {"hexes": hm.n_cells, "extract_s": t1 - t0, "reduce_full_s": t3 - t2,
        "base_blocks": len(bc.blocks)}
 reg = reduce_complex(raw, mode="regular")
 out["regular_arcs"] = len(reg.arcs)
-import scipy.optimize
 
 
 def stop(signum, frame):
