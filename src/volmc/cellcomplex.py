@@ -6,9 +6,12 @@ Works on any mesh implementing the generic cell-mesh interface (hexahedral
 meshes and refined parametrized tet meshes). One wall layout serves both;
 the mesh places a neighbour facet's corners (``_wall_layout``).
 
-Extraction and reduction build walls and blocks only. Nodes and arcs, with
-each wall's arcs and sides, are linked on first read (``_Links``): only
-quantization and the T-arc statistics read them.
+Extraction and reduction build walls and blocks only, checking each wall's
+layout as it is built; its segments, corners and sides are derived on first
+read (``_WallGeometry``), as reduction does for interior walls. Nodes and
+arcs, with each wall's arcs and sides, are linked on first read (``_Links``),
+deriving every wall's facts: only quantization and the T-arc statistics
+read them.
 """
 
 from __future__ import annotations
@@ -71,21 +74,14 @@ class Wall:
         """4 lists of arc ids for rectangle walls, None otherwise."""
         return self._links.linked().wall_sides[self.id]
 
-    @property
-    def annulus(self):
-        return self._geom.annulus
-
-    @property
-    def slit(self):
-        return self._geom.slit
+    annulus = property(lambda self: self._geom.annulus)
+    slit = property(lambda self: self._geom.slit)
 
     @property
     def dims(self):
         """(p, q) cell dimensions for rectangle walls, None otherwise."""
-        if self._geom.bbox is None:
-            return None
-        x0, x1, y0, y1 = self._geom.bbox
-        return (x1 - x0, y1 - y0)
+        b = self._geom.bbox
+        return None if b is None else (b[1] - b[0], b[3] - b[2])
 
 
 class Block:
@@ -265,40 +261,77 @@ def _wall_components(edges, facets):
 
 
 class _WallGeometry:
-    """2D layout of a wall: coordinates per facet corner slot, in
-    ``facet_corners`` order (the sorted key on a tet mesh), integer cells on
-    a hex mesh and chart coordinates on a tet mesh; annulus wrap detection,
-    boundary segments and corners. Coordinates within ``LAYOUT_TOL`` count
-    as equal, so integer layouts compare exactly."""
+    """2D layout of a wall, checked by ``_wall_geometry``: coordinates per
+    facet corner slot in ``facet_corners`` order (the sorted key on a tet
+    mesh), integer cells on a hex mesh and chart coordinates on a tet mesh,
+    and whether it wraps as an annulus. Its other facts are derived together
+    on the first read of any of them (``_derive``). Coordinates within
+    ``LAYOUT_TOL`` count as equal, so integer layouts compare exactly."""
 
-    __slots__ = (
-        "annulus", "slit", "bbox", "boundary_segments", "segment_sides",
-        "corner_vertices", "corner_coords",
-    )
+    __slots__ = ("annulus", "corner_coords", "_edges", "_bbox", "_slit", "_segments",
+                 "_sides", "_corners")
 
-    def __init__(self):
-        self.annulus = False
-        self.slit = False
-        self.bbox = None
-        self.boundary_segments = []  # (edge id, (p2d, q2d))
-        self.segment_sides = None  # side index 0..3 per boundary segment, for rectangles
-        self.corner_vertices = set()
-        self.corner_coords = {}  # facet -> 2D coords per facet_corners slot
+    def __init__(self, edges, place, annulus, bbox):  # bbox: the rectangle's, if it is one
+        self._edges, self.corner_coords, self.annulus, self._bbox = edges, place, annulus, bbox
+
+    def _derived(self):
+        if self._edges is not None:
+            self._derive()
+        return self
+
+    slit = property(lambda self: self._derived()._slit)
+    bbox = property(lambda self: self._derived()._bbox)  # None unless a rectangle
+    boundary_segments = property(lambda self: self._derived()._segments)  # (edge, (p, q))
+    segment_sides = property(lambda self: self._derived()._sides)  # 0..3, for rectangles
+    corner_vertices = property(lambda self: self._derived()._corners)
+
+    def _derive(self):
+        """Boundary segments ordered by vertex id, corner vertices (on both a
+        horizontal and a vertical segment), the slit verdict and, for a
+        rectangle, bbox and segment sides, from the placement and the edge
+        table the wall was built on. A diagonal segment, facet areas summing
+        to less than the bounding box (an L shape) or a segment off its
+        perimeter (as on block facets shared with several other walls) make
+        the wall a slit: no side structure, never removable."""
+        mesh, pair, place = self._edges.mesh, self._edges.pair, self.corner_coords
+        segments, on_segments = [], (set(), set())  # vertices on vertical, horizontal ones
+        slit = self._bbox is None and not self.annulus
+        for f in sorted(place):
+            vs, co = mesh.facet_corners[f], place[f]
+            for e, (i, j) in zip(mesh.facet_edges[f], mesh.FACET_EDGES):
+                if e in pair:
+                    continue
+                va, vb, p, q = vs[i], vs[j], co[i], co[j]
+                if va > vb:
+                    va, vb, p, q = vb, va, q, p
+                segments.append((e, (p, q)))
+                horizontal = abs(p[1] - q[1]) <= LAYOUT_TOL
+                if not horizontal and abs(p[0] - q[0]) > LAYOUT_TOL:
+                    slit = True
+                    continue
+                on_segments[horizontal].update((va, vb))
+        sides = None
+        if not (slit or self.annulus):
+            sides = [_segment_side(self._bbox, p, q) for _, (p, q) in segments]
+            slit = None in sides
+        self._segments, self._corners = segments, on_segments[0] & on_segments[1]
+        self._slit, self._sides, self._edges = slit, None if slit else sides, None
+        if slit:
+            self._bbox = None
 
 
 def _wall_geometry(edges, facets):
-    """Layout of the wall made of the sorted ``facets``: breadth-first
-    placement from the lowest facet by the mesh's ``_wall_layout`` hook,
-    boundary segments ordered by vertex id, corner vertices (on both a
-    horizontal and a vertical segment), and the rectangle test. A layout
-    placing a facet twice by a shift is an annulus; by anything else it
-    raises. A diagonal segment, or facet areas summing to less than the
-    bounding box, makes the wall a slit; a sum above it raises."""
+    """Layout of the wall made of the sorted ``facets``, checked as it is
+    built: breadth-first placement from the lowest facet by the mesh's
+    ``_wall_layout`` hook. A layout placing a facet twice by a shift is an
+    annulus; by anything else it raises. Facet areas summing to more than
+    the bounding box raise, unless the wall is an annulus or has a diagonal
+    boundary segment (a slit)."""
     mesh, pair = edges.mesh, edges.pair
     seed = facets[0]
     co, place_across = mesh._wall_layout(seed)
     place = {seed: co}
-    geom = _WallGeometry()
+    annulus = False
     dq = deque([seed])
     while dq:
         f = dq.popleft()
@@ -317,27 +350,9 @@ def _wall_geometry(edges, facets):
                 if max(map(abs, d)) > LAYOUT_TOL:
                     if max(abs(x - d[i % 2]) for i, x in enumerate(d)) > LAYOUT_TOL:
                         raise IntegrityError("twisted wall layout")  # not one shift
-                    geom.annulus = True
-
-    geom.corner_coords = place
-    on_segments = (set(), set())  # vertices on vertical, on horizontal segments
-    for f in facets:
-        vs, co = mesh.facet_corners[f], place[f]
-        for e, (i, j) in zip(mesh.facet_edges[f], mesh.FACET_EDGES):
-            if e in pair:
-                continue
-            va, vb, p, q = vs[i], vs[j], co[i], co[j]
-            if va > vb:
-                va, vb, p, q = vb, va, q, p
-            geom.boundary_segments.append((e, (p, q)))
-            horizontal = abs(p[1] - q[1]) <= LAYOUT_TOL
-            if not horizontal and abs(p[0] - q[0]) > LAYOUT_TOL:
-                geom.slit = True
-                continue
-            on_segments[horizontal].update((va, vb))
-    geom.corner_vertices = on_segments[0] & on_segments[1]
-    if geom.annulus or geom.slit:
-        return geom
+                    annulus = True
+    if annulus:
+        return _WallGeometry(edges, place, True, None)
 
     xs, ys = zip(*(p for co in place.values() for p in co))
     bbox = x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
@@ -346,34 +361,24 @@ def _wall_geometry(edges, facets):
         area += abs(sum((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
                         for (bx, by), (cx, cy) in zip(rest, rest[1:]))) / 2.0
     excess, tol = area - (x1 - x0) * (y1 - y0), LAYOUT_TOL * max(1.0, area)
-    if excess > tol:
+    if excess > tol and not any(  # a diagonal boundary segment makes it a slit instead
+            abs(co[i][0] - co[j][0]) > LAYOUT_TOL and abs(co[i][1] - co[j][1]) > LAYOUT_TOL
+            for f, co in place.items()
+            for e, (i, j) in zip(mesh.facet_edges[f], mesh.FACET_EDGES) if e not in pair):
         raise IntegrityError("wall overlaps itself")
-    sides = [_segment_side(bbox, p, q) for _, (p, q) in geom.boundary_segments]
-    if excess < -tol or None in sides:
-        # Not a rectangle: an L shape or a slit, as on block facets shared
-        # with several other walls. No side structure; never removable.
-        geom.slit = True
-    else:
-        geom.bbox, geom.segment_sides = bbox, sides
-    return geom
+    return _WallGeometry(edges, place, False, bbox if abs(excess) <= tol else None)
 
 
-def _segment_side(bbox, p, q, tol=LAYOUT_TOL):
+def _segment_side(bbox, p, q):
     """Side index 0..3 of a boundary segment of a rectangle wall layout,
     from its coordinates; None for off-perimeter segments. Stays correct
     when an edge occurs on two opposite sides (walls wrapping around a
     split torus)."""
     x0, x1, y0, y1 = bbox
-    if abs(p[1] - q[1]) <= tol:
-        if abs(p[1] - y0) <= tol:
-            return 0
-        if abs(p[1] - y1) <= tol:
-            return 2
-        return None
-    if abs(p[0] - x0) <= tol:
-        return 3
-    if abs(p[0] - x1) <= tol:
-        return 1
+    horizontal = abs(p[1] - q[1]) <= LAYOUT_TOL
+    for side, at in ((0, y0), (2, y1)) if horizontal else ((3, x0), (1, x1)):
+        if abs(p[horizontal] - at) <= LAYOUT_TOL:
+            return side
     return None
 
 
@@ -385,7 +390,8 @@ def _make_wall(edges, wid, facets):
 
 
 def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
-    """Discover the full node/arc/wall/block structure of a wall field."""
+    """Discover the full node/arc/wall/block structure of a wall field. Each
+    wall's layout is checked here; its facts are derived on first read."""
     mc = MotorcycleComplex(mesh, field)
     mc._edges = edges = validate_field(mesh, field)
     comps, mc.wall_of = _wall_components(edges, field.tagged)
@@ -434,9 +440,7 @@ def _link_arcs(links):
         for e, ring in table.ring.items()
     }
 
-    corner_vertices = set()
-    for geom in geoms:
-        corner_vertices.update(geom.corner_vertices)
+    corner_vertices = set().union(*(geom.corner_vertices for geom in geoms))
     incident = mesh.edge_incidence(sig)
     nodes = {v for v, es in incident.items()
              if len(es) != 2 or v in corner_vertices or sig[es[0]] != sig[es[1]]}
@@ -452,8 +456,7 @@ def _link_arcs(links):
         arc = Arc(aid, chain, verts, walls, singular, length)
         arc.tarc = (not arc.singular) and any(2 in ring[e][1::3] for e in chain)
         arcs.append(arc)
-        for e in chain:
-            arc_of[e] = aid
+        arc_of.update(dict.fromkeys(chain, aid))
 
     wall_arcs = [[] for _ in geoms]
     for arc in arcs:
@@ -505,14 +508,8 @@ def is_cuboid(mc, bid) -> bool:
 
 
 def _block_arcs(mc, block):
-    out = []
-    for arc in mc.arcs:
-        for e in arc.edges:
-            _, cells, _ = mc.mesh.edge_fan(e)
-            if any(c in block.cells for c in cells):
-                out.append(arc.id)
-                break
-    return out
+    return [arc.id for arc in mc.arcs
+            if any(c in block.cells for e in arc.edges for c in mc.mesh.edge_fan(e).cells)]
 
 
 def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
@@ -629,11 +626,14 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     wall carries no facet of W, so walls only merge (across W's perimeter
     edges), never split: only the walls with a facet at W's perimeter can
     merge, and only those that now continue straight across one of its
-    perimeter edges are re-flooded and get new geometry. Removability is
-    tested again for the walls at W's perimeter and for the walls adjacent
-    to both merged blocks; every other wall sees the same facets, gaps and
-    block partition. The edge table re-derives, and so re-validates, the
-    edges of W's facets; every other edge keeps its facts.
+    perimeter edges are re-flooded and get a new, checked layout. Which
+    edges of a live wall's facets pair never changes, so its facts, derived
+    on first read, do not depend on when that is (W's perimeter is read
+    before its facets are untagged). Removability is tested again for the
+    walls at W's perimeter and for the walls adjacent to both merged
+    blocks; every other wall sees the same facets, gaps and block
+    partition. The edge table re-derives, and so re-validates, the edges of
+    W's facets; every other edge keeps its facts.
 
     The result is assembled from the state, numbered as ``extract_complex``
     numbers the final field: walls by lowest facet, keeping their geometry,
@@ -688,11 +688,12 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
         block_walls[a] |= block_walls[b]
         block_walls[a].discard(k)
         parent[b] = a
+        perimeter = [e for e, _ in w._geom.boundary_segments]  # read before untagging
         edges.untag(w.facets)
         for f in w.facets:
             del wall_of[f]
         touched, joined = set(), set()  # walls at W's perimeter; those it now joins
-        for e, _ in w._geom.boundary_segments:
+        for e in perimeter:
             tags = edges.facets(e)
             touched.update(wall_of[g] for g in tags)
             if e in edges.pair:
@@ -800,8 +801,7 @@ def grid_block_coords(mesh, field, cells):
 def grid_check_block(mesh, field, cells) -> tuple:
     """Grid oracle: dimensions of the block's full l x m x n box, or an
     IntegrityError when the cells do not form one."""
-    dims, _ = grid_block_coords(mesh, field, cells)
-    return dims
+    return grid_block_coords(mesh, field, cells)[0]
 
 
 def check_grid_blocks(mc: MotorcycleComplex):

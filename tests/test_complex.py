@@ -263,6 +263,46 @@ def test_arcs_are_linked_on_first_read(monkeypatch, caplog):
     assert calls[0] == 2
 
 
+def _recorded_derivations(monkeypatch):
+    """Wrap ``_WallGeometry._derive`` so that it records each geometry it
+    derives; returns the record, which keeps them alive (their ids stay
+    unique)."""
+    derived, derive = [], cellcomplex._WallGeometry._derive
+
+    def recorded(geom):
+        derived.append(geom)
+        derive(geom)
+
+    monkeypatch.setattr(cellcomplex._WallGeometry, "_derive", recorded)
+    return derived
+
+
+def test_wall_facts_are_derived_on_first_read(monkeypatch):
+    """The hex pipeline (trace, extract, split_tori, both reductions, grid
+    oracle, base complex) derives the facts of the interior walls that
+    reduction tests, and of no boundary or base-complex wall; the first read
+    of arcs derives each remaining wall of that complex once."""
+    derived = _recorded_derivations(monkeypatch)
+    hm = synth.random_glued_cubes(3, n_cells=120)
+    raw = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
+    plus = reduce_complex(raw, mode="regular")
+    full = reduce_complex(raw, mode="full")
+    check_grid_blocks(full)
+    bc = split_tori(base_complex(hm, seed=0))
+    ids = {id(g) for g in derived}
+    assert len(ids) == len(derived)  # none twice
+    assert all(id(w._geom) in ids for w in raw.walls if not w.boundary)
+    assert not any(id(w._geom) in ids for mc in (raw, plus, full) for w in mc.walls
+                   if w.boundary)
+    assert not any(id(w._geom) in ids for w in bc.walls)
+    pending = {id(w._geom) for w in full.walls} - ids
+    assert pending
+    full.arcs
+    assert sorted(id(g) for g in derived[len(ids):]) == sorted(pending)
+    full.arcs, full.walls[0].sides, [(w.slit, w.dims) for w in full.walls]
+    assert len(derived) == len(ids) + len(pending)
+
+
 @pytest.mark.parametrize("build", [
     lambda: synth.random_glued_cubes(3, n_cells=60),
     synth.pie_mesh,
@@ -281,6 +321,7 @@ def test_complexes_form_no_reference_cycles(build):
         full = reduce_complex(raw, mode="full")
         bc = split_tori(base_complex(mesh, seed=0))
         full.arcs, full.walls[0].sides
+        bc.walls[0].slit, bc.walls[0].dims  # derives that wall's facts
         refs = [weakref.ref(x) for x in (raw, full, bc, mesh, work)]
         del mesh, work, field, raw, full, bc
         assert [r() for r in refs] == [None] * len(refs)

@@ -9,6 +9,7 @@ a fresh extraction of its field in every attribute and id.
 """
 
 import pytest
+from conftest import FIXTURE_BUILDERS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +104,33 @@ def test_param_fixtures_match_reference(meshes, name):
 def test_hex_fixtures_match_reference(complexes, name):
     for mode in MODES:
         _check(complexes[name], mode)
+
+
+def _traced(name):
+    """(mesh, wall field) at seed 0: a hex fixture, ``param-`` one through
+    ``trace_param(hex_to_param(...))``, or ``blob-<seed>`` with 80 hexes."""
+    if name.startswith("blob-"):
+        hm = synth.random_glued_cubes(int(name[5:]), 80)
+    else:
+        hm = FIXTURE_BUILDERS[name.removeprefix("param-")]()
+    if name.startswith("param-"):
+        return trace_param(hex_to_param(hm), seed=0)
+    return hm, trace_hex(hm, seed=0)
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_BUILDERS, *(f"blob-{k}" for k in range(6)),
+                                  "param-box", "param-pie3", "param-notch"])
+def test_read_order_does_not_change_wall_facts(name):
+    """Wall facts are derived on first read, from the edge table each wall
+    was built on; reduction goes on changing its own table after it built a
+    wall. Read after both reductions, the raw complex's facts, and read
+    first, the reduced complexes', equal those of a fresh extraction."""
+    mesh, field = _traced(name)
+    for late in (True, False):
+        raw = split_tori(extract_complex(mesh, field))
+        plus, full = (reduce_complex(raw, mode) for mode in MODES)
+        for mc in (raw, plus, full) if late else (full, plus, raw):
+            assert _attrs(mc) == _attrs(extract_complex(mc.mesh, mc.field))
 
 
 def test_t_junction_merge_covered():

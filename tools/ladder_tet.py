@@ -20,7 +20,10 @@ traced with ``trace_hex(hm, seed=0)`` (untimed). Seven stages are timed:
   untimed);
 - reduce full: ``reduce_complex(raw, mode="full")``;
 - link: the first read of the fully reduced complex's ``arcs`` (about zero
-  on trees that link arcs during extraction and reduction);
+  on trees that link arcs during extraction and reduction). On trees that
+  derive a wall's boundary segments, corners and sides on first read, it
+  also derives them for each wall that reduction did not read (the
+  boundary walls);
 - base complex: ``base_complex(hm, seed=0)``, its tracing included;
 - grid oracle: ``check_grid_blocks`` of the fully reduced complex;
 - quantize at s = 1.5 and at s = 2: ``build_ip`` and ``solve_quantization``
@@ -235,7 +238,8 @@ def main(argv=None):
         "hex_stages": {
             "extract_s": "extract_complex of the traced field",
             "reduce_full_s": "reduce_complex(split_tori(raw), mode='full')",
-            "link_s": "first read of the fully reduced complex's arcs",
+            "link_s": "first read of the fully reduced complex's arcs, deriving the facts "
+                      "of walls not read before",
             "base_complex_s": "base_complex(hm, seed=0), tracing included",
             "grid_oracle_s": "check_grid_blocks of the fully reduced complex",
             "quantize_1.5_s": "build_ip + solve_quantization at s = 1.5 on the regular "
