@@ -57,7 +57,7 @@ def _sha(*parts):
 
 
 def _field(field):
-    return sorted((f, field.distance.get(f), field.origin.get(f)) for f in field.tagged)
+    return sorted((f, field.distance[f]) for f in field.tagged)
 
 
 def _complexes(*mcs):
@@ -148,26 +148,26 @@ def compute(tmp):
 
 
 GOLDEN = {
-    'blob 0:8': '6/6/4/3/8 6f271ccc181f89a8 858baa6e4c3c6050',
-    'blob 10:30': '21/21/11/14/27 3c5731a46e3f2de8 775d866013e7a862',
-    'blob 11:35': '12/12/7/7/16 2e8369009def8f3e b1300d8535acf135',
-    'blob 12:12': '8/8/5/6/11 0fa1a8d4c8355f9a 2646cea904986c5a',
-    'blob 13:17': '9/9/5/5/14 e1f2f18ef41f7226 e7713b1ee1ec60ee',
-    'blob 14:22': '12/12/6/7/15 76f63782a353902b d958127057ba171f',
-    'blob 15:27': '17/17/10/9/21 c68304962a4b1abc 5dae726871abb63e',
-    'blob 16:32': '22/22/11/11/30 028ccf670444c6d2 4be4bb5dcc2aaac8',
-    'blob 17:9': '6/6/3/4/6 718811810fa5e56a 3546efc2ddd29cba',
-    'blob 18:14': '10/10/5/7/11 447c3c355afc002a 18c1aa849125fc96',
-    'blob 19:19': '9/9/6/5/14 3aac836f535ea43e 5f584f487e2cade6',
-    'blob 1:13': '9/9/6/6/13 7233e4813f0bf565 6f39ac3a45eb909a',
-    'blob 2:18': '9/9/4/4/13 a0d726e16f5532cb af798bb0baac20d0',
-    'blob 3:23': '14/14/7/8/19 8e30f429a970f6d9 d76fe92476180c02',
-    'blob 4:28': '16/16/10/8/25 08b44873b25e75e2 fe064687b1c38a1f',
-    'blob 5:33': '15/15/7/9/25 483b9e7cbe13edba 817db32ed6744ae1',
-    'blob 6:10': '7/7/4/5/8 d2f9e4e53868481f 3a950e06e53db7ec',
-    'blob 7:15': '9/9/5/5/14 8ae5ae84594ede18 57084e80f0a1e133',
-    'blob 8:20': '11/11/8/8/16 b5c344ffb3ff57b0 6a191eff484e0b79',
-    'blob 9:25': '13/13/7/8/17 1558e22954c783bc f1c883d91dde1f23',
+    'blob 0:8': '6/6/4/3/8 6f271ccc181f89a8 0caf3832614a3443',
+    'blob 10:30': '21/21/11/14/27 3c5731a46e3f2de8 8c3247d3f67dd7b3',
+    'blob 11:35': '12/12/7/7/16 2e8369009def8f3e 0bb665cbaaaa142d',
+    'blob 12:12': '8/8/5/6/11 0fa1a8d4c8355f9a 1c09585c2414e0d4',
+    'blob 13:17': '9/9/5/5/14 e1f2f18ef41f7226 30334d7c4c325e89',
+    'blob 14:22': '12/12/6/7/15 76f63782a353902b 8e3b051d400a1291',
+    'blob 15:27': '17/17/10/9/21 c68304962a4b1abc 10275d106ec9f911',
+    'blob 16:32': '22/22/11/11/30 028ccf670444c6d2 b5b550241d1755d8',
+    'blob 17:9': '6/6/3/4/6 718811810fa5e56a f85ad369d7977342',
+    'blob 18:14': '10/10/5/7/11 447c3c355afc002a dce6a0822c957a4f',
+    'blob 19:19': '9/9/6/5/14 3aac836f535ea43e de10233b17c197e9',
+    'blob 1:13': '9/9/6/6/13 7233e4813f0bf565 361d4f9aaa287648',
+    'blob 2:18': '9/9/4/4/13 a0d726e16f5532cb 9d52afe766f4d25c',
+    'blob 3:23': '14/14/7/8/19 8e30f429a970f6d9 624591d199c5441e',
+    'blob 4:28': '16/16/10/8/25 08b44873b25e75e2 94b7717680a87371',
+    'blob 5:33': '15/15/7/9/25 483b9e7cbe13edba 0b0da14389cc7ddc',
+    'blob 6:10': '7/7/4/5/8 d2f9e4e53868481f 5087a442ed7181c7',
+    'blob 7:15': '9/9/5/5/14 8ae5ae84594ede18 7898ef92f27da508',
+    'blob 8:20': '11/11/8/8/16 b5c344ffb3ff57b0 f8e0b7b758e7bf98',
+    'blob 9:25': '13/13/7/8/17 1558e22954c783bc e86edeebccdb4cac',
     'cli 0 mc-hex': 'ea87acf254d2cd6a',
     'cli 1 mc-hex': '5445b9b672fe6b98',
     'cli 2 mc-param': 'a71f2ff9c7a26ee0',
@@ -184,14 +184,14 @@ GOLDEN = {
     'help sanitize': 'b6a85dbc1813679a',
     'help stats': 'e82b915a7824f931',
     'help volmc': '770efa180f471d0e',
-    'hex box': '1/1/1/1/1 6f1fcf3bc3b08847 5ef9563a71a96f7f',
-    'hex composite': '8/7/3/3/9 ec6630b170d5a6cf f2aea72319af88c1',
-    'hex notch': '6/6/3/3/7 25e3485aed2d1c5f 923cb9da09020f9b',
-    'hex pie3': '3/3/2/2/3 2f9a70353f2876b4 d83903e2ec864666',
-    'hex pie5': '5/5/3/3/5 b843ae568929e548 62a1d728e635c3cb',
-    'hex torus': '1/1/1/1/1 40d861dedb1e2a72 1838268f75b4fbd5',
-    'param box': '1 ec218fee8291fd9a b5ff6743675a2c0b 3eb11a263e2c4668',
-    'param pie3': '3 a7fdc4527ca9ddfe 33384bd4325c4b61 d706aec245e62960',
+    'hex box': '1/1/1/1/1 6f1fcf3bc3b08847 85ed81c416799e78',
+    'hex composite': '8/7/3/3/9 ec6630b170d5a6cf 4fd0fd187aa3b45d',
+    'hex notch': '6/6/3/3/7 25e3485aed2d1c5f 10c164f0598f0b38',
+    'hex pie3': '3/3/2/2/3 2f9a70353f2876b4 aecfa2c55527155c',
+    'hex pie5': '5/5/3/3/5 b843ae568929e548 c965bac654a0c99b',
+    'hex torus': '1/1/1/1/1 40d861dedb1e2a72 8e30d5501286a9f4',
+    'param box': '1 ec218fee8291fd9a a56ffb3e0e798df8 3eb11a263e2c4668',
+    'param pie3': '3 a7fdc4527ca9ddfe 26ac4f49adc7a165 d706aec245e62960',
     'quantize blob 0:8': 'full f7aebfbcd660410b',
     'quantize blob 1:13': 'full 507c97a508dc33cb',
     'quantize blob 2:18': 'regular 33b62d6b47fbfebe',
