@@ -21,21 +21,13 @@ import logging
 from collections import deque
 
 from .errors import IntegrityError, VolmcError
-from .firehex import WallField, trace_hex, trace_hex_base
+from .firehex import trace_hex, trace_hex_base
 from .fireparam import trace_param, trace_param_base
 from .hexmesh import LAYOUT_TOL
 from .octahedral import Transition
 
 _QUARTER_TOL = 0.25
 log = logging.getLogger(__name__)
-
-
-class Node:
-    __slots__ = ("id", "vertex")
-
-    def __init__(self, id, vertex):
-        self.id = id
-        self.vertex = vertex
 
 
 class Arc:
@@ -112,6 +104,7 @@ class MotorcycleComplex:
 
     @property
     def nodes(self):
+        """The node vertices, ascending; a node's id is its index."""
         return self._links.linked().nodes
 
     @property
@@ -124,7 +117,7 @@ class MotorcycleComplex:
         return self._links.linked().arc_of
 
     def wall_facet_set(self):
-        return set(self.field.tagged)
+        return set(self.field)
 
 
 class _Links:
@@ -177,9 +170,9 @@ class _EdgeTable:
         self.pair.pop(e, None)
         self.ring.pop(e, None)
         fan = mesh.edge_fan(e)
-        at = [i for i, f in enumerate(fan.facets) if f in self.field.tagged]
+        at = [i for i, f in enumerate(fan.facets) if f in self.field]
         if not at:
-            if not mesh.edge_boundary[e] and mesh.classify_edge(e).singular:
+            if not mesh.edge_boundary[e] and mesh.singular(e):
                 raise IntegrityError(f"singular edge {e} in block interior")
             return
         quarters = [mesh.cell_angle_quarters(c, e) for c in fan.cells] * 2  # twice: wraps
@@ -196,7 +189,7 @@ class _EdgeTable:
                     q = round(q)
             ring += (fan.facets[i], q, c)
         tags = sorted(ring[::3])
-        if len(tags) == 2 and not mesh.classify_edge(e).singular \
+        if len(tags) == 2 and not mesh.singular(e) \
                 and mesh.opp_facet(e, tags[0]) == tags[1]:
             self.pair[e] = tuple(tags)
         else:
@@ -211,7 +204,7 @@ class _EdgeTable:
                 raise IntegrityError(f"boundary facet {f} untagged")
         changed = set()
         for f in facets:
-            self.field.untag(f)
+            self.field.pop(f)
             changed.update(self.mesh.facet_edges[f])
         for e in sorted(changed):
             self.derive(e)
@@ -222,13 +215,13 @@ def validate_field(mesh, field):
     no cell gap wider than 180° around any edge lying on a wall. Returns the
     field's ``_EdgeTable``."""
     for f in range(mesh.n_facets):
-        if mesh.facet_boundary[f] and f not in field.tagged:
+        if mesh.facet_boundary[f] and f not in field:
             raise IntegrityError(f"boundary facet {f} untagged")
     edges = _EdgeTable(mesh, field, {}, {})
-    on_walls = {e for f in field.tagged for e in mesh.facet_edges[f]}
+    on_walls = {e for f in field for e in mesh.facet_edges[f]}
     for e in range(mesh.n_edges):
         # derive raises for a singular interior edge without a tagged facet
-        if e in on_walls or (not mesh.edge_boundary[e] and mesh.classify_edge(e).singular):
+        if e in on_walls or (not mesh.edge_boundary[e] and mesh.singular(e)):
             edges.derive(e)
     return edges
 
@@ -385,16 +378,17 @@ def _segment_side(bbox, p, q):
 def _make_wall(edges, wid, facets):
     """Wall ``wid`` of the sorted tagged ``facets``, with its geometry."""
     return Wall(wid, frozenset(facets), bool(edges.mesh.facet_boundary[facets[0]]),
-                max(edges.field.distance.get(f, 0) for f in facets),
+                max(edges.field[f] for f in facets),
                 _wall_geometry(edges, facets))
 
 
-def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
-    """Discover the full node/arc/wall/block structure of a wall field. Each
-    wall's layout is checked here; its facts are derived on first read."""
+def extract_complex(mesh, field) -> MotorcycleComplex:
+    """Discover the full node/arc/wall/block structure of a wall field (a
+    dict facet -> distance). Each wall's layout is checked here; its facts
+    are derived on first read."""
     mc = MotorcycleComplex(mesh, field)
     mc._edges = edges = validate_field(mesh, field)
-    comps, mc.wall_of = _wall_components(edges, field.tagged)
+    comps, mc.wall_of = _wall_components(edges, field)
     mc.walls = [_make_wall(edges, wid, facets) for wid, facets in enumerate(comps)]
     _Links(mc)
 
@@ -407,7 +401,7 @@ def extract_complex(mesh, field: WallField) -> MotorcycleComplex:
         return c
 
     for f, cells in enumerate(mesh.facet_cells):
-        if len(cells) == 2 and f not in field.tagged:
+        if len(cells) == 2 and f not in field:
             a, b = sorted((root(cells[0]), root(cells[1])))
             parent[b] = a
     _add_blocks(mc, root)
@@ -436,7 +430,7 @@ def _link_arcs(links):
     table, wall_of, geoms = links.edges, links.wall_of, links.geoms
     mesh = table.mesh
     sig = {  # arc edge -> (its walls, whether it is singular)
-        e: (frozenset(wall_of[f] for f in ring[::3]), mesh.classify_edge(e).singular)
+        e: (frozenset(wall_of[f] for f in ring[::3]), mesh.singular(e))
         for e, ring in table.ring.items()
     }
 
@@ -478,7 +472,7 @@ def _link_arcs(links):
                 [aid for _, aid in sorted((k, a) for a, k in d.items())]
                 for d in per_side
             ]
-    links.nodes = [Node(nid, v) for nid, v in enumerate(sorted(nodes))]
+    links.nodes = sorted(nodes)
     links.arcs, links.arc_of = arcs, arc_of
     links.wall_arcs, links.wall_sides = wall_arcs, wall_sides
 
@@ -494,7 +488,7 @@ def is_cuboid(mc, bid) -> bool:
     if block.corners is None:
         mesh, corners = mc.mesh, [0] * len(mc.blocks)
         for v in range(mesh.n_vertices):
-            for sector in mesh.vertex_sectors(v, mc.field.tagged):
+            for sector in mesh.vertex_sectors(v, mc.field):
                 if abs(sum(mesh.cell_corner_octants(c, v) for c in sector) - 1.0) < 1e-6:
                     corners[mc.block_of[sector[0]]] += 1
         for b, n in zip(mc.blocks, corners):
@@ -507,11 +501,6 @@ def is_cuboid(mc, bid) -> bool:
 # -- torus splitting ---------------------------------------------------------
 
 
-def _block_arcs(mc, block):
-    return [arc.id for arc in mc.arcs
-            if any(c in block.cells for e in arc.edges for c in mc.mesh.edge_fan(e).cells)]
-
-
 def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
     """Cut every toroidal block with one confined fire wall so that all
     blocks become (possibly self-adjacent) cuboids."""
@@ -521,7 +510,7 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
         if not toroidal:
             return mc
         block = mc.blocks[toroidal[0]]
-        arcs = _block_arcs(mc, block)
+        arcs = {a for w in block.walls for a in mc.walls[w].arcs}
         if not arcs:
             raise VolmcError(
                 f"toroidal block {block.id} has no arc on its boundary; cannot place a cut"
@@ -535,7 +524,7 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
             if c not in block.cells:
                 continue
             for f in mesh.cell_facets[c]:
-                if f in field.tagged or v not in mesh.facet_vertices(f):
+                if f in field or v not in mesh.facet_vertices(f):
                     continue
                 if any(e in mesh.facet_edges[f] for e in arc_edges_at_v):
                     continue
@@ -552,18 +541,18 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
         new_field = field.copy()
         dq = deque()
         for f in seeds:
-            new_field.tag(f, 0, None)
+            new_field[f] = 0
             dq.append(f)
         while dq:
             f = dq.popleft()
             for e in mesh.facet_edges[f]:
-                if mesh.edge_boundary[e] or mesh.classify_edge(e).singular:
+                if mesh.edge_boundary[e] or mesh.singular(e):
                     continue
-                if any(g in field.tagged for g in mesh.edge_facets[e]):
+                if any(g in field for g in mesh.edge_facets[e]):
                     continue  # confined: stop at pre-existing walls
                 f2 = mesh.opp_facet(e, f)
-                if f2 is not None and f2 not in new_field.tagged:
-                    new_field.tag(f2, 0, None)
+                if f2 is not None and f2 not in new_field:
+                    new_field[f2] = 0
                     dq.append(f2)
         mc = extract_complex(mesh, new_field)
 
@@ -583,7 +572,7 @@ def _retractable(edges, w, block, mode):
     if len({block(c) for f in w.facets for c in mesh.facet_cells[f]}) != 2:
         return False
     for e, _ in w._geom.boundary_segments:
-        if mode == "regular" and mesh.classify_edge(e).singular:
+        if mode == "regular" and mesh.singular(e):
             return False
         ring = edges.ring[e]
         wf = [i for i in range(0, len(ring), 3) if ring[i] in w.facets]
@@ -765,7 +754,7 @@ def grid_block_coords(mesh, field, cells):
     while dq:
         c = dq.popleft()
         for f in sorted(mesh.cell_facets[c]):
-            if f in field.tagged:
+            if f in field:
                 continue
             for c2 in mesh.facet_cells[f]:
                 if c2 == c:

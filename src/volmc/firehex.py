@@ -1,8 +1,10 @@
 """Brush-fire wall tracing on hexahedral meshes.
 
 Fire walls start at singular edges and spread facet-by-facet through the
-mesh along straight continuations. The tagged facet set, together with all
-boundary facets, forms the walls of the decomposition.
+mesh along straight continuations. A wall field is a dict from each tagged
+facet to the distance at which the fire reached it (integers here, reals on
+parametrizations); every boundary facet is tagged at distance 0. Its facets
+form the walls of the decomposition.
 
 One engine, ``_burn``, runs the fire fronts; its three callers differ only
 in whether a front stops where it would cross terrain that is already burnt
@@ -22,50 +24,11 @@ import heapq
 import random
 
 
-class WallField:
-    """Set of burnt (tagged) facets with per-facet propagation distance.
-
-    Distances are integers for hex meshes and reals for parametrizations.
-    ``origin`` records the singular edge whose fire tagged each facet.
-    """
-
-    __slots__ = ("tagged", "distance", "origin")
-
-    def __init__(self):
-        self.tagged = set()
-        self.distance = {}
-        self.origin = {}
-
-    def tag(self, f, d, origin):
-        self.tagged.add(f)
-        if f not in self.distance:
-            self.distance[f] = d
-            self.origin[f] = origin
-
-    def untag(self, f):
-        self.tagged.discard(f)
-        self.distance.pop(f, None)
-        self.origin.pop(f, None)
-
-    def copy(self) -> "WallField":
-        out = WallField()
-        out.tagged = set(self.tagged)
-        out.distance = dict(self.distance)
-        out.origin = dict(self.origin)
-        return out
-
-    def __contains__(self, f):
-        return f in self.tagged
-
-    def __len__(self):
-        return len(self.tagged)
-
-
-def alive(mesh, field: WallField, e) -> bool:
+def alive(mesh, field, e) -> bool:
     """True iff at most two facets incident to ``e`` are tagged, or ``e`` is singular."""
-    if mesh.classify_edge(e).singular:
+    if mesh.singular(e):
         return True
-    return sum(1 for f in mesh.edge_facets[e] if f in field.tagged) <= 2
+    return sum(1 for f in mesh.edge_facets[e] if f in field) <= 2
 
 
 def ignition_sources(mesh, seed=None):
@@ -85,14 +48,16 @@ def ignition_sources(mesh, seed=None):
     return sources
 
 
-def _tag_boundary(mesh, field):
+def _tag_boundary(mesh, field, d=0):
+    """Tag every live boundary facet not tagged yet, at distance ``d``."""
     for f in range(mesh.n_facets):
-        if mesh.facet_boundary[f]:
-            field.tag(f, 0, None)
+        if mesh.facet_live[f] and mesh.facet_boundary[f]:
+            field.setdefault(f, d)
 
 
 def _burn(mesh, field, sources, stop_at_burnt):
-    """Run fire fronts from ``sources`` ((edge, facet) pairs) into ``field``.
+    """Run fire fronts from ``sources`` ((edge, facet) pairs) into ``field``,
+    a dict facet -> distance.
 
     Entries are popped smallest distance first, FIFO among equal distances.
     Spreading pushes the straight continuation across every regular interior
@@ -102,24 +67,24 @@ def _burn(mesh, field, sources, stop_at_burnt):
     heap = []
     seq = 0
     for e, f in sources:
-        heapq.heappush(heap, (0, seq, e, f, e))
+        heapq.heappush(heap, (0, seq, e, f))
         seq += 1
     while heap:
-        d, _, e, f, origin = heapq.heappop(heap)
-        if f in field.tagged or (stop_at_burnt and not alive(mesh, field, e)):
+        d, _, e, f = heapq.heappop(heap)
+        if f in field or (stop_at_burnt and not alive(mesh, field, e)):
             continue
-        field.tag(f, d, origin)
+        field[f] = d
         for e2 in field_spread_edges(mesh, f, e):
             f2 = mesh.opp_facet(e2, f)
-            if f2 is not None and f2 not in field.tagged:
-                heapq.heappush(heap, (d + 1, seq, e2, f2, origin))
+            if f2 is not None and f2 not in field:
+                heapq.heappush(heap, (d + 1, seq, e2, f2))
                 seq += 1
 
 
-def trace_hex(mesh, seed=None) -> WallField:
+def trace_hex(mesh, seed=None) -> dict:
     """Simultaneous brush fire from every ignition source; fronts stop at
     burnt terrain. Boundary facets are tagged at the end."""
-    field = WallField()
+    field = {}
     _burn(mesh, field, ignition_sources(mesh, seed), stop_at_burnt=True)
     _tag_boundary(mesh, field)
     return field
@@ -131,12 +96,12 @@ def field_spread_edges(mesh, f, e):
     for e2 in mesh.facet_edges[f]:
         if e2 == e or mesh.edge_boundary[e2]:
             continue
-        if mesh.classify_edge(e2).regular:
+        if not mesh.singular(e2):
             out.append(e2)
     return out
 
 
-def necessary(mesh, field: WallField, e, f) -> bool:
+def necessary(mesh, field, e, f) -> bool:
     """Whether skipping fire source (e, f) would leave an inner angle of 270° or more.
 
     Evaluated over the (possibly cyclically self-overlapping) facet sequence
@@ -149,7 +114,7 @@ def necessary(mesh, field: WallField, e, f) -> bool:
     i = fan.facets.index(f)
 
     def burnt(j):
-        return fan.facet(j) in field.tagged
+        return fan.facet(j) in field
 
     if not burnt(i - 1) and not burnt(i + 1):
         return True
@@ -160,23 +125,23 @@ def necessary(mesh, field: WallField, e, f) -> bool:
     return False
 
 
-def trace_hex_sparse(mesh, seed=None) -> WallField:
+def trace_hex_sparse(mesh, seed=None) -> dict:
     """Serial variant: sources processed one at a time, each fire run to
     completion, and sources that are not necessary() at their turn skipped."""
-    field = WallField()
+    field = {}
     for e, f in ignition_sources(mesh, seed):
-        if f in field.tagged or not necessary(mesh, field, e, f):
+        if f in field or not necessary(mesh, field, e, f):
             continue
         _burn(mesh, field, [(e, f)], stop_at_burnt=True)
     _tag_boundary(mesh, field)
     return field
 
 
-def trace_hex_base(mesh, seed=None) -> WallField:
+def trace_hex_base(mesh, seed=None) -> dict:
     """Base-complex tagging: fronts spread across every regular interior
     edge without ever stopping at burnt terrain, so walls extend until the
     boundary or singularities. The result is conforming (no T-joints)."""
-    field = WallField()
+    field = {}
     _burn(mesh, field, ignition_sources(mesh, seed), stop_at_burnt=False)
     _tag_boundary(mesh, field)
     return field

@@ -15,16 +15,17 @@ import random
 import numpy as np
 
 from .errors import MeshError
-from .firehex import WallField, alive
+from .firehex import _tag_boundary, alive
 from .tetparam import ISO_TOL, ParamTetMesh
 
 
 class SplitForest:
-    """Facet/edge split hierarchy plus tet descent and original-facet tracking."""
+    """Facet/edge/tet split hierarchy plus original-facet tracking."""
 
     def __init__(self, pm: ParamTetMesh):
         self.facet_children = {}
         self.edge_children = {}
+        self.tet_children = {}
         self.tet_parent = {}
         # Original-facet sets per vertex: an edge lies in an original mesh
         # facet iff its endpoints share one. Split vertices inherit the
@@ -59,6 +60,22 @@ class SplitForest:
             out.extend(self.live_edges(pm, c))
         return out
 
+    def live_sources(self, pm, e, t):
+        """(live sub-edge of ``e``, live descendant of tet ``t`` holding it)
+        pairs in descent order. A tet is read when it is reached, so one
+        that a split made while the previous pair was lit is replaced by
+        its children then."""
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            if pm.tets[t] is None:
+                stack.extend(reversed(self.tet_children[t]))
+                continue
+            for el in self.live_edges(pm, e):
+                if t in pm.edge_cells[el]:  # a tet holds at most one piece of a line
+                    yield el, t
+                    break
+
     def record_split(self, pm, e, v, dead_facets, replaced_tets):
         va, vb = pm.edge_keys[e]
         self.vert_facets.append(self.vert_facets[va] & self.vert_facets[vb])
@@ -74,8 +91,8 @@ class SplitForest:
                 pm.facet_id[tuple(sorted((vb, v, x)))],
             )
         for old, kids in replaced_tets.items():
-            for k in kids:
-                self.tet_parent[k] = old
+            self.tet_children[old] = kids
+            self.tet_parent.update(dict.fromkeys(kids, old))
 
 
 def _split_at(pm, forest, edge, t, axis, value):
@@ -201,18 +218,12 @@ def ignition_sources_param(pm, seed=None):
     return sources
 
 
-def _tag_boundary(pm, field):
-    for f in range(pm.n_facets):
-        if pm.facet_live[f] and pm.facet_boundary[f]:
-            field.tag(f, 0.0, None)
-
-
-def _spread(pm, forest, field, heap, seq, e, f, d, n, t_ref, origin):
+def _spread(pm, forest, field, heap, seq, e, f, d, n, t_ref):
     """Push continuations of freshly tagged facet ``f`` across its regular
     interior edges. Splits triggered along the way may re-anchor ``f``, so
     the chart carrying ``n`` is refreshed before every use."""
     for e2 in list(pm.facet_edges[f]):
-        if e2 == e or pm.edge_boundary[e2] or pm.classify_edge(e2).singular:
+        if e2 == e or pm.edge_boundary[e2] or pm.singular(e2):
             continue
         chart = pm.anchor(f)
         n_cur = _entry_direction(pm, forest, f, n, t_ref)
@@ -239,13 +250,13 @@ def _spread(pm, forest, field, heap, seq, e, f, d, n, t_ref, origin):
         t_ref = chart
         n = n_cur
         for f2 in sorted(targets):
-            if f2 in field.tagged or pm.facet_boundary[f2]:
+            if f2 in field or pm.facet_boundary[f2]:
                 continue
             tr = pm.fan_transition(e2, chart, pm.anchor(f2))
             n2 = np.asarray(tr.apply_vector(n_cur), float)
             prio = 1 if forest.edge_in_original_facet(pm, e2) else 0
             heapq.heappush(
-                heap, (prio, d + inc, seq[0], e2, f2, tuple(n2), pm.anchor(f2), origin)
+                heap, (prio, d + inc, seq[0], e2, f2, tuple(n2), pm.anchor(f2))
             )
             seq[0] += 1
 
@@ -254,7 +265,7 @@ def _resolve(pm, forest, heap, seq, entry):
     """Lazy queue repair: map a stale entry onto the live sub-facets that
     still carry a sub-edge of its edge. Returns a live (e, f) pair or None
     after re-pushing split-off children."""
-    prio, d, _, e, f, n, t_ref, origin = entry
+    prio, d, _, e, f, n, t_ref = entry
     if pm.facet_live[f] and pm.edge_live[e]:
         return e, f
     live_e = forest.live_edges(pm, e)
@@ -262,7 +273,7 @@ def _resolve(pm, forest, heap, seq, entry):
     for fl in forest.live_facets(pm, f):
         for el in live_e:
             if el in pm.facet_edges[fl]:
-                heapq.heappush(heap, (prio, d, seq[0], el, fl, n, t_ref, origin))
+                heapq.heappush(heap, (prio, d, seq[0], el, fl, n, t_ref))
                 seq[0] += 1
                 pushed = True
     if not pushed and not pm.facet_live[f]:
@@ -304,37 +315,35 @@ def trace_param_base(pm: ParamTetMesh, seed=None):
 
 def _finish(work, field):
     refined, fmap = work.compact()
-    out = WallField()
-    for f in field.tagged:
-        out.tag(fmap[f], field.distance.get(f, 0.0), field.origin.get(f))
-    return refined, out
+    return refined, {fmap[f]: d for f, d in field.items()}
 
 
 def _trace(pm, seed, use_alive):
     forest = SplitForest(pm)
-    field = WallField()
+    field = {}
     heap = []
     seq = [0]
-    for e, t in ignition_sources_param(pm, seed):
-        f = split_iso(pm, e, t, forest)
-        if f is None or pm.facet_boundary[f]:
-            continue
-        n = _ignition_direction(pm, e, f)
-        prio = 1 if forest.edge_in_original_facet(pm, e) else 0
-        heapq.heappush(heap, (prio, 0.0, seq[0], e, f, tuple(n), pm.anchor(f), e))
-        seq[0] += 1
+    for source in ignition_sources_param(pm, seed):
+        for e, t in forest.live_sources(pm, *source):
+            f = split_iso(pm, e, t, forest)
+            if f is None or pm.facet_boundary[f]:
+                continue
+            n = _ignition_direction(pm, e, f)
+            prio = 1 if forest.edge_in_original_facet(pm, e) else 0
+            heapq.heappush(heap, (prio, 0.0, seq[0], e, f, tuple(n), pm.anchor(f)))
+            seq[0] += 1
     while heap:
         entry = heapq.heappop(heap)
         res = _resolve(pm, forest, heap, seq, entry)
         if res is None:
             continue
         e, f = res
-        prio, d, _, _, _, n, t_ref, origin = entry
-        if f in field.tagged:
+        _, d, _, _, _, n, t_ref = entry
+        if f in field:
             continue
         if use_alive and not alive(pm, field, e):
             continue
-        field.tag(f, d, origin)
-        _spread(pm, forest, field, heap, seq, e, f, d, n, t_ref, origin)
-    _tag_boundary(pm, field)
+        field[f] = d
+        _spread(pm, forest, field, heap, seq, e, f, d, n, t_ref)
+    _tag_boundary(pm, field, 0.0)
     return field

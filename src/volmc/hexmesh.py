@@ -54,26 +54,6 @@ _CORNERS = tuple(map(tuple, HEX_CORNER_COORDS.tolist()))
 _NORMALS = tuple(map(tuple, HEX_FACE_NORMALS.tolist()))
 
 
-class EdgeClass:
-    """Regularity label of an edge, with the quarter-turn count k where known."""
-
-    __slots__ = ("singular", "k", "boundary")
-
-    def __init__(self, singular: bool, k: int, boundary: bool):
-        self.singular = singular
-        self.k = k
-        self.boundary = boundary
-
-    @property
-    def regular(self) -> bool:
-        return not self.singular
-
-    def __repr__(self):
-        kind = "Singular" if self.singular else "Regular"
-        side = "boundary" if self.boundary else "interior"
-        return f"EdgeClass({kind}, k={self.k}, {side})"
-
-
 class Fan(NamedTuple):
     """Alternating facet/cell fan around an edge.
 
@@ -269,7 +249,7 @@ class CellMesh:
         self.edge_boundary = (boundary > 0).tolist()
         self._cells = cells
         self._fans = {}
-        self._eclass = {}
+        self._singular = {}
 
     @property
     def n_cells(self):
@@ -303,19 +283,18 @@ class CellMesh:
             fan = self._fans[e] = build_fan(self, e)
         return fan
 
-    def classify_edge(self, e) -> EdgeClass:
-        """Regularity by quarter turns: regular at k = 4 interior, k = 2 boundary."""
-        cls = self._eclass.get(e)
-        if cls is None:
-            k = self._edge_quarters(e)
-            boundary = self.edge_boundary[e]
-            cls = self._eclass[e] = EdgeClass(k != (2 if boundary else 4), k, boundary)
-        return cls
+    def singular(self, e) -> bool:
+        """Whether edge ``e`` is singular: regular at 4 quarter turns
+        interior, 2 on the boundary."""
+        s = self._singular.get(e)
+        if s is None:
+            s = self._singular[e] = self._edge_quarters(e) != (2 if self.edge_boundary[e] else 4)
+        return s
 
     def singular_edges(self):
         return [
             e for e in range(self.n_edges)
-            if self.edge_live[e] and self.classify_edge(e).singular
+            if self.edge_live[e] and self.singular(e)
         ]
 
     def vertex_sectors(self, v, walls):
@@ -441,7 +420,7 @@ class HexMesh(CellMesh):
 
     def opp_facet(self, e, f):
         """The facet continuing ``f`` straight across regular edge ``e``; None if absent."""
-        if self.classify_edge(e).singular:
+        if self.singular(e):
             raise MeshError(f"opp_facet undefined: edge {e} is singular")
         fan = self.edge_fan(e)
         i = fan.facets.index(f)

@@ -39,9 +39,8 @@ class QuantizationProblem:
 
     def __init__(self, arcs, lengths, s, rows):
         self.arcs = arcs  # arc ids, sorted
-        self.s = float(s)
         self.rows = rows  # list of {arc id: integer coefficient}
-        self.targets = {a: self.s * lengths[a] for a in arcs}  # arc id -> s * length
+        self.targets = {a: float(s) * lengths[a] for a in arcs}  # arc id -> s * length
 
 
 def build_ip(mc, s) -> QuantizationProblem:
@@ -506,7 +505,7 @@ class _QuantizedBlock:
             slots = mesh.cell_vertices(c)
             loc = self.corners[row[c]].tolist()
             for f in mesh.cell_facets[c]:
-                if f not in mc.field.tagged:
+                if f not in mc.field:
                     continue
                 coords3 = [tuple(loc[slots.index(v)]) for v in mesh.facet_corners[f]]
                 for axis in range(3):

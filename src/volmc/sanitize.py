@@ -150,7 +150,7 @@ def detect_cut_structure(pm: ParamTetMesh) -> CutStructure:
 
     for e in range(pm.n_edges):
         n_cut = sum(1 for f in pm.edge_facets[e] if f in cs.cut_facets)
-        if pm.classify_edge(e).singular:
+        if pm.singular(e):
             cs.cut_edges.add(e)
         elif n_cut == 1 or n_cut > 2:
             cs.cut_edges.add(e)

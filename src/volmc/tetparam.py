@@ -328,7 +328,7 @@ class ParamTetMesh(CellMesh):
     def opp_facet(self, e, f):
         """The iso-facet continuing ``f`` coplanarly across regular edge ``e``
         (transitions accounted); None if there is none."""
-        if self.classify_edge(e).singular:
+        if self.singular(e):
             raise MeshError(f"opp_facet undefined: edge {e} is singular")
         fan = self.edge_fan(e)
         i = fan.facets.index(f)

@@ -60,11 +60,11 @@ def test_ids_follow_lowest_elements(complexes):
     for name, mc in complexes.items():
         for c in (mc, reduce_complex(mc, mode="full")):
             for items, low in ((c.walls, lambda w: min(w.facets)),
-                               (c.blocks, lambda b: min(b.cells)),
-                               (c.nodes, lambda n: n.vertex)):
+                               (c.blocks, lambda b: min(b.cells))):
                 keys = [low(x) for x in items]
                 assert keys == sorted(keys), name
                 assert [x.id for x in items] == list(range(len(items))), name
+            assert c.nodes == sorted(c.nodes), name  # a node's id is its index
 
 
 def test_grid_oracle_all_levels(complexes):
@@ -183,8 +183,7 @@ def test_regular_reduction_preserves_singular_walls(complexes):
             for i in range(4):
                 a, b = quad[i], quad[(i + 1) % 4]
                 e = mesh.edge_id[(a, b) if a < b else (b, a)]
-                ec = mesh.classify_edge(e)
-                assert not (ec.singular and not ec.boundary), name
+                assert not (mesh.singular(e) and not mesh.edge_boundary[e]), name
 
 
 def test_base_complex_counts(meshes):

@@ -26,7 +26,7 @@ def _regular_edges(mesh):
     live = getattr(mesh, "edge_live", None)
     return [
         e for e in range(mesh.n_edges)
-        if (live is None or live[e]) and mesh.classify_edge(e).regular
+        if (live is None or live[e]) and not mesh.singular(e)
     ]
 
 

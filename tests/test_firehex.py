@@ -4,7 +4,6 @@ from volmc import synth
 from volmc.cellcomplex import extract_complex, split_tori, validate_field
 from volmc.errors import IntegrityError
 from volmc.firehex import (
-    WallField,
     alive,
     necessary,
     trace_hex,
@@ -18,7 +17,7 @@ def test_boundary_always_tagged(meshes):
         field = trace_hex(hm, seed=0)
         for f in range(hm.n_facets):
             if hm.facet_boundary[f]:
-                assert f in field.tagged
+                assert f in field
 
 
 def test_field_is_a_fixpoint(meshes):
@@ -32,13 +31,13 @@ def test_box_interior_stays_untouched():
     hm = synth.box_mesh(2, 2, 2)
     field = trace_hex(hm, seed=0)
     interior = [f for f in range(hm.n_facets) if not hm.facet_boundary[f]]
-    assert not any(f in field.tagged for f in interior)
+    assert not any(f in field for f in interior)
 
 
 def test_pie_walls_reach_from_axis():
     hm = synth.pie_mesh(3)
     field = trace_hex(hm, seed=0)
-    interior_tagged = [f for f in field.tagged if not hm.facet_boundary[f]]
+    interior_tagged = [f for f in field if not hm.facet_boundary[f]]
     assert interior_tagged
     sing = {e for e in hm.singular_edges() if not hm.edge_boundary[e]}
     touching = set()
@@ -56,8 +55,7 @@ def test_determinism_same_seed(meshes):
     for hm in meshes.values():
         f1 = trace_hex(hm, seed=7)
         f2 = trace_hex(hm, seed=7)
-        assert f1.tagged == f2.tagged
-        assert f1.distance == f2.distance
+        assert f1 == f2  # the same facets at the same distances
 
 
 def test_sparse_subset_of_standard(meshes):
@@ -74,7 +72,7 @@ def test_base_walls_superset(meshes):
     for name, hm in meshes.items():
         std = trace_hex(hm, seed=0)
         base = trace_hex_base(hm, seed=0)
-        assert std.tagged <= base.tagged, name
+        assert std.keys() <= base.keys(), name
 
 
 def test_base_complex_conforming(meshes):
@@ -97,7 +95,7 @@ def _rejections(hm, untag):
     field = trace_hex(hm, seed=0)
     broken = field.copy()
     for f in untag:
-        broken.untag(f)
+        del broken[f]
     with pytest.raises(IntegrityError) as extracted:
         extract_complex(hm, broken)
     with pytest.raises(IntegrityError) as rechecked:
@@ -116,7 +114,7 @@ def test_open_wall_rejected():
     """One interior wall facet untagged leaves a 360° gap at one of its edges."""
     hm = synth.composite_mesh()
     field = trace_hex(hm, seed=0)
-    f = next(f for f in sorted(field.tagged) if not hm.facet_boundary[f])
+    f = next(f for f in sorted(field) if not hm.facet_boundary[f])
     msg = _rejections(hm, [f])
     assert msg.startswith("cell gap of 360 degrees around edge ")
     assert int(msg.split()[7]) in hm.facet_edges[f]
@@ -125,14 +123,11 @@ def test_open_wall_rejected():
 def test_singular_edge_in_block_interior_rejected():
     """Only the boundary tagged: the pie's singular axis lies inside a block."""
     hm = synth.pie_mesh(3)
-    boundary_only = WallField()
-    for f in range(hm.n_facets):
-        if hm.facet_boundary[f]:
-            boundary_only.tag(f, 0, None)
+    boundary_only = {f: 0 for f in range(hm.n_facets) if hm.facet_boundary[f]}
     with pytest.raises(IntegrityError, match="singular edge") as exc:
         extract_complex(hm, boundary_only)
     e = int(str(exc.value).split()[2])
-    assert hm.classify_edge(e).singular and not hm.edge_boundary[e]
+    assert hm.singular(e) and not hm.edge_boundary[e]
     field = trace_hex(hm, seed=0)
-    interior = [f for f in field.tagged if not hm.facet_boundary[f]]
+    interior = [f for f in field if not hm.facet_boundary[f]]
     assert _rejections(hm, interior) == str(exc.value)

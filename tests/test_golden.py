@@ -57,7 +57,7 @@ def _sha(*parts):
 
 
 def _field(field):
-    return sorted((f, field.distance[f]) for f in field.tagged)
+    return sorted(field.items())
 
 
 def _complexes(*mcs):

@@ -18,9 +18,9 @@ def test_box_counts():
 def test_single_hex_boundary():
     hm = synth.box_mesh(1, 1, 1)
     assert all(hm.facet_boundary)
-    assert all(hm.classify_edge(e).boundary for e in range(hm.n_edges))
+    assert all(hm.edge_boundary[e] for e in range(hm.n_edges))
     # convex corner edges have valence 1, not the regular boundary valence 2
-    assert all(hm.classify_edge(e).singular for e in range(hm.n_edges))
+    assert all(hm.singular(e) for e in range(hm.n_edges))
 
 
 def test_interior_edge_valence():
@@ -28,8 +28,7 @@ def test_interior_edge_valence():
     interior = [e for e in range(hm.n_edges) if not hm.edge_boundary[e]]
     assert len(interior) == 6
     for e in interior:
-        ec = hm.classify_edge(e)
-        assert hm.edge_valence(e) == 4 and not ec.singular
+        assert hm.edge_valence(e) == 4 and not hm.singular(e)
 
 
 @pytest.mark.parametrize("k", [3, 5])

@@ -32,7 +32,7 @@ def reference_reduce(mc, mode):
         w = mc.walls[min(cands, key=lambda wid: (-mc.walls[wid].distance, wid))]
         field = mc.field.copy()
         for f in w.facets:
-            field.untag(f)
+            del field[f]
         nxt = extract_complex(mc.mesh, field)
         merges += sum(len({mc.wall_of[f] for f in w2.facets}) > 1 for w2 in nxt.walls)
         mc = nxt
@@ -52,7 +52,7 @@ def _attrs(mc):
                    w.sides, w.arcs) for w in mc.walls],
         "arcs": [(a.id, a.edges, a.vertices, a.walls, a.singular, a.tarc, a.length)
                  for a in mc.arcs],
-        "nodes": [(n.id, n.vertex) for n in mc.nodes],
+        "nodes": mc.nodes,
         "blocks": [(b.id, b.cells, b.walls) for b in mc.blocks],
         "wall_of": mc.wall_of,
         "arc_of": mc.arc_of,
@@ -148,7 +148,7 @@ def test_wall_between_merged_blocks_stays():
     field = trace_hex(hm, seed=0)
     for a, b in ((0, 1), (4, 5)):
         (f,) = set(hm.cell_facets[a]) & set(hm.cell_facets[b])
-        field.tag(f, 0, None)
+        field.setdefault(f, 0)
     mc = extract_complex(hm, field)
     for mode in MODES:
         assert len(mc.blocks) == 2 and len(removable_walls(mc, mode)) == 2

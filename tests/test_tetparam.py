@@ -158,7 +158,7 @@ def test_split_edge_keeps_ids_and_matches_fresh_mesh():
             m.edge_keys[x]: (
                 sorted(m.tets[c] for c in m.edge_cells[x]),
                 m.edge_boundary[x],
-                m.classify_edge(x).k,
+                m._edge_quarters(x),
                 m.edge_fan(x).closed,
                 sorted(m.facet_keys[f] for f in m.edge_facets[x]),
             )
@@ -315,11 +315,10 @@ def _check_tables(pm):
             assert got == want
     for e in range(pm.n_edges):
         want = _outcome(ref_edge_class, pm, e)
-        got = _outcome(pm.classify_edge, e)
+        got = _outcome(lambda e: (pm.singular(e), pm._edge_quarters(e), pm.edge_boundary[e]), e)
         assert got[0] == want[0]
         if want[0] == "ok":
-            cls = got[1]
-            assert (cls.singular, cls.k, cls.boundary) == want[1]
+            assert got[1] == want[1]
 
 
 HEX_SOURCES = st.one_of(
@@ -366,7 +365,7 @@ def test_bad_facet_raises_only_when_queried():
                 assert _plane_bytes(bad.facet_plane(f, t2)) == _plane_bytes(pm.facet_plane(f, t2))
     for e in range(bad.n_edges):
         if t not in bad.edge_cells[e]:
-            assert bad.classify_edge(e).k == pm.classify_edge(e).k
+            assert bad._edge_quarters(e) == pm._edge_quarters(e)
     for f in broken:
         msg = f"no octahedral rotation matches the charts across facet {f}$"
         with pytest.raises(NotSeamlessError, match=msg):

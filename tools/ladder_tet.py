@@ -36,7 +36,12 @@ traced with ``trace_hex(hm, seed=0)`` (untimed). Seven stages are timed:
 with the raw, fully reduced and base block counts, the regular complex's
 arc count and the quantization objective at each scale.
 
-Each run of a rung is a fresh Python process. Every revision is exported
+Each run of a rung is a fresh Python process, which runs ``gc.collect()``
+before each timed stage. Otherwise a full (generation 2) collection of
+earlier stages' garbage lands in whichever stage is running: with the same
+solve code, the 1000-hex ``quantize_2_s`` median read 0.017 s on one tree
+and 0.069 s on the next (``BENCH_14.json``), only because such a
+collection moved into that stage. Every revision is exported
 with ``git archive`` to a temporary directory, so all trees run the same
 way. Each rung runs 3 times per tree; runs alternate between the trees
 within each round, so that a slow spell of the machine falls on all of
@@ -71,7 +76,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Runs in the child process: argv = [src dir, n].
 CHILD = r"""
-import hashlib, json, sys, time
+import gc, hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from volmc import synth
@@ -82,29 +87,37 @@ from volmc.quantize import build_ip, extract_hexmesh, solve_quantization
 from volmc.sanitize import add_noise, sanitize
 from volmc.tetparam import hex_to_param
 
+
+
+def start():
+    gc.collect()  # no collection of earlier garbage lands in the stage
+    return time.perf_counter()
+
+
 hm = synth.notched_box_mesh(int(sys.argv[2]))
 pm = hex_to_param(hm)
 noisy = add_noise(pm, eps=1e-8, seed=0)
-t0 = time.perf_counter()
+t0 = start()
 fixed = sanitize(noisy)
-t1 = time.perf_counter()
+sanitize_s = time.perf_counter() - t0
+t0 = start()
 work, field = trace_param(pm, seed=0)
 mc = extract_complex(work, field)
-t2 = time.perf_counter()
+trace_extract_s = time.perf_counter() - t0
 red = reduce_complex(split_tori(extract_complex(hm, trace_hex(hm, seed=0))), mode="full")
 red.arcs
-t3 = time.perf_counter()
+t0 = start()
 hexes = extract_hexmesh(red, solve_quantization(build_ip(red, 2.0))).hexes
-t4 = time.perf_counter()
+hexmesh_s = time.perf_counter() - t0
 digest = hashlib.sha256(b"".join(np.asarray(p).tobytes() for p in fixed.params)).hexdigest()
-print(json.dumps({"tets": pm.n_cells, "sanitize_s": t1 - t0, "trace_extract_s": t2 - t1,
-                  "hexmesh_s": t4 - t3, "blocks": len(mc.blocks), "hexes": len(hexes),
-                  "sanitized_sha256": digest}))
+print(json.dumps({"tets": pm.n_cells, "sanitize_s": sanitize_s,
+                  "trace_extract_s": trace_extract_s, "hexmesh_s": hexmesh_s,
+                  "blocks": len(mc.blocks), "hexes": len(hexes), "sanitized_sha256": digest}))
 """
 
 # Runs in the child process: argv = [src dir, n].
 HEX_CHILD = r"""
-import json, signal, sys, time
+import gc, json, signal, sys, time
 sys.path.insert(0, sys.argv[1])
 import scipy.optimize  # imported before timing, so the quantize stage times the solve only
 from volmc import synth
@@ -113,25 +126,34 @@ from volmc.cellcomplex import (base_complex, check_grid_blocks, extract_complex,
 from volmc.firehex import trace_hex
 from volmc.quantize import build_ip, solve_quantization
 
+
+
+def start():
+    gc.collect()  # no collection of earlier garbage lands in the stage
+    return time.perf_counter()
+
+
 hm = synth.random_glued_cubes(3, int(sys.argv[2]))
 field = trace_hex(hm, seed=0)
-t0 = time.perf_counter()
+out = {"hexes": hm.n_cells}
+t0 = start()
 mc = extract_complex(hm, field)
-t1 = time.perf_counter()
+out["extract_s"] = time.perf_counter() - t0
 raw = split_tori(mc)
-t2 = time.perf_counter()
+t0 = start()
 full = reduce_complex(raw, mode="full")
-t3 = time.perf_counter()
+out["reduce_full_s"] = time.perf_counter() - t0
+t0 = start()
 full.arcs
-t4 = time.perf_counter()
+out["link_s"] = time.perf_counter() - t0
+t0 = start()
 bc = base_complex(hm, seed=0)
-t5 = time.perf_counter()
+out["base_complex_s"] = time.perf_counter() - t0
+t0 = start()
 check_grid_blocks(full)
-t6 = time.perf_counter()
-out = {"hexes": hm.n_cells, "extract_s": t1 - t0, "reduce_full_s": t3 - t2,
-       "link_s": t4 - t3, "base_complex_s": t5 - t4, "grid_oracle_s": t6 - t5,
-       "raw_blocks": len(raw.blocks), "full_blocks": len(full.blocks),
-       "base_blocks": len(bc.blocks)}
+out["grid_oracle_s"] = time.perf_counter() - t0
+out.update(raw_blocks=len(raw.blocks), full_blocks=len(full.blocks),
+           base_blocks=len(bc.blocks))
 reg = reduce_complex(raw, mode="regular")
 out["regular_arcs"] = len(reg.arcs)
 
@@ -143,7 +165,7 @@ def stop(signum, frame):
 signal.signal(signal.SIGALRM, stop)
 for s in (1.5, 2):
     signal.alarm(30)
-    t7 = time.perf_counter()
+    t7 = start()
     try:
         qp = build_ip(reg, s)
         ell = solve_quantization(qp)
