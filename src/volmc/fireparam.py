@@ -4,7 +4,7 @@ Walls live on parametric iso-surfaces that generally cross tets, so the
 mesh is refined on the fly: whenever the fire needs to pass through a tet
 whose facets do not line up with the active iso-plane, the opposite edge is
 split at the plane crossing. A binary split forest keeps stale queue
-entries resolvable without rewriting the queue.
+entries and ignition sources resolvable without rewriting the queue.
 """
 
 from __future__ import annotations
