@@ -24,7 +24,7 @@ from .errors import IntegrityError, VolmcError
 from .firehex import trace_hex, trace_hex_base
 from .fireparam import trace_param, trace_param_base
 from .hexmesh import LAYOUT_TOL
-from .octahedral import Transition
+from .octahedral import _ROWS, Transition
 
 _QUARTER_TOL = 0.25
 log = logging.getLogger(__name__)
@@ -744,8 +744,9 @@ def grid_block_coords(mesh, field, cells):
 
     Returns (dims, trans): the (l, m, n) dimensions and a per-hex Transition
     mapping the hex's unit cube into the block grid, normalized so the grid
-    starts at the origin. Raises IntegrityError if the cells do not biject
-    onto a full l x m x n box.
+    starts at the origin. Transport composes, exactly, the integer
+    transitions of the ``face_gluing`` table keyed by corner slots. Raises
+    IntegrityError if the cells do not biject onto a full l x m x n box.
     """
     cells = set(cells)
     seed = min(cells)
@@ -770,9 +771,8 @@ def grid_block_coords(mesh, field, cells):
                     dq.append(c2)
     pos = set()  # grid cells taken
     for c, t in trans.items():
-        a = t.apply((0, 0, 0))
-        b = t.apply((1, 1, 1))
-        p = tuple(int(round(min(x, y))) for x, y in zip(a, b))
+        # Corner (0, 0, 0) lands at t.t, corner (1, 1, 1) at the row sums of R plus t.t.
+        p = tuple(int(round(min(x, sum(row) + x))) for row, x in zip(_ROWS[t.rot], t.t))
         if p in pos:
             raise IntegrityError("two hexes map to the same grid cell")
         pos.add(p)

@@ -7,6 +7,7 @@ bottom quad (counter-clockwise seen from outside, i.e. from below), corners
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +53,30 @@ HEX_FACE_NORMALS = np.array(
 # The two tables above as tuples of ints, for exact arithmetic without numpy.
 _CORNERS = tuple(map(tuple, HEX_CORNER_COORDS.tolist()))
 _NORMALS = tuple(map(tuple, HEX_FACE_NORMALS.tolist()))
+
+
+@functools.cache
+def _solve_gluing(s0, s1, s2, r0, r1, r2, fh, fh2):
+    """The ``face_gluing`` table: the exact transition for corner slots
+    ``s*``/``r*`` and face slots ``fh``/``fh2``, or its MeshError message."""
+    p0, p1, p2 = _CORNERS[s0], _CORNERS[s1], _CORNERS[s2]
+    q0, q1, q2, n, n2 = _CORNERS[r0], _CORNERS[r1], _CORNERS[r2], _NORMALS[fh], _NORMALS[fh2]
+    # Rows of the bases [p1 - p0, p2 - p0, n] and [q1 - q0, q2 - q0, -n2]. The first is
+    # unimodular (one column may be a face diagonal): its inverse is adj / det, det = ±1.
+    b = [(p1[i] - p0[i], p2[i] - p0[i], n[i]) for i in range(3)]
+    c = [(q1[i] - q0[i], q2[i] - q0[i], -n2[i]) for i in range(3)]
+    adj = [[b[(j + 1) % 3][(i + 1) % 3] * b[(j + 2) % 3][(i + 2) % 3]
+            - b[(j + 1) % 3][(i + 2) % 3] * b[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    det = sum(b[0][k] * adj[k][0] for k in range(3))
+    if det not in (1, -1):
+        return "degenerate facet {f} corner configuration"
+    m = [[det * sum(c[i][k] * adj[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    rot = _INDEX.get(tuple(x for row in m for x in row))
+    if rot is None:  # a reflection
+        return "facet {f} glues hex {h} to hex {h2} by a reflection: one of them is mirrored"
+    t = tuple(q0[i] - sum(m[i][j] * p0[j] for j in range(3)) for i in range(3))
+    return Transition(rot, t)
 
 
 class Fan(NamedTuple):
@@ -436,30 +461,17 @@ class HexMesh(CellMesh):
 
         Maps h-local corner coordinates to h2-local coordinates; h's cube
         lands on the cube adjacent to h2's across the shared facet ``f``.
-        The corners ``p`` of ``f``'s first three key vertices span a
-        unimodular basis with the face normal (one column may be a face
-        diagonal), so the basis inverse is its adjugate times det = ±1.
+        Read from a table keyed by the corner slots of ``f``'s first three key
+        vertices and by ``f``'s face slots, in both hexes; a failure stays in
+        the table and raises MeshError naming ``f`` on every call.
         """
-        quad = self.facet_keys[f]
+        a, b, c = self.facet_keys[f][:3]
         ch, ch2 = self._cells[h], self._cells[h2]
-        p0, p1, p2 = (_CORNERS[ch.index(v)] for v in quad[:3])
-        q0, q1, q2 = (_CORNERS[ch2.index(v)] for v in quad[:3])
-        n = _NORMALS[self.cell_facets[h].index(f)]
-        n2 = _NORMALS[self.cell_facets[h2].index(f)]
-        # Rows of the bases [p1 - p0, p2 - p0, n] and [q1 - q0, q2 - q0, -n2].
-        b = [(p1[i] - p0[i], p2[i] - p0[i], n[i]) for i in range(3)]
-        c = [(q1[i] - q0[i], q2[i] - q0[i], -n2[i]) for i in range(3)]
-        adj = [[b[(j + 1) % 3][(i + 1) % 3] * b[(j + 2) % 3][(i + 2) % 3]
-                - b[(j + 1) % 3][(i + 2) % 3] * b[(j + 2) % 3][(i + 1) % 3]
-                for j in range(3)] for i in range(3)]
-        det = sum(b[0][k] * adj[k][0] for k in range(3))
-        if det not in (1, -1):
-            raise MeshError(f"degenerate facet {f} corner configuration")
-        m = [[det * sum(c[i][k] * adj[k][j] for k in range(3)) for j in range(3)]
-             for i in range(3)]
-        rot = _INDEX[tuple(x for row in m for x in row)]  # KeyError off the group
-        t = tuple(q0[i] - sum(m[i][j] * p0[j] for j in range(3)) for i in range(3))
-        return Transition(rot, t)
+        g = _solve_gluing(ch.index(a), ch.index(b), ch.index(c), ch2.index(a), ch2.index(b),
+                          ch2.index(c), self.cell_facets[h].index(f), self.cell_facets[h2].index(f))
+        if type(g) is str:
+            raise MeshError(g.format(f=f, h=h, h2=h2))
+        return g
 
     # Generic name used by block transport (same signature for tet meshes).
     cell_gluing = face_gluing

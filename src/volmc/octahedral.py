@@ -53,6 +53,7 @@ _ROT_FLOAT = np.array(ROTATIONS, dtype=float)
 # Row j of rotation r takes coordinate _PERM[r, j] with sign _SIGN[r, j].
 _PERM, _SIGN = np.abs(_ROT_FLOAT).argmax(-1), _ROT_FLOAT.sum(-1)
 _ROWS = tuple(tuple(tuple(int(x) for x in row) for row in m) for m in ROTATIONS)
+_COMPOSE = COMPOSE.tolist()
 
 
 def rotation_index(mat) -> int:
@@ -95,6 +96,7 @@ class Transition:
 
     The rotation is stored as a group index; the translation as a plain
     3-tuple (kept generic so exact Fraction translations work too).
+    Composition is exact: plain tuple sums in ``apply``'s order, so bit for bit.
     """
 
     __slots__ = ("rot", "t")
@@ -112,8 +114,9 @@ class Transition:
 
     def compose(self, other: "Transition") -> "Transition":
         """Map equal to applying ``other`` first, then ``self``."""
-        t = self.apply(other.t)
-        return Transition(COMPOSE[self.rot, other.rot], tuple(t))
+        ((a, b, c), (d, e, f), (g, h, i)), (x, y, z), (u, v, w) = _ROWS[self.rot], other.t, self.t
+        return Transition(_COMPOSE[self.rot][other.rot], (
+            a * x + b * y + c * z + u, d * x + e * y + f * z + v, g * x + h * y + i * z + w))
 
     def inverse(self) -> "Transition":
         inv = int(INVERSE[self.rot])

@@ -3,6 +3,7 @@ import pytest
 from volmc import synth
 from volmc.cellcomplex import extract_complex, split_tori
 from volmc.firehex import trace_hex
+from volmc.hexmesh import HexMesh
 
 FIXTURE_BUILDERS = {
     "box": lambda: synth.box_mesh(2, 2, 2),
@@ -27,3 +28,13 @@ def complexes(meshes):
         field = trace_hex(hm, seed=0)
         out[name] = split_tori(extract_complex(hm, field))
     return out
+
+
+@pytest.fixture
+def mirrored_box():
+    """``box_mesh(2, 1, 1)`` with hex 1's bottom and top quads swapped: hex 1
+    is the mirror image of a hex glued to hex 0 by a rotation."""
+    box = synth.box_mesh(2, 1, 1)
+    hexes = box.hexes.tolist()
+    hexes[1] = hexes[1][4:] + hexes[1][:4]
+    return HexMesh(box.positions, hexes)

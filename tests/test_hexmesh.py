@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from volmc import synth
+from volmc.cellcomplex import check_grid_blocks, extract_complex
 from volmc.errors import MeshError
-from volmc.hexmesh import HEX_CORNER_COORDS, HEX_FACE_NORMALS, HexMesh
+from volmc.firehex import trace_hex
+from volmc.hexmesh import HEX_CORNER_COORDS, HEX_FACE_NORMALS, HexMesh, _solve_gluing
 from volmc.octahedral import Transition, rotation_index
 
 
@@ -136,6 +138,30 @@ def test_face_gluing_matches_float_reference():
                     checked += 1
     assert checked > 1500
 
+
+def test_face_gluing_table_cold_and_warm_agree(meshes):
+    """On the fixtures and 10 blobs, a gluing solved on an emptied table
+    equals the one read from a table that all their gluings have filled."""
+    hms = list(meshes.values()) + [synth.random_glued_cubes(seed, 40) for seed in range(10)]
+    calls = [(hm, h, f, h2) for hm in hms for f in range(hm.n_facets)
+             if len(hm.facet_cells[f]) == 2
+             for h, h2 in (hm.facet_cells[f], hm.facet_cells[f][::-1])]
+    warm = [hm.face_gluing(h, f, h2) for hm, h, f, h2 in calls]
+    assert _solve_gluing.cache_info().currsize < len(calls) // 10
+    for (hm, h, f, h2), g in zip(calls, warm):
+        _solve_gluing.cache_clear()
+        assert hm.face_gluing(h, f, h2) == g, (f, h, h2)
+    assert len(calls) > 1000
+
+
+def test_face_gluing_names_a_mirrored_hex(mirrored_box):
+    f = next(f for f in range(mirrored_box.n_facets) if not mirrored_box.facet_boundary[f])
+    for _ in range(2):  # the failure stays in the table and raises again
+        with pytest.raises(MeshError, match=f"facet {f} glues hex 0 to hex 1 by a reflection"):
+            mirrored_box.face_gluing(0, f, 1)
+    mc = extract_complex(mirrored_box, trace_hex(mirrored_box, seed=0))
+    with pytest.raises(MeshError, match=f"facet {f} glues hex . to hex . by a reflection"):
+        check_grid_blocks(mc)
 
 def test_edge_fan_structure():
     hm = synth.pie_mesh(3)

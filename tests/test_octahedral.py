@@ -80,3 +80,24 @@ def test_transition_inverse(r, t):
     T = Transition(r, tuple(float(x) for x in t))
     assert T.compose(T.inverse()).is_identity(tol=1e-12)
     assert T.inverse().compose(T).is_identity(tol=1e-12)
+
+
+translation = st.one_of(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+                                  st.integers(-10**6, 10**6)),
+                        st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False),
+                                  st.floats(allow_nan=False)))
+
+
+@given(rot_idx, rot_idx, translation, translation)
+def test_transition_compose_is_exact(a, b, ta, tb):
+    """compose gives the rotation of the COMPOSE table and the translation
+    R_a tb + ta as computed through apply_rotation, bit for bit; int
+    translations give plain ints."""
+    got = Transition(a, ta).compose(Transition(b, tb))
+    assert type(got.rot) is int and got.rot == COMPOSE[a, b]
+    with np.errstate(all="ignore"):  # inf - inf and overflow, as in plain floats
+        want = (apply_rotation(a, tb) + np.array(ta)).tolist()
+    if all(type(x) is int for x in ta + tb):
+        assert all(type(x) is int for x in got.t) and list(got.t) == want
+    else:
+        assert [float(x).hex() for x in got.t] == [float(x).hex() for x in want]

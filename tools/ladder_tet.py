@@ -44,10 +44,14 @@ and 0.069 s on the next (``BENCH_14.json``), only because such a
 collection moved into that stage. Every revision is exported
 with ``git archive`` to a temporary directory, so all trees run the same
 way. Each rung runs 3 times per tree; runs alternate between the trees
-within each round, so that a slow spell of the machine falls on all of
-them. The record holds every run, the medians (or a failure, where a run
-failed), the scaling exponent fitted to the medians over each ladder (least
-squares in log-log; null where a rung failed), the block
+within each round, and every other round runs the trees in reverse order,
+so that a slow spell of the machine falls on all of them and a drift
+within rounds does not always favour the tree that runs first (with one
+fixed order, the first ``BENCH_16.json`` run read stages that no tree had
+changed 14-64 % slower on the second tree). The record holds every run,
+the median of each stage with its min and max beside it (or a failure,
+where a run failed), the scaling exponent fitted to the medians over each
+ladder (least squares in log-log; null where a rung failed), the block
 counts, the output hex count and a sha256 of the sanitized parameters per
 tet rung (equal across trees when the outputs are equal), git shas, the
 source size per tree (``src_lines``, the total of ``wc -l src/volmc/*.py``),
@@ -218,11 +222,13 @@ def measure(child, src, n):
     return json.loads(out)
 
 
-def median(values):
-    """Median of the run times, or the first failure ("timeout" or an
-    exception's type name) when a run failed."""
+def summary(values):
+    """Median, min and max of the run times; each is the first failure
+    ("timeout" or an exception's type name) when a run failed."""
     failed = [v for v in values if isinstance(v, str)]
-    return failed[0] if failed else statistics.median(values)
+    if failed:
+        return failed[:1] * 3
+    return statistics.median(values), min(values), max(values)
 
 
 def exponent(tets, seconds):
@@ -241,10 +247,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         trees = [export(rev, tmp) for rev in args.rev]
         runs = {}  # (ladder, tree, n) -> runs
-        for _ in range(RUNS):
+        for r in range(RUNS):
+            order = list(enumerate(trees))[::-1 if r % 2 else 1]
             for ladder, (child, sizes, *_) in LADDERS.items():
                 for n in sizes:
-                    for i, (src, _) in enumerate(trees):
+                    for i, (src, _) in order:
                         runs.setdefault((ladder, i, n), []).append(measure(child, src, n))
 
     record = {
@@ -269,7 +276,8 @@ def main(argv=None):
                               "the exception's type name, one over 30 s 'timeout'",
             "quantize_2_s": "the same at s = 2",
         },
-        "statistic": f"median of {RUNS} runs, one process per run",
+        "statistic": f"median, min and max of {RUNS} runs, one process per run; the trees "
+                     "alternate within each round, in reverse order every other round",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
@@ -283,7 +291,8 @@ def main(argv=None):
                 rung = {"n": n, size: rs[0][size], **{k: rs[0].get(k) for k in facts}}
                 for stage in stages:
                     rung[stage] = [r[stage] for r in rs]
-                    rung[stage + "_median"] = median(rung[stage])
+                    (rung[stage + "_median"], rung[stage + "_min"],
+                     rung[stage + "_max"]) = summary(rung[stage])
                 rungs.append(rung)
             prefix = "" if ladder == "tet" else ladder + "_"
             info[prefix + "ladder"] = rungs
