@@ -107,7 +107,8 @@ def test_quantize_is_byte_identical_across_processes(files, tmp_path):
     assert "objective=2.76" in outputs[0][0]
 
 
-@pytest.mark.parametrize("cmd", [["mc-hex"], ["quantize", "--output", "q.mesh"]])
+@pytest.mark.parametrize("cmd", [["mc-hex"], ["quantize", "--output", "q.mesh"]],
+                         ids=["mc-hex", "quantize"])
 def test_mirrored_hex_fails_with_a_message(mirrored_box, tmp_path, cmd):
     write_hex_mesh(mirrored_box, str(tmp_path / "mirrored.mesh"))
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -116,6 +117,8 @@ def test_mirrored_hex_fails_with_a_message(mirrored_box, tmp_path, cmd):
     assert res.returncode == 1 and res.stdout == ""
     assert "by a reflection: one of them is mirrored" in res.stderr
     assert "Traceback" not in res.stderr and not (tmp_path / "q.mesh").exists()
+
+
 
 def test_quantize_regular_complex_of_a_400_hex_blob(tmp_path):
     write_hex_mesh(synth.random_glued_cubes(3, 400), str(tmp_path / "blob.mesh"))

@@ -163,6 +163,8 @@ def test_face_gluing_names_a_mirrored_hex(mirrored_box):
     with pytest.raises(MeshError, match=f"facet {f} glues hex . to hex . by a reflection"):
         check_grid_blocks(mc)
 
+
+
 def test_edge_fan_structure():
     hm = synth.pie_mesh(3)
     e = [x for x in hm.singular_edges() if not hm.edge_boundary[x]][0]

@@ -82,10 +82,8 @@ def test_transition_inverse(r, t):
     assert T.inverse().compose(T).is_identity(tol=1e-12)
 
 
-translation = st.one_of(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
-                                  st.integers(-10**6, 10**6)),
-                        st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False),
-                                  st.floats(allow_nan=False)))
+ints, floats = st.integers(-10**6, 10**6), st.floats(allow_nan=False)
+translation = st.tuples(ints, ints, ints) | st.tuples(floats, floats, floats)
 
 
 @given(rot_idx, rot_idx, translation, translation)
