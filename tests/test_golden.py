@@ -23,7 +23,7 @@ from volmc import synth
 from volmc.cellcomplex import base_complex, extract_complex, reduce_complex, split_tori
 from volmc.cli import main as cli_main
 from volmc.firehex import trace_hex, trace_hex_base, trace_hex_sparse
-from volmc.fireparam import trace_param
+from volmc.fireparam import trace_param, trace_param_base
 from volmc.meshio import write_hex_mesh, write_param
 from volmc.quantize import build_ip, extract_hexmesh, solve_quantization
 from volmc.sanitize import add_noise, sanitize
@@ -33,6 +33,9 @@ BLOBS = [(i, 8 + (i * 5) % 28) for i in range(20)]
 QUANTIZE = ["pie3", "notch", "composite"]
 QUANTIZE_BLOBS = 6
 SANITIZE = ["pie3", "notch", "torus"]
+# Sanitized noisy pies: the tracer splits tets on the fly (72 -> 168 tets for
+# pie3, 120 -> 279 for pie5), which the aligned fixtures above never reach.
+SPLIT_PIES = ["pie3", "pie5"]
 
 CLI_CASES = [
     (["mc-hex", "{d}/pie3.mesh", "--seed", "1", "--output", "{o}/w.obj"], ["w.obj"]),
@@ -136,6 +139,12 @@ def compute(tmp):
         work, field = trace_param(hex_to_param(FIXTURES[name]()), seed=0)
         mc = split_tori(extract_complex(work, field))
         out[f"param {name}"] = f"{_complexes(mc)} {_sha(_field(field))} {_param_digest(work)}"
+    for name in SPLIT_PIES:
+        pm = sanitize(add_noise(hex_to_param(FIXTURES[name]()), eps=1e-8, seed=0))
+        for trace in (trace_param, trace_param_base):
+            work, field = trace(pm, seed=0)
+            mesh = _sha(np.asarray(work.tets).tobytes(), _param_digest(work))
+            out[f"split {trace.__name__} {name}"] = f"{work.n_cells} {mesh} {_sha(_field(field))}"
     for name in QUANTIZE:
         out[f"quantize {name}"] = _quantize_digest(FIXTURES[name]())
     for seed, n in BLOBS[:QUANTIZE_BLOBS]:
@@ -204,6 +213,10 @@ GOLDEN = {
     'sanitize notch': 'd79d65603697dbbf',
     'sanitize pie3': 'f325ac5811660d18',
     'sanitize torus': '184534510cee7c98',
+    'split trace_param pie3': '168 e19ba65496a1a17c 681ba4ab1572462d',
+    'split trace_param pie5': '279 3fa7220297e16bfd 1cc7f5115c1c899c',
+    'split trace_param_base pie3': '168 e19ba65496a1a17c 681ba4ab1572462d',
+    'split trace_param_base pie5': '279 3fa7220297e16bfd 1cc7f5115c1c899c',
 }
 
 
