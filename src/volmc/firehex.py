@@ -1,26 +1,33 @@
-"""Brush-fire wall tracing on hexahedral meshes.
+"""Brush-fire wall tracing: the fire engine, and its tracers on hex meshes.
 
 Fire walls start at singular edges and spread facet-by-facet through the
-mesh along straight continuations. A wall field is a dict from each tagged
-facet to the distance at which the fire reached it (integers here, reals on
+mesh along straight continuations (the paper's Alg. 1 on hex meshes, Alg. 2
+on parametrizations). A wall field is a dict from each tagged facet to the
+distance at which the fire reached it (integers on hex meshes, reals on
 parametrizations); every boundary facet is tagged at distance 0. Its facets
 form the walls of the decomposition.
 
-One engine, ``_burn``, runs the fire fronts; its three callers differ only
-in whether a front stops where it would cross terrain that is already burnt
-and in the order the sources are lit:
+One engine, ``_burn``, runs the fire fronts of both mesh kinds. A mesh kind
+supplies its continuations as a ``spread`` generator; a parametrization,
+whose tets are split while the fire runs, also supplies a ``resolve`` hook
+that maps a queue entry made stale by a split onto its live pieces (see
+``fireparam``). The five tracers differ only in whether a front stops where
+it would cross terrain that is already burnt and in the order the sources
+are lit:
 
-- ``trace_hex``: all sources at once, fronts stop at burnt terrain (the
-  motorcycle complex);
+- ``trace_hex`` and ``fireparam.trace_param``: all sources at once, fronts
+  stop at burnt terrain (the motorcycle complex);
 - ``trace_hex_sparse``: sources one at a time, each fire run to completion,
   sources that are not ``necessary()`` at their turn skipped;
-- ``trace_hex_base``: all sources at once, fronts never stop (the
-  conforming base complex).
+- ``trace_hex_base`` and ``fireparam.trace_param_base``: all sources at
+  once, fronts never stop (the conforming base complex).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import random
 
 
@@ -55,50 +62,68 @@ def _tag_boundary(mesh, field, d=0):
             field.setdefault(f, d)
 
 
-def _burn(mesh, field, sources, stop_at_burnt):
-    """Run fire fronts from ``sources`` ((edge, facet) pairs) into ``field``,
-    a dict facet -> distance.
+def _burn(mesh, field, sources, stop_at_burnt, spread=None, resolve=None):
+    """Run fire fronts from ``sources`` into ``field``, a dict facet ->
+    distance; the one fire engine of both mesh kinds.
 
-    Entries are popped smallest distance first, FIFO among equal distances.
-    Spreading pushes the straight continuation across every regular interior
-    edge of a freshly tagged facet. With ``stop_at_burnt`` an entry whose
-    edge is no longer alive() is dropped.
+    A source or queue entry is ``(order, distance, edge, facet, data)``.
+    Entries are popped by order, then smallest distance, then FIFO; hex
+    entries all have order 0 and data None. A popped entry tags its facet
+    unless the facet is tagged already or, with ``stop_at_burnt``, its edge
+    is no longer alive(). ``spread(e, f, d, data)`` then yields the entries
+    that continue the freshly tagged facet ``f`` (by default the straight
+    continuations across every regular interior edge of a hex mesh facet).
+    On a mesh that splits cells while the fire runs, ``resolve(e, f)``
+    returns the live ``(edge, facet)`` pieces of an entry that a split made
+    stale, which are queued in its place, or None for a live entry.
     """
-    heap = []
-    seq = 0
-    for e, f in sources:
-        heapq.heappush(heap, (0, seq, e, f))
-        seq += 1
+    if spread is None:
+        spread = functools.partial(_spread_hex, mesh, field)
+    heap, seq = [], itertools.count()
+    for order, d, e, f, data in sources:
+        heapq.heappush(heap, (order, d, next(seq), e, f, data))
     while heap:
-        d, _, e, f = heapq.heappop(heap)
+        order, d, _, e, f, data = heapq.heappop(heap)
+        if resolve is not None and (pieces := resolve(e, f)) is not None:
+            for e2, f2 in pieces:
+                heapq.heappush(heap, (order, d, next(seq), e2, f2, data))
+            continue
         if f in field or (stop_at_burnt and not alive(mesh, field, e)):
             continue
         field[f] = d
-        for e2 in field_spread_edges(mesh, f, e):
-            f2 = mesh.opp_facet(e2, f)
-            if f2 is not None and f2 not in field:
-                heapq.heappush(heap, (d + 1, seq, e2, f2))
-                seq += 1
+        for order2, d2, e2, f2, data2 in spread(e, f, d, data):
+            heapq.heappush(heap, (order2, d2, next(seq), e2, f2, data2))
+
+
+def _spread_hex(mesh, field, e, f, d, _data):
+    """Straight continuations of hex facet ``f`` across its regular interior
+    edges other than ``e``, into facets not tagged yet."""
+    for e2 in field_spread_edges(mesh, f, e):
+        f2 = mesh.opp_facet(e2, f)
+        if f2 is not None and f2 not in field:
+            yield 0, d + 1, e2, f2, None
+
+
+def _trace_hex(mesh, seed, stop_at_burnt) -> dict:
+    """Simultaneous brush fire from every ignition source; boundary facets
+    are tagged at the end."""
+    field = {}
+    _burn(mesh, field, [(0, 0, e, f, None) for e, f in ignition_sources(mesh, seed)],
+          stop_at_burnt)
+    _tag_boundary(mesh, field)
+    return field
 
 
 def trace_hex(mesh, seed=None) -> dict:
     """Simultaneous brush fire from every ignition source; fronts stop at
     burnt terrain. Boundary facets are tagged at the end."""
-    field = {}
-    _burn(mesh, field, ignition_sources(mesh, seed), stop_at_burnt=True)
-    _tag_boundary(mesh, field)
-    return field
+    return _trace_hex(mesh, seed, stop_at_burnt=True)
 
 
 def field_spread_edges(mesh, f, e):
     """Regular interior edges of facet ``f`` other than ``e``."""
-    out = []
-    for e2 in mesh.facet_edges[f]:
-        if e2 == e or mesh.edge_boundary[e2]:
-            continue
-        if not mesh.singular(e2):
-            out.append(e2)
-    return out
+    return [e2 for e2 in mesh.facet_edges[f]
+            if e2 != e and not mesh.edge_boundary[e2] and not mesh.singular(e2)]
 
 
 def necessary(mesh, field, e, f) -> bool:
@@ -132,7 +157,7 @@ def trace_hex_sparse(mesh, seed=None) -> dict:
     for e, f in ignition_sources(mesh, seed):
         if f in field or not necessary(mesh, field, e, f):
             continue
-        _burn(mesh, field, [(e, f)], stop_at_burnt=True)
+        _burn(mesh, field, [(0, 0, e, f, None)], stop_at_burnt=True)
     _tag_boundary(mesh, field)
     return field
 
@@ -141,7 +166,4 @@ def trace_hex_base(mesh, seed=None) -> dict:
     """Base-complex tagging: fronts spread across every regular interior
     edge without ever stopping at burnt terrain, so walls extend until the
     boundary or singularities. The result is conforming (no T-joints)."""
-    field = {}
-    _burn(mesh, field, ignition_sources(mesh, seed), stop_at_burnt=False)
-    _tag_boundary(mesh, field)
-    return field
+    return _trace_hex(mesh, seed, stop_at_burnt=False)

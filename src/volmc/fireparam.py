@@ -3,20 +3,32 @@
 Walls live on parametric iso-surfaces that generally cross tets, so the
 mesh is refined on the fly: whenever the fire needs to pass through a tet
 whose facets do not line up with the active iso-plane, the opposite edge is
-split at the plane crossing. A binary split forest keeps stale queue
-entries and ignition sources resolvable without rewriting the queue.
+split at the plane crossing. The fronts run on the hex tracers' engine,
+``firehex._burn``: ``_spread`` is this mesh kind's continuation rule, and a
+binary split forest lets ``_resolve`` map queue entries and ignition sources
+that a split made stale onto their live pieces, without rewriting the
+queue. Queue entries carry the front's direction and the chart it is
+expressed in, and edges interior to original tets go before edges on
+original facets.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
 import random
 
 import numpy as np
 
 from .errors import MeshError
-from .firehex import _tag_boundary, alive
+from .firehex import _burn, _tag_boundary
 from .tetparam import ISO_TOL, ParamTetMesh
+
+
+def _live(live, children, x):
+    """Live descendants of element ``x`` in a split forest, in split order."""
+    if live[x]:
+        return [x]
+    return [y for c in children.get(x, ()) for y in _live(live, children, c)]
 
 
 class SplitForest:
@@ -35,30 +47,16 @@ class SplitForest:
             for v in pm.facet_keys[f]:
                 self.vert_facets[v].add(f)
 
-    def edge_in_original_facet(self, pm, e) -> bool:
-        a, b = pm.edge_keys[e]
-        return bool(self.vert_facets[a] & self.vert_facets[b])
-
     def root_tet(self, t) -> int:
         while t in self.tet_parent:
             t = self.tet_parent[t]
         return t
 
-    def live_facets(self, pm, f):
-        if pm.facet_live[f]:
-            return [f]
-        out = []
-        for c in self.facet_children.get(f, ()):
-            out.extend(self.live_facets(pm, c))
-        return out
-
-    def live_edges(self, pm, e):
-        if pm.edge_live[e]:
-            return [e]
-        out = []
-        for c in self.edge_children.get(e, ()):
-            out.extend(self.live_edges(pm, c))
-        return out
+    def order(self, pm, e) -> int:
+        """Queue order of a front crossing edge ``e``: 1 if the edge lies in
+        an original mesh facet, else 0 (inside an original tet)."""
+        a, b = pm.edge_keys[e]
+        return int(bool(self.vert_facets[a] & self.vert_facets[b]))
 
     def live_sources(self, pm, e, t):
         """(live sub-edge of ``e``, live descendant of tet ``t`` holding it)
@@ -71,7 +69,7 @@ class SplitForest:
             if pm.tets[t] is None:
                 stack.extend(reversed(self.tet_children[t]))
                 continue
-            for el in self.live_edges(pm, e):
+            for el in _live(pm.edge_live, self.edge_children, e):
                 if t in pm.edge_cells[el]:  # a tet holds at most one piece of a line
                     yield el, t
                     break
@@ -218,79 +216,61 @@ def ignition_sources_param(pm, seed=None):
     return sources
 
 
-def _spread(pm, forest, field, heap, seq, e, f, d, n, t_ref):
-    """Push continuations of freshly tagged facet ``f`` across its regular
-    interior edges. Splits triggered along the way may re-anchor ``f``, so
-    the chart carrying ``n`` is refreshed before every use."""
+def _spread(pm, forest, field, e, f, d, data):
+    """Continuations of freshly tagged facet ``f`` across its regular
+    interior edges, as queue entries. Splits triggered along the way may
+    re-anchor ``f``, so the chart carrying the direction is refreshed before
+    every use."""
+    n, chart = data
     for e2 in list(pm.facet_edges[f]):
         if e2 == e or pm.edge_boundary[e2] or pm.singular(e2):
             continue
-        chart = pm.anchor(f)
-        n_cur = _entry_direction(pm, forest, f, n, t_ref)
-        t_ref = chart
-        n = n_cur
-        inc = ext(pm, e, e2, n_cur, chart)
+        n, chart = _entry_direction(pm, forest, f, n, chart)
+        inc = ext(pm, e, e2, n, chart)
         targets = set()
         while True:
-            again = False
             for t in sorted(pm.edge_cells[e2]):
                 before = pm.n_cells
-                f2 = split_opp(pm, e2, t, f, forest)
+                targets.add(split_opp(pm, e2, t, f, forest))
                 if pm.n_cells != before:
-                    again = True
-                    if f2 is not None:
-                        targets.add(f2)
-                    break
-                if f2 is not None:
-                    targets.add(f2)
-            if not again:
+                    break  # the split replaced tets of e2: scan them afresh
+            else:
                 break
-        chart = pm.anchor(f)
-        n_cur = _entry_direction(pm, forest, f, n, t_ref)
-        t_ref = chart
-        n = n_cur
+        targets.discard(None)
+        n, chart = _entry_direction(pm, forest, f, n, chart)
         for f2 in sorted(targets):
             if f2 in field or pm.facet_boundary[f2]:
                 continue
             tr = pm.fan_transition(e2, chart, pm.anchor(f2))
-            n2 = np.asarray(tr.apply_vector(n_cur), float)
-            prio = 1 if forest.edge_in_original_facet(pm, e2) else 0
-            heapq.heappush(
-                heap, (prio, d + inc, seq[0], e2, f2, tuple(n2), pm.anchor(f2))
-            )
-            seq[0] += 1
+            n2 = np.asarray(tr.apply_vector(n), float)
+            yield forest.order(pm, e2), d + inc, e2, f2, (tuple(n2), pm.anchor(f2))
 
 
-def _resolve(pm, forest, heap, seq, entry):
-    """Lazy queue repair: map a stale entry onto the live sub-facets that
-    still carry a sub-edge of its edge. Returns a live (e, f) pair or None
-    after re-pushing split-off children."""
-    prio, d, _, e, f, n, t_ref = entry
+def _resolve(pm, forest, e, f):
+    """The live pieces of a queue entry that a split made stale: each live
+    sub-edge of ``e`` on each live sub-facet of ``f``, as (edge, facet)
+    pairs. None when the entry is live."""
     if pm.facet_live[f] and pm.edge_live[e]:
-        return e, f
-    live_e = forest.live_edges(pm, e)
-    pushed = False
-    for fl in forest.live_facets(pm, f):
-        for el in live_e:
-            if el in pm.facet_edges[fl]:
-                heapq.heappush(heap, (prio, d, seq[0], el, fl, n, t_ref))
-                seq[0] += 1
-                pushed = True
-    if not pushed and not pm.facet_live[f]:
+        return None
+    live_e = _live(pm.edge_live, forest.edge_children, e)
+    pieces = [(el, fl) for fl in _live(pm.facet_live, forest.facet_children, f)
+              for el in live_e if el in pm.facet_edges[fl]]
+    if not pieces and not pm.facet_live[f]:
         raise MeshError(f"stale queue entry for facet {f} has no live descendant")
-    return None
+    return pieces
 
 
 def _entry_direction(pm, forest, f, n, t_ref):
-    """Re-express a queued direction vector in the current anchor chart of
-    ``f``. Sub-tets inherit their ancestor's chart verbatim, so only a
-    change of side across ``f`` needs a transition."""
+    """A queued direction vector ``n`` in chart ``t_ref``, re-expressed in
+    the current anchor chart of ``f``; returns it with that chart. Sub-tets
+    inherit their ancestor's chart verbatim, so only a change of side across
+    ``f`` needs a transition."""
     anchor = pm.anchor(f)
     if forest.root_tet(anchor) == forest.root_tet(t_ref):
-        return np.asarray(n, float)
+        return np.asarray(n, float), anchor
     other = next(t for t in pm.facet_cells[f] if t != anchor)
     tr = pm.cell_gluing(other, f, anchor)
-    return np.asarray(tr.apply_vector(n), float)
+    return np.asarray(tr.apply_vector(n), float), anchor
 
 
 def trace_param(pm: ParamTetMesh, seed=None):
@@ -300,50 +280,33 @@ def trace_param(pm: ParamTetMesh, seed=None):
     entries are ordered primarily so that edges interior to original tets
     take precedence over edges on original facets, secondarily by distance.
     """
-    work = pm.compact()[0]
-    field = _trace(work, seed, use_alive=True)
-    return _finish(work, field)
+    return _trace(pm, seed, stop_at_burnt=True)
 
 
 def trace_param_base(pm: ParamTetMesh, seed=None):
     """Conforming variant: fronts never stop at burnt terrain, so walls run
     from singularities all the way to the boundary."""
+    return _trace(pm, seed, stop_at_burnt=False)
+
+
+def _trace(pm, seed, stop_at_burnt):
     work = pm.compact()[0]
-    field = _trace(work, seed, use_alive=False)
-    return _finish(work, field)
-
-
-def _finish(work, field):
+    forest = SplitForest(work)
+    field = {}
+    _burn(work, field, _sources(work, forest, seed), stop_at_burnt,
+          functools.partial(_spread, work, forest, field),
+          functools.partial(_resolve, work, forest))
+    _tag_boundary(work, field, 0.0)
     refined, fmap = work.compact()
     return refined, {fmap[f]: d for f, d in field.items()}
 
 
-def _trace(pm, seed, use_alive):
-    forest = SplitForest(pm)
-    field = {}
-    heap = []
-    seq = [0]
+def _sources(pm, forest, seed):
+    """Queue entries of the ignition sources: each source is lit in the live
+    descendants of its tet, splitting at its iso-plane where needed."""
     for source in ignition_sources_param(pm, seed):
         for e, t in forest.live_sources(pm, *source):
             f = split_iso(pm, e, t, forest)
-            if f is None or pm.facet_boundary[f]:
-                continue
-            n = _ignition_direction(pm, e, f)
-            prio = 1 if forest.edge_in_original_facet(pm, e) else 0
-            heapq.heappush(heap, (prio, 0.0, seq[0], e, f, tuple(n), pm.anchor(f)))
-            seq[0] += 1
-    while heap:
-        entry = heapq.heappop(heap)
-        res = _resolve(pm, forest, heap, seq, entry)
-        if res is None:
-            continue
-        e, f = res
-        _, d, _, _, _, n, t_ref = entry
-        if f in field:
-            continue
-        if use_alive and not alive(pm, field, e):
-            continue
-        field[f] = d
-        _spread(pm, forest, field, heap, seq, e, f, d, n, t_ref)
-    _tag_boundary(pm, field, 0.0)
-    return field
+            if f is not None and not pm.facet_boundary[f]:
+                n = _ignition_direction(pm, e, f)
+                yield forest.order(pm, e), 0.0, e, f, (tuple(n), pm.anchor(f))
