@@ -298,6 +298,9 @@ def _trace(pm, seed, stop_at_burnt):
           functools.partial(_resolve, work, forest))
     _tag_boundary(work, field, 0.0)
     refined, fmap = work.compact()
+    for f in field:
+        if f not in fmap:  # tags are not carried over to the pieces of a split facet
+            raise MeshError(f"tagged facet {f} was split after the fire reached it")
     return refined, {fmap[f]: d for f, d in field.items()}
 
 

@@ -227,6 +227,8 @@ class ParamTetMesh(CellMesh):
     def _edge_quarters(self, e) -> int:
         """Total parametric dihedral angle at ``e`` as a whole number of 90° turns."""
         total = sum(self.dihedral_quarters(t, e) for t in self.edge_cells[e])  # in tet-id order
+        if np.isnan(total):
+            raise NotSeamlessError(f"edge {e} angle sum is NaN: a tet at the edge is degenerate")
         k = int(round(total))
         if abs(total - k) > 1e-6 * max(1.0, total):
             raise NotSeamlessError(

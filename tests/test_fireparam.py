@@ -9,6 +9,7 @@ from volmc.cellcomplex import (
     reduce_complex,
     split_tori,
 )
+from volmc.errors import MeshError, NotSeamlessError
 from volmc.firehex import trace_hex
 from volmc.fireparam import split_opp, trace_param, trace_param_base
 from volmc.sanitize import add_noise, sanitize
@@ -99,6 +100,26 @@ def test_sanitized_pie_lights_sources_on_live_tets(meshes, name, blocks):
     assert work.n_cells > pm.n_cells  # the trace split tets
     assert len(mc.blocks) == _hex_counts(hm)[0] == blocks
     assert sorted(c for b in mc.blocks for c in b.cells) == list(range(work.n_cells))
+
+
+def _sanitized_notch(n, noise_seed):
+    return sanitize(add_noise(hex_to_param(synth.notched_box_mesh(n)), eps=1e-8, seed=noise_seed))
+
+
+def test_split_of_a_tagged_facet_is_a_named_error():
+    """On notch2 with noise seed 0 a split kills a facet that the fire
+    tagged earlier. Tags are not carried over to its pieces, so the trace
+    fails, with a MeshError that names the facet."""
+    with pytest.raises(MeshError, match=r"^tagged facet \d+ was split after the fire reached it$"):
+        trace_param(_sanitized_notch(2, 0), seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nan_angle_sum_is_a_named_error():
+    """On notch3 with noise seed 1 a split leaves a sliver tet whose
+    dihedral angles are NaN; the edge's singularity test names the edge."""
+    with pytest.raises(NotSeamlessError, match=r"^edge \d+ angle sum is NaN"):
+        trace_param(_sanitized_notch(3, 1), seed=0)
 
 
 def test_param_base_complex_matches_hex(meshes):
