@@ -66,8 +66,8 @@ def _burn(mesh, field, sources, stop_at_burnt, spread=None, resolve=None):
     """Run fire fronts from ``sources`` into ``field``, a dict facet ->
     distance; the one fire engine of both mesh kinds.
 
-    A source or queue entry is ``(order, distance, edge, facet, data)``.
-    Entries are popped by order, then smallest distance, then FIFO; hex
+    A source or queue entry is ``(order, distance, edge, facet, data)``;
+    every source is queued before the first pop. Entries are popped by order, then smallest distance, then FIFO; hex
     entries all have order 0 and data None. A popped entry tags its facet
     unless the facet is tagged already or, with ``stop_at_burnt``, its edge
     is no longer alive(). ``spread(e, f, d, data)`` then yields the entries
