@@ -67,15 +67,15 @@ def _burn(mesh, field, sources, stop_at_burnt, spread=None, resolve=None):
     distance; the one fire engine of both mesh kinds.
 
     A source or queue entry is ``(order, distance, edge, facet, data)``;
-    every source is queued before the first pop. Entries are popped by order, then smallest distance, then FIFO; hex
-    entries all have order 0 and data None. A popped entry tags its facet
-    unless the facet is tagged already or, with ``stop_at_burnt``, its edge
-    is no longer alive(). ``spread(e, f, d, data)`` then yields the entries
-    that continue the freshly tagged facet ``f`` (by default the straight
-    continuations across every regular interior edge of a hex mesh facet).
-    On a mesh that splits cells while the fire runs, ``resolve(e, f)``
-    returns the live ``(edge, facet)`` pieces of an entry that a split made
-    stale, which are queued in its place, or None for a live entry.
+    all sources are queued before the first pop. Entries are popped by
+    order, then distance, then FIFO; hex entries have order 0 and data None.
+    A popped entry tags its facet unless the facet is tagged already or,
+    with ``stop_at_burnt``, its edge is no longer alive(). Then
+    ``spread(e, f, d, data)`` yields the entries continuing the new facet
+    (by default the straight continuations across the regular interior
+    edges of a hex facet). On a mesh that splits cells while the fire runs,
+    ``resolve(e, f)`` returns the live ``(edge, facet)`` pieces of an entry
+    that a split made stale, queued in its place, or None for a live entry.
     """
     if spread is None:
         spread = functools.partial(_spread_hex, mesh, field)
