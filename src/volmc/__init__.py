@@ -9,6 +9,7 @@ from .cellcomplex import (
     extract_complex,
     grid_check_block,
     is_cuboid,
+    motorcycle_complex,
     reduce_complex,
     removable_walls,
     split_tori,
@@ -26,6 +27,7 @@ from .hexmesh import HexMesh
 from .meshio import (
     export_walls,
     read_hex_mesh,
+    read_mesh,
     read_param,
     write_hex_mesh,
     write_param,
@@ -59,7 +61,9 @@ __all__ = [
     "grid_check_block",
     "hex_to_param",
     "is_cuboid",
+    "motorcycle_complex",
     "read_hex_mesh",
+    "read_mesh",
     "read_param",
     "reduce_complex",
     "removable_walls",

@@ -517,14 +517,14 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
             )
         arc = mc.arcs[min(arcs)]
         v = min(arc.vertices)
-        arc_edges_at_v = [e for e in arc.edges if v in mesh.edge_vertices[e]]
+        arc_edges_at_v = [e for e in arc.edges if v in mesh.edge_keys[e]]
         field = mc.field
         seeds = []
         for c in mesh.vertex_cells[v]:
             if c not in block.cells:
                 continue
             for f in mesh.cell_facets[c]:
-                if f in field or v not in mesh.facet_vertices(f):
+                if f in field or v not in mesh.facet_keys[f]:
                     continue
                 if any(e in mesh.facet_edges[f] for e in arc_edges_at_v):
                     continue
@@ -718,7 +718,7 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     return red
 
 
-# -- tracer dispatch and base complex ----------------------------------------
+# -- tracer dispatch and the two complexes -----------------------------------
 
 
 def _trace(mesh, seed=None, base=False):
@@ -731,9 +731,14 @@ def _trace(mesh, seed=None, base=False):
     return (trace_param_base if base else trace_param)(mesh, seed)
 
 
+def motorcycle_complex(mesh, seed=None) -> MotorcycleComplex:
+    """The torus-split motorcycle complex of a hex mesh or parametrization."""
+    return split_tori(extract_complex(*_trace(mesh, seed)))
+
+
 def base_complex(mesh, seed=None) -> MotorcycleComplex:
-    """Conforming decomposition where walls never stop at other walls."""
-    return extract_complex(*_trace(mesh, seed, base=True))
+    """The torus-split conforming complex: its walls never stop at others."""
+    return split_tori(extract_complex(*_trace(mesh, seed, base=True)))
 
 
 # -- grid-block oracle (hex pipeline) ----------------------------------------

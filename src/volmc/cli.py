@@ -15,16 +15,9 @@ import sys
 import click
 
 from . import statsrun
-from .cellcomplex import (
-    _trace,
-    base_complex,
-    check_grid_blocks,
-    extract_complex,
-    reduce_complex,
-    split_tori,
-)
+from .cellcomplex import base_complex, check_grid_blocks, motorcycle_complex, reduce_complex
 from .errors import VolmcError
-from .meshio import export_walls, read_hex_mesh, read_param, write_hex_mesh, write_param
+from .meshio import export_walls, read_hex_mesh, read_mesh, read_param, write_hex_mesh, write_param
 from .quantize import build_ip, solve_quantization, extract_hexmesh
 from .sanitize import sanitize as sanitize_param
 from .sanitize import verify_seamless
@@ -43,18 +36,14 @@ def _common(fn):
 
 
 def _format(fn):
+    """``--format``, passed on as None for auto."""
     return click.option("--format", "fmt", type=click.Choice(["auto", "mesh", "vtk"]),
-                        default="auto", show_default=True, help="Input mesh format.")(fn)
-
-
-def _load(path, fmt):
-    if path.endswith(".param"):
-        return read_param(path)
-    return read_hex_mesh(path, fmt=None if fmt == "auto" else fmt)
+                        default="auto", show_default=True, help="Input mesh format.",
+                        callback=lambda ctx, param, fmt: None if fmt == "auto" else fmt)(fn)
 
 
 def _build(mesh, seed, reduce_mode):
-    mc = split_tori(extract_complex(*_trace(mesh, seed)))
+    mc = motorcycle_complex(mesh, seed)
     raw_blocks = len(mc.blocks)
     if reduce_mode != "none":
         mc = reduce_complex(mc, mode=reduce_mode)
@@ -86,8 +75,7 @@ def main(log_level):
               help="Write walls of the complex as OBJ.")
 def mc_hex(input, seed, reduce_mode, fmt, output):
     """Motorcycle complex of a hexahedral mesh."""
-    mesh = read_hex_mesh(input, fmt=None if fmt == "auto" else fmt)
-    mc, raw_blocks = _build(mesh, seed, reduce_mode)
+    mc, raw_blocks = _build(read_hex_mesh(input, fmt), seed, reduce_mode)
     check_grid_blocks(mc)
     _summary(mc, raw_blocks)
     if output:
@@ -136,8 +124,7 @@ def quantize_cmd(input, seed, reduce_mode, fmt, scale, output, report):
     """Quantize arc lengths and extract a conforming hex mesh."""
     if input.endswith(".param"):
         raise click.ClickException("quantize takes a hex mesh (.mesh/.vtk), not a parametrization")
-    mesh = read_hex_mesh(input, fmt=None if fmt == "auto" else fmt)
-    mc, _ = _build(mesh, seed, reduce_mode)
+    mc, _ = _build(read_hex_mesh(input, fmt), seed, reduce_mode)
     qp = build_ip(mc, scale)
     ell = solve_quantization(qp)
     out = extract_hexmesh(mc, ell)
@@ -159,8 +146,7 @@ def quantize_cmd(input, seed, reduce_mode, fmt, scale, output, report):
               help="Write walls of the base complex as OBJ.")
 def base_complex_cmd(input, seed, fmt, output):
     """Conforming base complex of a hex mesh or parametrization."""
-    mesh = _load(input, fmt)
-    bc = split_tori(base_complex(mesh, seed=seed))
+    bc = base_complex(read_mesh(input, fmt), seed=seed)
     click.echo(f"blocks={len(bc.blocks)} walls={len(bc.walls)} arcs={len(bc.arcs)}")
     if output:
         export_walls(bc, output)
@@ -198,8 +184,7 @@ def stats_cmd(corpus, seed, output, cache, jobs, timings):
               help="Per-block translation factor for exploded views.")
 def export_cmd(input, seed, reduce_mode, fmt, output, explode):
     """Export the walls of the complex as OBJ for visualization."""
-    mesh = _load(input, fmt)
-    mc, _ = _build(mesh, seed, reduce_mode)
+    mc, _ = _build(read_mesh(input, fmt), seed, reduce_mode)
     export_walls(mc, output, explode=explode)
     click.echo(f"walls written to {output}")
 

@@ -138,12 +138,11 @@ def _try_split(pm, forest, e, t, axes_values):
             key = tuple(sorted((va, vb, v)))
             return pm.facet_id[key]
     for f in sorted(f for f in pm.cell_facets[t] if e in pm.facet_edges[f]):
-        plane = pm.facet_plane(f, t)
+        plane = pm.iso_plane(f, t)
         if plane is None:
             continue
-        ax = int(np.argmax(np.abs(plane[0])))
         for cand_ax, val in axes_values:
-            if cand_ax == ax and abs(plane[1] - val) <= ISO_TOL:
+            if cand_ax == plane[0] and abs(plane[1] - val) <= ISO_TOL:
                 return f
     return None
 
@@ -162,10 +161,10 @@ def split_opp(pm, e, t, f, forest=None):
     """As split_iso, restricted to the iso-plane of reference facet ``f``
     (transitions accounted) and excluding ``f`` itself."""
     anchor = pm.anchor(f)
-    plane = pm.facet_plane(f)
+    plane = pm.iso_plane(f, anchor)
     if plane is None:
         raise MeshError(f"reference facet {f} is not an iso-facet")
-    ax, sign, value = pm.transport_plane((int(np.argmax(plane[0])), 1, plane[1]),
+    ax, sign, value = pm.transport_plane((plane[0], 1, plane[1]),
                                          pm.fan_transition(e, anchor, t))
     out = _try_split(pm, forest, e, t, [(ax, sign * value)])
     return None if out == f else out
@@ -188,13 +187,12 @@ def _ignition_direction(pm, e, f):
     """Axis-aligned unit vector orthogonal to ``e``, inside iso-facet ``f``,
     pointing from the edge toward the facet's third vertex (anchor chart)."""
     t = pm.anchor(f)
-    plane = pm.facet_plane(f, t)
+    n_ax = pm.iso_plane(f, t)[0]
     va, vb = pm.edge_keys[e]
     x = next(u for u in pm.facet_keys[f] if u not in (va, vb))
     pa = pm.corner_param(t, va)
     d = pm.corner_param(t, vb) - pa
     e_ax = int(np.argmax(np.abs(d)))
-    n_ax = int(np.argmax(np.abs(plane[0])))
     ax = next(a for a in range(3) if a not in (e_ax, n_ax))
     sign = float(pm.corner_param(t, x)[ax] - pa[ax])
     if abs(sign) <= ISO_TOL:

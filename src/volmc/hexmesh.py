@@ -55,6 +55,9 @@ _CORNERS = tuple(map(tuple, HEX_CORNER_COORDS.tolist()))
 _NORMALS = tuple(map(tuple, HEX_FACE_NORMALS.tolist()))
 
 
+_REFLECTION = "facet {f} glues hex {h} to hex {h2} by a reflection: one of them is mirrored"
+
+
 @functools.cache
 def _solve_gluing(s0, s1, s2, r0, r1, r2, fh, fh2):
     """The ``face_gluing`` table: the exact transition for corner slots
@@ -73,8 +76,8 @@ def _solve_gluing(s0, s1, s2, r0, r1, r2, fh, fh2):
         return "degenerate facet {f} corner configuration"
     m = [[det * sum(c[i][k] * adj[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     rot = _INDEX.get(tuple(x for row in m for x in row))
-    if rot is None:  # a reflection
-        return "facet {f} glues hex {h} to hex {h2} by a reflection: one of them is mirrored"
+    if rot is None:
+        return _REFLECTION
     t = tuple(q0[i] - sum(m[i][j] * p0[j] for j in range(3)) for i in range(3))
     return Transition(rot, t)
 
@@ -288,15 +291,8 @@ class CellMesh:
     def n_edges(self):
         return len(self.edge_keys)
 
-    @property
-    def edge_vertices(self):
-        return self.edge_keys
-
     def live_cells(self):
         return [c for c, cell in enumerate(self._cells) if cell is not None]
-
-    def facet_vertices(self, f):
-        return self.facet_keys[f]
 
     def cell_vertices(self, c):
         return list(self._cells[c])
@@ -390,7 +386,8 @@ class CellMesh:
 
 class HexMesh(CellMesh):
     """Immutable hexahedral mesh; every edge fan is built, and so checked to
-    be manifold, at construction."""
+    be manifold, and every hex checked to be no mirror image of its
+    neighbours, at construction."""
 
     kind = "hex"
     FACES = HEX_FACES
@@ -405,6 +402,22 @@ class HexMesh(CellMesh):
         super().__init__(self.hexes.tolist())
         for e in range(self.n_edges):
             self.edge_fan(e)
+        self._check_mirrors()
+
+    def _check_mirrors(self):
+        """Raise MeshError at the lowest interior facet whose two face cycles
+        run the same way: a reflection glues its hexes. With the fans built,
+        the two are one cycle, compared by its lowest vertex's successor."""
+        cycles = self.hexes[:, HEX_FACES].reshape(-1, 4)
+        succ = cycles[np.arange(len(cycles)), (np.argmin(cycles, axis=1) + 1) % 4]
+        fid = np.array(self.cell_facets, np.int64).ravel()
+        order = np.argsort(fid, kind="stable")
+        a, b = order[:-1], order[1:]
+        bad = np.flatnonzero((fid[a] == fid[b]) & (succ[a] == succ[b]))
+        if len(bad):
+            f = int(fid[a[bad[0]]])
+            h, h2 = self.facet_cells[f]
+            raise MeshError(_REFLECTION.format(f=f, h=h, h2=h2))
 
     def edge_param_length(self, e) -> float:
         return 1.0

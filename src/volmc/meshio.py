@@ -255,6 +255,14 @@ def read_param(path) -> ParamTetMesh:
     return ParamTetMesh(positions, tets, params)
 
 
+def read_mesh(path, fmt=None) -> HexMesh | ParamTetMesh:
+    """Read a parametrized tet mesh from a ``.param`` file, and a hex mesh
+    (``read_hex_mesh`` with ``fmt``) from any other."""
+    if str(path).endswith(".param"):
+        return read_param(path)
+    return read_hex_mesh(path, fmt)
+
+
 def write_param(pm: ParamTetMesh, path):
     with open(path, "w") as fh:
         fh.write(f"{len(pm.positions)} {len(pm.tets)}\n")

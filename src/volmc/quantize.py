@@ -198,7 +198,7 @@ class _WallGrid:
             # even when the arc's two endpoints coincide.
             e0 = arc.edges[0]
             p, q = segs[aid][e0]
-            a, b = self.mc.mesh.edge_vertices[e0]
+            a, b = self.mc.mesh.edge_keys[e0]
             start = p if arc.vertices[0] == a else q
             rest = q if arc.vertices[0] == a else p
             fwd = start[axis] <= rest[axis]

@@ -16,16 +16,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
-from .cellcomplex import (
-    _trace,
-    base_complex,
-    extract_complex,
-    is_cuboid,
-    reduce_complex,
-    split_tori,
-)
+from .cellcomplex import (_trace, base_complex, extract_complex, is_cuboid, reduce_complex,
+                          split_tori)
 from .errors import VolmcError
-from .meshio import read_hex_mesh, read_param
+from .meshio import read_mesh
 
 COLUMNS = [
     "model", "tets", "hexes", "BC", "BC-", "raw", "MC+", "MC",
@@ -40,12 +34,8 @@ def model_stats(path, seed=0) -> dict:
     """Pipeline statistics for one model file (hex mesh or tet param)."""
     row = {c: "" for c in COLUMNS}
     row["model"] = os.path.splitext(os.path.basename(path))[0]
-    if path.endswith(".param"):
-        mesh = read_param(path)
-        row["tets"] = len(mesh.tets)
-    else:
-        mesh = read_hex_mesh(path)
-        row["hexes"] = len(mesh.hexes)
+    mesh = read_mesh(path)
+    row["hexes" if mesh.kind == "hex" else "tets"] = mesh.n_cells
     t0 = time.perf_counter()
     mesh, field = _trace(mesh, seed)
     t1 = time.perf_counter()
@@ -57,7 +47,7 @@ def model_stats(path, seed=0) -> dict:
     plus = reduce_complex(mc, mode="regular")
     full = reduce_complex(mc, mode="full")
     t3 = time.perf_counter()
-    bc = split_tori(base_complex(mesh, seed=seed))
+    bc = base_complex(mesh, seed=seed)
     bcr = reduce_complex(bc, mode="full")
     row["BC"] = len(bc.blocks)
     row["BC-"] = len(bcr.blocks)

@@ -248,7 +248,7 @@ class ParamTetMesh(CellMesh):
         """The tet whose chart facet ``f`` adopts."""
         return self.facet_cells[f][0]
 
-    def _iso_plane(self, f, t):
+    def iso_plane(self, f, t):
         """(axis, value) of iso-facet ``f`` in the chart of tet ``t``; None
         if the facet is not iso."""
         axis = int(self._charts.iso[t, self.cell_facets[t].index(f)])
@@ -256,18 +256,8 @@ class ParamTetMesh(CellMesh):
             return None
         return axis, float(self.corner_param(t, self.facet_keys[f][0])[axis])
 
-    def facet_plane(self, f, t=None):
-        """(axis vector, value) of iso-facet ``f`` in the chart of tet ``t``
-        (default: the facet's anchor); None if the facet is not iso."""
-        plane = self._iso_plane(f, self.anchor(f) if t is None else t)
-        if plane is None:
-            return None
-        n = np.zeros(3)
-        n[plane[0]] = 1.0
-        return n, plane[1]
-
     def iso_facet(self, f) -> bool:
-        return self.facet_plane(f) is not None
+        return self.iso_plane(f, self.anchor(f)) is not None
 
     @staticmethod
     def transport_plane(plane, tr: Transition):
@@ -304,7 +294,7 @@ class ParamTetMesh(CellMesh):
         ``e`` of a placed facet ``f``, carried through the fan transition
         into ``f``'s layout chart. Raises MeshError for a seed that is not
         an iso-facet and for a corner carried off the seed's iso-plane."""
-        plane = self._iso_plane(seed, self.anchor(seed))
+        plane = self.iso_plane(seed, self.anchor(seed))
         if plane is None:
             raise MeshError(f"tagged facet {seed} is not an iso-facet")
         n_ax, value = plane
@@ -340,7 +330,7 @@ class ParamTetMesh(CellMesh):
             t = fan.cell(i + side)
             if t is None:
                 return None
-            plane = self._iso_plane(f, t)
+            plane = self.iso_plane(f, t)
             if plane is None:
                 return None
             axis, sign, value = plane[0], 1, plane[1]  # sign * x[axis] = value in the chart of t
@@ -350,7 +340,7 @@ class ParamTetMesh(CellMesh):
                 g = fan.facet(j)
                 if g is None or g == f:
                     return None
-                cand = self._iso_plane(g, t)
+                cand = self.iso_plane(g, t)
                 if cand is not None and cand[0] == axis and abs(cand[1] - sign * value) <= ISO_TOL:
                     return g
                 t2 = fan.cell(j + side)

@@ -18,13 +18,13 @@ from volmc.cellcomplex import (
     check_grid_blocks,
     extract_complex,
     is_cuboid,
+    motorcycle_complex,
     reduce_complex,
     removable_walls,
     split_tori,
 )
 from volmc.cli import main as cli_main
 from volmc.firehex import trace_hex, trace_hex_sparse
-from volmc.fireparam import trace_param
 from volmc.meshio import write_hex_mesh, write_param
 from volmc.quantize import build_ip, extract_hexmesh, solve_quantization
 from volmc.sanitize import add_noise, sanitize, verify_seamless
@@ -75,7 +75,7 @@ def test_criterion_02_subcomplex_of_base(meshes, complexes):
     with criterion(2, "MC wall facets subset of base complex wall facets"):
         for name in FIXTURES:
             full = reduce_complex(complexes[name], mode="full")
-            bc = split_tori(base_complex(meshes[name], seed=0))
+            bc = base_complex(meshes[name], seed=0)
             assert full.wall_facet_set() <= bc.wall_facet_set(), name
 
 
@@ -86,7 +86,7 @@ def test_criterion_03_ordering_relations(meshes, complexes):
             n_raw = len(red["raw"].blocks)
             n_plus = len(red["regular"].blocks)
             n_full = len(red["full"].blocks)
-            n_bc = len(split_tori(base_complex(hm, seed=0)).blocks)
+            n_bc = len(base_complex(hm, seed=0).blocks)
             assert n_full <= n_plus <= n_raw
             assert n_full <= n_bc
 
@@ -95,8 +95,7 @@ def test_criterion_03_ordering_relations(meshes, complexes):
         for i in range(100):
             hm = synth.random_glued_cubes(i, n_cells=10 + (i * 7) % 120)
             assert len(hm.hexes) <= 500
-            mc = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
-            check(hm, mc)
+            check(hm, motorcycle_complex(hm, seed=0))
 
 
 def test_criterion_04_cross_pipeline(meshes, complexes):
@@ -104,11 +103,11 @@ def test_criterion_04_cross_pipeline(meshes, complexes):
         for name in FIXTURES:
             hm = meshes[name]
             pm = hex_to_param(hm)
-            bc_hex = split_tori(base_complex(hm, seed=0))
-            bc_par = split_tori(base_complex(pm, seed=0))
+            bc_hex = base_complex(hm, seed=0)
+            bc_par = base_complex(pm, seed=0)
             assert len(bc_hex.blocks) == len(bc_par.blocks), name
-            work, field = trace_param(pm, seed=0)
-            mc_par = split_tori(extract_complex(work, field))
+            mc_par = motorcycle_complex(pm, seed=0)
+            work = mc_par.mesh
             # both decompositions are valid partitions with subcomplex walls
             seen = []
             for b in mc_par.blocks:
@@ -218,7 +217,7 @@ def test_criterion_08_quantization(meshes, complexes):
             assert seed < 2000, "could not generate 50 small complexes"
             hm = synth.random_glued_cubes(seed, n_cells=2 + seed % 8)
             seed += 1
-            mc = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
+            mc = motorcycle_complex(hm, seed=0)
             try:
                 red = _quantizable(mc)
             except AssertionError:
@@ -236,7 +235,7 @@ def test_criterion_08_quantization(meshes, complexes):
         for name in FIXTURES:
             red = _quantizable(complexes[name])
             hx = extract_hexmesh(red, solve_quantization(build_ip(red, 1.0)))
-            mc2 = split_tori(extract_complex(hx, trace_hex(hx, seed=0)))
+            mc2 = motorcycle_complex(hx, seed=0)
             check_grid_blocks(mc2)
         # s-sweep on the largest fixture
         largest = max(FIXTURES, key=lambda n: len(meshes[n].hexes))

@@ -107,16 +107,17 @@ def test_quantize_is_byte_identical_across_processes(files, tmp_path):
     assert "objective=2.76" in outputs[0][0]
 
 
-@pytest.mark.parametrize("cmd", [["mc-hex"], ["quantize", "--output", "q.mesh"]],
-                         ids=["mc-hex", "quantize"])
+@pytest.mark.parametrize("cmd", [["mc-hex"], ["quantize", "--output", "q.mesh"], ["base-complex"],
+                                 ["export", "--output", "walls.obj"]],
+                         ids=["mc-hex", "quantize", "base-complex", "export"])
 def test_mirrored_hex_fails_with_a_message(mirrored_box, tmp_path, cmd):
-    write_hex_mesh(mirrored_box, str(tmp_path / "mirrored.mesh"))
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     res = subprocess.run([sys.executable, "-m", "volmc.cli", cmd[0], "mirrored.mesh", *cmd[1:]],
                          capture_output=True, text=True, env=env, cwd=tmp_path)
     assert res.returncode == 1 and res.stdout == ""
     assert "by a reflection: one of them is mirrored" in res.stderr
-    assert "Traceback" not in res.stderr and not (tmp_path / "q.mesh").exists()
+    assert "Traceback" not in res.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["mirrored.mesh"]
 
 
 

@@ -15,13 +15,14 @@ from volmc.cellcomplex import (
     extract_complex,
     grid_check_block,
     is_cuboid,
+    motorcycle_complex,
     reduce_complex,
     removable_walls,
     split_tori,
 )
 from volmc.errors import IntegrityError
-from volmc.firehex import trace_hex
-from volmc.fireparam import trace_param
+from volmc.firehex import trace_hex, trace_hex_base
+from volmc.fireparam import trace_param, trace_param_base
 from volmc.hexmesh import HexMesh
 from volmc.tetparam import hex_to_param
 
@@ -189,16 +190,54 @@ def test_regular_reduction_preserves_singular_walls(complexes):
 def test_base_complex_counts(meshes):
     expected = {"box": 1, "pie3": 3, "pie5": 5, "notch": 7, "torus": 1, "composite": 9}
     for name, hm in meshes.items():
-        bc = split_tori(base_complex(hm, seed=0))
+        bc = base_complex(hm, seed=0)
         assert len(bc.blocks) == expected[name], name
         check_grid_blocks(bc)
 
 
+def _composed(mesh, base):
+    """The complex built step by step: trace, extract, split_tori."""
+    if mesh.kind == "hex":
+        traced = mesh, (trace_hex_base if base else trace_hex)(mesh, seed=0)
+    else:
+        traced = (trace_param_base if base else trace_param)(mesh, seed=0)
+    return split_tori(extract_complex(*traced))
+
+
+def _wall_sets(mc):
+    return sorted(sorted(w.facets) for w in mc.walls)
+
+
+def test_entry_points_equal_their_composition(meshes):
+    """``motorcycle_complex`` and ``base_complex`` give the blocks and walls
+    of their steps, on the fixtures and 5 blobs, hex and ``hex_to_param``."""
+    hms = list(meshes.values()) + [synth.random_glued_cubes(seed, 40) for seed in range(5)]
+    for i, hm in enumerate(hms):
+        for mesh in (hm, hex_to_param(hm)):
+            for entry, base in ((motorcycle_complex, False), (base_complex, True)):
+                mc, ref = entry(mesh, seed=0), _composed(mesh, base)
+                assert len(mc.blocks) == len(ref.blocks), (i, mesh.kind, base)
+                assert _wall_sets(mc) == _wall_sets(ref), (i, mesh.kind, base)
+
+
+def test_base_complex_is_torus_split(meshes):
+    """The torus's base complex has cuboid blocks only, though its field
+    leaves a toroidal block, and ``split_tori`` returns every base complex
+    itself."""
+    torus = meshes["torus"]
+    raw = extract_complex(torus, trace_hex_base(torus, seed=0))
+    assert [is_cuboid(raw, b.id) for b in raw.blocks] == [False]
+    bc = base_complex(torus, seed=0)
+    assert [is_cuboid(bc, b.id) for b in bc.blocks] == [True] * len(bc.blocks)
+    for hm in meshes.values():
+        bc = base_complex(hm, seed=0)
+        assert split_tori(bc) is bc
+
+
 def test_mc_subcomplex_of_base(meshes):
     for name, hm in meshes.items():
-        mc = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
-        full = reduce_complex(mc, mode="full")
-        bc = split_tori(base_complex(hm, seed=0))
+        full = reduce_complex(motorcycle_complex(hm, seed=0), mode="full")
+        bc = base_complex(hm, seed=0)
         assert full.wall_facet_set() <= bc.wall_facet_set(), name
 
 
@@ -216,13 +255,13 @@ def test_wall_sides_are_balanced(complexes):
 @pytest.mark.parametrize("seed", range(8))
 def test_random_blobs_grid_and_ordering(seed):
     hm = synth.random_glued_cubes(seed, n_cells=40)
-    mc = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
+    mc = motorcycle_complex(hm, seed=0)
     check_grid_blocks(mc)
     plus = reduce_complex(mc, mode="regular")
     full = reduce_complex(mc, mode="full")
     check_grid_blocks(plus)
     check_grid_blocks(full)
-    bc = split_tori(base_complex(hm, seed=0))
+    bc = base_complex(hm, seed=0)
     assert len(full.blocks) <= len(plus.blocks) <= len(mc.blocks)
     assert len(full.blocks) <= len(bc.blocks)
 
@@ -246,12 +285,12 @@ def test_arcs_are_linked_on_first_read(monkeypatch, caplog):
     caplog.set_level(logging.INFO, logger="volmc.cellcomplex")
     calls = _counted_link_arcs(monkeypatch)
     hm = synth.random_glued_cubes(3, n_cells=120)
-    raw = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
+    raw = motorcycle_complex(hm, seed=0)
     plus = reduce_complex(raw, mode="regular")
     full = reduce_complex(raw, mode="full")
     assert plus is not raw and full is not raw  # both reductions build a complex
     check_grid_blocks(full)
-    split_tori(base_complex(hm, seed=0))
+    base_complex(hm, seed=0)
     assert calls[0] == 0
     full.arcs, full.nodes, full.walls[0].sides
     assert calls[0] == 1
@@ -283,11 +322,11 @@ def test_wall_facts_are_derived_on_first_read(monkeypatch):
     of arcs derives each remaining wall of that complex once."""
     derived = _recorded_derivations(monkeypatch)
     hm = synth.random_glued_cubes(3, n_cells=120)
-    raw = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
+    raw = motorcycle_complex(hm, seed=0)
     plus = reduce_complex(raw, mode="regular")
     full = reduce_complex(raw, mode="full")
     check_grid_blocks(full)
-    bc = split_tori(base_complex(hm, seed=0))
+    bc = base_complex(hm, seed=0)
     ids = {id(g) for g in derived}
     assert len(ids) == len(derived)  # none twice
     assert all(id(w._geom) in ids for w in raw.walls if not w.boundary)
@@ -314,15 +353,13 @@ def test_complexes_form_no_reference_cycles(build):
     gc.disable()
     try:
         mesh = build()
-        work, field = (mesh, trace_hex(mesh, seed=0)) if mesh.kind == "hex" \
-            else trace_param(mesh, seed=0)
-        raw = split_tori(extract_complex(work, field))
+        raw = motorcycle_complex(mesh, seed=0)
         full = reduce_complex(raw, mode="full")
-        bc = split_tori(base_complex(mesh, seed=0))
+        bc = base_complex(mesh, seed=0)
         full.arcs, full.walls[0].sides
         bc.walls[0].slit, bc.walls[0].dims  # derives that wall's facts
-        refs = [weakref.ref(x) for x in (raw, full, bc, mesh, work)]
-        del mesh, work, field, raw, full, bc
+        refs = [weakref.ref(x) for x in (raw, full, bc, mesh, raw.mesh)]
+        del mesh, raw, full, bc
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         if enabled:

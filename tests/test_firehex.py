@@ -1,7 +1,13 @@
 import pytest
 
 from volmc import synth
-from volmc.cellcomplex import extract_complex, split_tori, validate_field
+from volmc.cellcomplex import (
+    base_complex,
+    extract_complex,
+    motorcycle_complex,
+    split_tori,
+    validate_field,
+)
 from volmc.errors import IntegrityError
 from volmc.firehex import (
     alive,
@@ -61,7 +67,7 @@ def test_determinism_same_seed(meshes):
 def test_sparse_subset_of_standard(meshes):
     """Sparse ignition never tags more than the standard trace does blocks-wise."""
     for name, hm in meshes.items():
-        raw = len(split_tori(extract_complex(hm, trace_hex(hm, seed=0))).blocks)
+        raw = len(motorcycle_complex(hm, seed=0).blocks)
         sparse = len(
             split_tori(extract_complex(hm, trace_hex_sparse(hm, seed=0))).blocks
         )
@@ -78,7 +84,7 @@ def test_base_walls_superset(meshes):
 def test_base_complex_conforming(meshes):
     """Base complex arcs never terminate against wall interiors (no T-arcs)."""
     for name, hm in meshes.items():
-        bc = split_tori(extract_complex(hm, trace_hex_base(hm, seed=0)))
+        bc = base_complex(hm, seed=0)
         assert not any(a.tarc for a in bc.arcs), name
 
 

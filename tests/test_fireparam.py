@@ -4,8 +4,8 @@ import pytest
 from volmc import synth
 from volmc.cellcomplex import (
     base_complex,
-    check_grid_blocks,
     extract_complex,
+    motorcycle_complex,
     reduce_complex,
     split_tori,
 )
@@ -16,20 +16,8 @@ from volmc.sanitize import add_noise, sanitize
 from volmc.tetparam import ParamTetMesh, hex_to_param
 
 
-def _hex_counts(hm):
-    from volmc.firehex import trace_hex
-
-    mc = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
-    return (
-        len(mc.blocks),
-        len(reduce_complex(mc, mode="regular").blocks),
-        len(reduce_complex(mc, mode="full").blocks),
-    )
-
-
-def _param_counts(pm):
-    work, field = trace_param(pm, seed=0)
-    mc = split_tori(extract_complex(work, field))
+def _counts(mesh):
+    mc = motorcycle_complex(mesh, seed=0)
     return (
         len(mc.blocks),
         len(reduce_complex(mc, mode="regular").blocks),
@@ -40,7 +28,7 @@ def _param_counts(pm):
 @pytest.mark.parametrize("name", ["box", "pie3", "pie5", "torus"])
 def test_param_matches_hex_pipeline(meshes, name):
     hm = meshes[name]
-    assert _param_counts(hex_to_param(hm)) == _hex_counts(hm)
+    assert _counts(hex_to_param(hm)) == _counts(hm)
 
 
 def _layouts(mc):
@@ -79,12 +67,11 @@ def test_wall_layouts_match_across_mesh_kinds(meshes):
 
 def test_param_blocks_partition_tets(meshes):
     hm = meshes["pie3"]
-    work, field = trace_param(hex_to_param(hm), seed=0)
-    mc = split_tori(extract_complex(work, field))
+    mc = motorcycle_complex(hex_to_param(hm), seed=0)
     seen = []
     for b in mc.blocks:
         seen.extend(b.cells)
-    assert sorted(seen) == list(range(work.n_cells))
+    assert sorted(seen) == list(range(mc.mesh.n_cells))
 
 
 @pytest.mark.parametrize("name, blocks", [("pie3", 3), ("pie5", 5)])
@@ -95,11 +82,10 @@ def test_sanitized_pie_lights_sources_on_live_tets(meshes, name, blocks):
     pipeline's blocks."""
     hm = meshes[name]
     pm = sanitize(add_noise(hex_to_param(hm), seed=0))
-    work, field = trace_param(pm, seed=0)
-    mc = split_tori(extract_complex(work, field))
-    assert work.n_cells > pm.n_cells  # the trace split tets
-    assert len(mc.blocks) == _hex_counts(hm)[0] == blocks
-    assert sorted(c for b in mc.blocks for c in b.cells) == list(range(work.n_cells))
+    mc = motorcycle_complex(pm, seed=0)
+    assert mc.mesh.n_cells > pm.n_cells  # the trace split tets
+    assert len(mc.blocks) == _counts(hm)[0] == blocks
+    assert sorted(c for b in mc.blocks for c in b.cells) == list(range(mc.mesh.n_cells))
 
 
 def _sanitized_notch(n, noise_seed):
@@ -125,8 +111,8 @@ def test_nan_angle_sum_is_a_named_error():
 def test_param_base_complex_matches_hex(meshes):
     for name in ("box", "pie3", "notch"):
         hm = meshes[name]
-        bc_hex = split_tori(base_complex(hm, seed=0))
-        bc_par = split_tori(base_complex(hex_to_param(hm), seed=0))
+        bc_hex = base_complex(hm, seed=0)
+        bc_par = base_complex(hex_to_param(hm), seed=0)
         assert len(bc_hex.blocks) == len(bc_par.blocks), name
 
 
@@ -166,6 +152,5 @@ def test_split_opp_follows_a_plane_through_an_axis_flip():
     n_cells = pm.n_cells
     g = split_opp(pm, e, t, f)
     assert g is not None and g != f and on_side(g)
-    n, value = pm.facet_plane(g, t)
-    assert tuple(n) == (1, 0, 0) and value == 0.4
+    assert pm.iso_plane(g, t) == (0, 0.4)
     assert pm.n_cells == n_cells  # the plane runs along the facet, so nothing was split

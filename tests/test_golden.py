@@ -20,7 +20,13 @@ from click.testing import CliRunner
 from conftest import FIXTURE_BUILDERS as FIXTURES
 
 from volmc import synth
-from volmc.cellcomplex import base_complex, extract_complex, reduce_complex, split_tori
+from volmc.cellcomplex import (
+    base_complex,
+    extract_complex,
+    motorcycle_complex,
+    reduce_complex,
+    split_tori,
+)
 from volmc.cli import main as cli_main
 from volmc.firehex import trace_hex, trace_hex_base, trace_hex_sparse
 from volmc.fireparam import trace_param, trace_param_base
@@ -73,7 +79,7 @@ def _hex_digests(hm):
     fields = [trace_hex(hm, seed=0), trace_hex_sparse(hm, seed=0), trace_hex_base(hm, seed=0)]
     raw = split_tori(extract_complex(hm, fields[0]))
     sparse = split_tori(extract_complex(hm, fields[1]))
-    bc = split_tori(base_complex(hm, seed=0))
+    bc = base_complex(hm, seed=0)
     mcs = [raw, reduce_complex(raw, mode="regular"), reduce_complex(raw, mode="full"), sparse, bc]
     return f"{_complexes(*mcs)} {_sha(*map(_field, fields))}"
 
@@ -86,7 +92,7 @@ def _param_digest(pm):
 def _quantize_digest(hm):
     """Arc lengths and the extracted hex mesh at two scales of the fullest
     reduction without slit or annulus walls."""
-    mc = split_tori(extract_complex(hm, trace_hex(hm)))
+    mc = motorcycle_complex(hm)
     for mode in ("full", "regular"):
         red = reduce_complex(mc, mode=mode)
         if not any(w.slit or w.annulus for w in red.walls):

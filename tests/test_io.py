@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from volmc import synth
-from volmc.cellcomplex import extract_complex, split_tori
 from volmc.errors import MeshError, ParseError, VolmcError
-from volmc.firehex import trace_hex
 from volmc.meshio import (
     export_walls,
     read_hex_mesh,
+    read_mesh,
     read_param,
     write_hex_mesh,
     write_param,
@@ -93,6 +92,22 @@ def test_param_hand_written_single_tet(tmp_path):
     pm = read_param(str(path))
     assert len(pm.tets) == 1
     assert np.array_equal(pm.params[0], np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float))
+
+
+def test_read_mesh_reads_every_format(tmp_path):
+    """``read_mesh`` reads .mesh and .vtk files as hex meshes and .param
+    files as parametrizations; ``fmt`` names the hex format of any other."""
+    hm = synth.pie_mesh(3)
+    pm = hex_to_param(hm)
+    for name in ("m.mesh", "m.vtk"):
+        write_hex_mesh(hm, str(tmp_path / name))
+        back = read_mesh(str(tmp_path / name))
+        assert back.kind == "hex" and np.array_equal(back.hexes, hm.hexes), name
+    write_param(pm, str(tmp_path / "m.param"))
+    back = read_mesh(tmp_path / "m.param")
+    assert back.kind == "tet" and back.tets == pm.tets
+    (tmp_path / "m.txt").write_bytes((tmp_path / "m.vtk").read_bytes())
+    assert np.array_equal(read_mesh(str(tmp_path / "m.txt"), "vtk").hexes, hm.hexes)
 
 
 def test_param_truncated_file_rejected(tmp_path):

@@ -13,15 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volmc import synth
-from volmc.cellcomplex import (
-    check_grid_blocks,
-    extract_complex,
-    reduce_complex,
-    split_tori,
-)
+from volmc.cellcomplex import check_grid_blocks, motorcycle_complex, reduce_complex
 from volmc.errors import IntegrityError, MeshError
-from volmc.firehex import trace_hex
-from volmc.fireparam import trace_param
 from volmc.quantize import (
     QuantizationProblem,
     build_ip,
@@ -85,8 +78,7 @@ def small_random_problems(count=12, max_arcs=12):
     seed = 0
     while len(out) < count and seed < 400:
         hm = synth.random_glued_cubes(seed, n_cells=2 + seed % 7)
-        mc = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
-        red = _quantizable(mc)
+        red = _quantizable(motorcycle_complex(hm, seed=0))
         seed += 1
         if red is not None and len(red.arcs) <= max_arcs:
             out.append(red)
@@ -146,7 +138,7 @@ def test_objective_matches_recorded_search(name, complexes):
     if name.startswith("blob"):
         k = int(name.split()[1])
         hm = synth.random_glued_cubes(k, 10 + 4 * k)
-        mc = split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
+        mc = motorcycle_complex(hm, seed=0)
     else:
         mc = complexes[name]
     red = _quantizable(mc)
@@ -183,7 +175,7 @@ def test_blob_quantization_finishes(n, mode, s):
     """Blobs on which the recursive search overflowed the stack (400 hexes)
     or ran for minutes (60 and 120 hexes at scales that are not whole)."""
     hm = synth.random_glued_cubes(3, n)
-    red = reduce_complex(split_tori(extract_complex(hm, trace_hex(hm, seed=0))), mode=mode)
+    red = reduce_complex(motorcycle_complex(hm, seed=0), mode=mode)
     qp = build_ip(red, s)
     sol = solve_quantization(qp)
     for row in qp.rows:
@@ -198,7 +190,7 @@ def test_whole_scale_on_hex_complex_imports_no_solver():
 import sys, volmc
 from volmc import synth
 hm = synth.pie_mesh(3)
-mc = volmc.split_tori(volmc.extract_complex(hm, volmc.trace_hex(hm, seed=0)))
+mc = volmc.motorcycle_complex(hm, seed=0)
 red = volmc.reduce_complex(mc, "full")
 volmc.extract_hexmesh(red, volmc.solve_quantization(volmc.build_ip(red, 2.0)))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -238,8 +230,7 @@ def test_extracted_mesh_passes_grid_oracle_recursively(complexes):
         red = _quantizable(complexes[name])
         sol = solve_quantization(build_ip(red, 1.0))
         hx = extract_hexmesh(red, sol)
-        mc2 = split_tori(extract_complex(hx, trace_hex(hx, seed=0)))
-        check_grid_blocks(mc2)
+        check_grid_blocks(motorcycle_complex(hx, seed=0))
 
 
 def test_hex_count_scales_with_s(complexes):
@@ -314,7 +305,6 @@ def test_point_location_matches_brute_force(complexes):
 
 
 def test_tet_complex_rejected_up_front():
-    work, field = trace_param(hex_to_param(synth.pie_mesh(3)), seed=0)
-    mc = reduce_complex(split_tori(extract_complex(work, field)), mode="full")
+    mc = reduce_complex(motorcycle_complex(hex_to_param(synth.pie_mesh(3)), seed=0), mode="full")
     with pytest.raises(MeshError, match="hex mesh"):
         extract_hexmesh(mc, {a.id: 1 for a in mc.arcs})

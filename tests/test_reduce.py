@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volmc import synth
-from volmc.cellcomplex import extract_complex, reduce_complex, removable_walls, split_tori
+from volmc.cellcomplex import (
+    extract_complex,
+    motorcycle_complex,
+    reduce_complex,
+    removable_walls,
+    split_tori,
+)
 from volmc.fireparam import trace_param
 from volmc.firehex import trace_hex
 from volmc.tetparam import hex_to_param
@@ -79,14 +85,10 @@ def _check(mc, mode):
     return merges
 
 
-def _hex_complex(hm):
-    return split_tori(extract_complex(hm, trace_hex(hm, seed=0)))
-
-
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 10**6), st.integers(10, 120))
 def test_random_blobs_match_reference(seed, n):
-    mc = _hex_complex(synth.random_glued_cubes(seed, n))
+    mc = motorcycle_complex(synth.random_glued_cubes(seed, n), seed=0)
     for mode in MODES:
         _check(mc, mode)
 
@@ -94,7 +96,7 @@ def test_random_blobs_match_reference(seed, n):
 @pytest.mark.parametrize("name", ["box", "pie3", "notch"])
 def test_param_fixtures_match_reference(meshes, name):
     pm = hex_to_param(meshes[name])
-    mc = split_tori(extract_complex(*trace_param(pm, seed=0)))
+    mc = motorcycle_complex(pm, seed=0)
     assert mc.mesh.kind != "hex"
     for mode in MODES:
         _check(mc, mode)
@@ -136,7 +138,7 @@ def test_read_order_does_not_change_wall_facts(name):
 def test_t_junction_merge_covered():
     """Removing the stem of a T-junction leaves the two walls of its bar
     straight across the edge, and they become one wall."""
-    mc = _hex_complex(synth.random_glued_cubes(3, 120))
+    mc = motorcycle_complex(synth.random_glued_cubes(3, 120), seed=0)
     assert sum(_check(mc, mode) for mode in MODES) > 0
 
 

@@ -111,7 +111,7 @@ def test_singular_edges_match_hex(meshes):
         for e in hm.singular_edges():
             if hm.edge_boundary[e]:
                 continue
-            a, b = hm.edge_vertices[e]
+            a, b = hm.edge_keys[e]
             hex_mids.add(tuple(np.round((hm.positions[a] + hm.positions[b]) / 2, 9)))
         par_mids = set()
         for e in pm.singular_edges():
@@ -189,7 +189,7 @@ def test_split_edge_updates_chart_tables_like_a_fresh_mesh():
             assert abs(pm.cell_corner_octants(t, v) - fresh.cell_corner_octants(t2, v)) <= ANGLE_TOL
         for f in pm.cell_facets[t]:
             f2 = fresh.facet_id[pm.facet_keys[f]]
-            assert _plane_bytes(pm.facet_plane(f, t)) == _plane_bytes(fresh.facet_plane(f2, t2))
+            assert _plane_bytes(pm.iso_plane(f, t)) == _plane_bytes(fresh.iso_plane(f2, t2))
     for f in range(pm.n_facets):
         if len(pm.facet_cells[f]) == 2:
             f2 = fresh.facet_id[pm.facet_keys[f]]
@@ -266,9 +266,7 @@ def ref_plane(pm, f, t):
     for axis in range(3):
         col = pts[:, axis]
         if col.max() - col.min() <= ISO_TOL:
-            n = np.zeros(3)
-            n[axis] = 1.0
-            return n, float(col[0])
+            return axis, float(col[0])
     return None
 
 
@@ -289,7 +287,7 @@ def _outcome(fn, *args):
 
 
 def _plane_bytes(plane):
-    return None if plane is None else (plane[0].tobytes(), np.float64(plane[1]).tobytes())
+    return None if plane is None else (plane[0], np.float64(plane[1]).tobytes())
 
 
 def _transition_bytes(tr):
@@ -299,7 +297,7 @@ def _transition_bytes(tr):
 def _check_tables(pm):
     for t in pm.live_cells():
         for f in pm.cell_facets[t]:
-            assert _plane_bytes(pm.facet_plane(f, t)) == _plane_bytes(ref_plane(pm, f, t))
+            assert _plane_bytes(pm.iso_plane(f, t)) == _plane_bytes(ref_plane(pm, f, t))
         for a, b in TET_EDGES:
             e = pm.edge_id[tuple(sorted((pm.tets[t][a], pm.tets[t][b])))]
             assert abs(pm.dihedral_quarters(t, e) - ref_dihedral(pm, t, e)) <= ANGLE_TOL
@@ -362,7 +360,7 @@ def test_bad_facet_raises_only_when_queried():
     for t2 in range(bad.n_cells):
         if t2 != t:
             for f in bad.cell_facets[t2]:
-                assert _plane_bytes(bad.facet_plane(f, t2)) == _plane_bytes(pm.facet_plane(f, t2))
+                assert _plane_bytes(bad.iso_plane(f, t2)) == _plane_bytes(pm.iso_plane(f, t2))
     for e in range(bad.n_edges):
         if t not in bad.edge_cells[e]:
             assert bad._edge_quarters(e) == pm._edge_quarters(e)
@@ -387,10 +385,8 @@ def test_non_rigid_facet_raises_only_when_queried():
     pm = ParamTetMesh(pos, [(0, 2, 1, 3), (0, 1, 2, 4)], [below, above])
     f = pm.facet_id[(0, 1, 2)]
     for t in (0, 1):
-        n, value = pm.facet_plane(f, t)
-        assert n.tolist() == [0.0, 0.0, 1.0] and value == 0.0
-    n, value = pm.facet_plane(pm.facet_id[(0, 1, 3)], 0)
-    assert n.tolist() == [0.0, 1.0, 0.0] and value == 0.0
+        assert pm.iso_plane(f, t) == (2, 0.0)
+    assert pm.iso_plane(pm.facet_id[(0, 1, 3)], 0) == (1, 0.0)
     assert abs(pm.dihedral_quarters(0, pm.edge_id[(0, 1)]) - 1.0) <= ANGLE_TOL
     with pytest.raises(NotSeamlessError, match=f"chart transition across facet {f} is not rigid$"):
         pm.facet_transition(f)

@@ -24,7 +24,12 @@ traced with ``trace_hex(hm, seed=0)`` (untimed). Seven stages are timed:
   derive a wall's boundary segments, corners and sides on first read, it
   also derives them for each wall that reduction did not read (the
   boundary walls);
-- base complex: ``base_complex(hm, seed=0)``, its tracing included;
+- base complex: ``base_complex(hm, seed=0)``, its tracing included. From
+  the revision that added ``motorcycle_complex``, ``base_complex`` returns
+  its complex torus-split, so this stage (``base_complex_s``) includes
+  ``split_tori``: about 0.01 s of 0.09 s on the 1000-hex blob (median of
+  7 in-process runs). The stage rises across that revision without any
+  slower code;
 - grid oracle: ``check_grid_blocks`` of the fully reduced complex;
 - quantize at s = 1.5 and at s = 2: ``build_ip`` and ``solve_quantization``
   on the regular complex (its arcs read and ``scipy.optimize`` imported
