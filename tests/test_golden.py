@@ -38,7 +38,8 @@ from volmc.tetparam import hex_to_param
 BLOBS = [(i, 8 + (i * 5) % 28) for i in range(20)]
 QUANTIZE = ["pie3", "notch", "composite"]
 QUANTIZE_BLOBS = 6
-SANITIZE = ["pie3", "notch", "torus"]
+SANITIZE = ["box", "pie3", "pie5", "notch", "torus", "composite"]
+SANITIZE_BLOBS = 3  # random_glued_cubes(s, 8) for s < 3
 # Sanitized noisy pies: the tracer splits tets on the fly (72 -> 168 tets for
 # pie3, 120 -> 279 for pie5), which the aligned fixtures above never reach.
 SPLIT_PIES = ["pie3", "pie5"]
@@ -155,8 +156,10 @@ def compute(tmp):
         out[f"quantize {name}"] = _quantize_digest(FIXTURES[name]())
     for seed, n in BLOBS[:QUANTIZE_BLOBS]:
         out[f"quantize blob {seed}:{n}"] = _quantize_digest(synth.random_glued_cubes(seed, n))
-    for name in SANITIZE:
-        noisy = add_noise(hex_to_param(FIXTURES[name]()), eps=1e-8, seed=0)
+    sanitized = [(name, FIXTURES[name]()) for name in SANITIZE]
+    sanitized += [(f"blob {s}:8", synth.random_glued_cubes(s, 8)) for s in range(SANITIZE_BLOBS)]
+    for name, hm in sanitized:
+        noisy = add_noise(hex_to_param(hm), eps=1e-8, seed=0)
         out[f"sanitize {name}"] = _param_digest(sanitize(noisy))
     out.update(_cli_digests(tmp))
     return out
@@ -216,8 +219,14 @@ GOLDEN = {
     'quantize composite': 'regular 643fbc3d0ff1ae65',
     'quantize notch': 'full a85be9584142538d',
     'quantize pie3': 'full 3e91c0aaf456b0ed',
+    'sanitize blob 0:8': 'd808bd7f37fa2b09',
+    'sanitize blob 1:8': '624fda904b068083',
+    'sanitize blob 2:8': '8027f9e5cddd8b83',
+    'sanitize box': '84ca316959cab4e4',
+    'sanitize composite': '8dd6f8a8004991d1',
     'sanitize notch': 'd79d65603697dbbf',
     'sanitize pie3': 'f325ac5811660d18',
+    'sanitize pie5': '9d9496cd927d5b99',
     'sanitize torus': '184534510cee7c98',
     'split trace_param pie3': '168 e19ba65496a1a17c 681ba4ab1572462d',
     'split trace_param pie5': '279 3fa7220297e16bfd 1cc7f5115c1c899c',
