@@ -7,7 +7,6 @@ from .cellcomplex import (
     base_complex,
     check_grid_blocks,
     extract_complex,
-    grid_check_block,
     is_cuboid,
     motorcycle_complex,
     reduce_complex,
@@ -58,7 +57,6 @@ __all__ = [
     "export_walls",
     "extract_complex",
     "extract_hexmesh",
-    "grid_check_block",
     "hex_to_param",
     "is_cuboid",
     "motorcycle_complex",

@@ -792,12 +792,6 @@ def grid_block_coords(mesh, field, cells):
     return dims, {c: shift.compose(t) for c, t in trans.items()}
 
 
-def grid_check_block(mesh, field, cells) -> tuple:
-    """Grid oracle: dimensions of the block's full l x m x n box, or an
-    IntegrityError when the cells do not form one."""
-    return grid_block_coords(mesh, field, cells)[0]
-
-
 def check_grid_blocks(mc: MotorcycleComplex):
     """Run the grid oracle on every block; returns the list of dimensions."""
-    return [grid_check_block(mc.mesh, mc.field, b.cells) for b in mc.blocks]
+    return [grid_block_coords(mc.mesh, mc.field, b.cells)[0] for b in mc.blocks]

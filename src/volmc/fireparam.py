@@ -104,8 +104,7 @@ def _split_at(pm, forest, edge, t, axis, value):
     lam = (value - ca) / (cb - ca)
     dead = list(pm.edge_facets[edge])
     v, replaced = pm.split_edge(edge, lam)
-    if forest is not None:
-        forest.record_split(pm, edge, v, dead, replaced)
+    forest.record_split(pm, edge, v, dead, replaced)
     return v
 
 
@@ -147,7 +146,7 @@ def _try_split(pm, forest, e, t, axes_values):
     return None
 
 
-def split_iso(pm, e, t, forest=None):
+def split_iso(pm, e, t, forest):
     """If an iso-plane through edge ``e`` crosses the opposite edge of tet
     ``t`` strictly, split there and return the new iso-facet; otherwise
     return an existing iso-facet of ``t`` at ``e``, or None."""
@@ -157,7 +156,7 @@ def split_iso(pm, e, t, forest=None):
     return _try_split(pm, forest, e, t, [(ax, float(pa[ax])) for ax in axes])
 
 
-def split_opp(pm, e, t, f, forest=None):
+def split_opp(pm, e, t, f, forest):
     """As split_iso, restricted to the iso-plane of reference facet ``f``
     (transitions accounted) and excluding ``f`` itself."""
     anchor = pm.anchor(f)

@@ -49,6 +49,9 @@ for _i, _a in enumerate(ROTATIONS):
         COMPOSE[_i, _j] = _INDEX[tuple((_a @ _b).ravel().tolist())]
     INVERSE[_i] = _INDEX[tuple(_a.T.ravel().tolist())]
 
+# fit_rotation's largest accepted residual, relative to the data scale.
+FIT_REL_TOL = 1e-6
+
 _ROT_FLOAT = np.array(ROTATIONS, dtype=float)
 # Row j of rotation r takes coordinate _PERM[r, j] with sign _SIGN[r, j].
 _PERM, _SIGN = np.abs(_ROT_FLOAT).argmax(-1), _ROT_FLOAT.sum(-1)
@@ -69,11 +72,11 @@ def apply_rotation(rot: int, vec):
     return np.array([a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z])
 
 
-def fit_rotation(vecs_from, vecs_to, rel_tol: float = 1e-6):
+def fit_rotation(vecs_from, vecs_to):
     """Best octahedral rotation carrying each vector in ``vecs_from`` to its partner.
 
     Returns (index, max_abs_residual) of the best fit, the lowest index on a
-    tie, or (None, residual) if no rotation matches within ``rel_tol``
+    tie, or (None, residual) if no rotation matches within ``FIT_REL_TOL``
     relative to the data scale. Stacks of (..., n, 3) pairs are fitted in
     one pass; their indices come back as an array, with -1 for no match.
     """
@@ -85,7 +88,7 @@ def fit_rotation(vecs_from, vecs_to, rel_tol: float = 1e-6):
     err = np.abs(moved - b[..., None, :]).max(axis=(-3, -1), initial=0.0)
     best, best_err = err.argmin(axis=-1), err.min(axis=-1)
     scale = np.maximum(1.0, np.abs(np.concatenate([a, b], axis=-2)).max(axis=(-2, -1), initial=0.0))
-    fits = ~(best_err > rel_tol * scale)
+    fits = ~(best_err > FIT_REL_TOL * scale)
     if a.ndim == 2:
         return (int(best) if fits else None), float(best_err)
     return np.where(fits, best, -1), best_err

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def reanchor(pm: ParamTetMesh) -> ParamTetMesh:
 
 
 class Sheet:
-    __slots__ = ("id", "kind", "facets", "rot", "axis", "side", "nodes", "base")
+    __slots__ = ("id", "kind", "facets", "rot", "axis", "side", "nodes")
 
     def __init__(self, id, kind, facets):
         self.id = id
@@ -67,18 +68,15 @@ class Sheet:
         self.facets = facets
         self.rot = None  # cut: octahedral rotation index (minus -> plus)
         self.axis = None  # align: constant coordinate
-        self.side = {}  # cut: facet -> (minus tet, plus tet)
-        self.nodes = []
-        self.base = None
+        # facet -> its tets: (minus tet, plus tet) on a cut sheet, (its tet,)
+        # on an align sheet
+        self.side = {}
+        self.nodes = []  # its node vertices, ascending; nodes[0] is its base
 
 
-class Branch:
-    __slots__ = ("id", "edges", "ends")
-
-    def __init__(self, id, edges, ends):
-        self.id = id
-        self.edges = edges
-        self.ends = ends
+class Branch(NamedTuple):
+    edges: list
+    ends: tuple
 
 
 class CutStructure:
@@ -167,9 +165,8 @@ def detect_cut_structure(pm: ParamTetMesh) -> CutStructure:
         if len(es) == 1 or len(es) > 2:
             cs.nodes.add(v)
     boundary_vertices = set()
-    for f in range(pm.n_facets):
-        if pm.facet_boundary[f]:
-            boundary_vertices.update(pm.facet_keys[f])
+    for f in align_axis:
+        boundary_vertices.update(pm.facet_keys[f])
     for e in cs.cut_edges:
         if not pm.edge_boundary[e]:
             for v in pm.edge_keys[e]:
@@ -178,8 +175,7 @@ def detect_cut_structure(pm: ParamTetMesh) -> CutStructure:
 
     _build_branches(cs, incid)
     _build_sheets(cs, align_axis)
-    _ensure_two_nodes(cs)
-    _finish_sheet_nodes(cs)
+    _sheet_nodes(cs)
     return cs
 
 
@@ -192,7 +188,7 @@ def _build_branches(cs, incid):
             loop = sorted({v for e in edges for v in pm.edge_keys[e]})
             cs.nodes.update(loop[:2])
             ends = (loop[0], loop[0])
-        cs.branches.append(Branch(len(cs.branches), edges, ends))
+        cs.branches.append(Branch(edges, ends))
     # loop branches: start and end at the same node, no interior node
     for br in cs.branches:
         if br.ends[0] == br.ends[1] and len(br.edges) > 1:
@@ -205,11 +201,11 @@ def _build_branches(cs, incid):
 
 def _build_sheets(cs, align_axis):
     pm = cs.pm
-    assigned = {}
+    assigned = set()
 
     def grow(seed, pool):
         comp = [seed]
-        assigned[seed] = True
+        assigned.add(seed)
         dq = deque([seed])
         while dq:
             f = dq.popleft()
@@ -218,33 +214,28 @@ def _build_sheets(cs, align_axis):
                     continue
                 for g in pm.edge_facets[e]:
                     if g in pool and g not in assigned:
-                        assigned[g] = True
+                        assigned.add(g)
                         comp.append(g)
                         dq.append(g)
         return sorted(comp)
 
-    for f in sorted(cs.cut_facets):
-        if f in assigned:
-            continue
-        sheet = Sheet(len(cs.sheets), "cut", grow(f, cs.cut_facets))
-        _orient_cut_sheet(cs, sheet)
-        cs.sheets.append(sheet)
-        for g in sheet.facets:
-            cs.facet_sheet[g] = sheet.id
-    boundary = {f for f in range(pm.n_facets) if pm.facet_boundary[f]}
-    for f in sorted(boundary):
-        if f in assigned:
-            continue
-        sheet = Sheet(len(cs.sheets), "align", grow(f, boundary))
-        axes = {align_axis[g] for g in sheet.facets}
-        if len(axes) != 1:
-            raise NotSeamlessError(
-                f"align sheet {sheet.id} mixes alignment axes {sorted(axes)}"
-            )
-        sheet.axis = axes.pop()
-        cs.sheets.append(sheet)
-        for g in sheet.facets:
-            cs.facet_sheet[g] = sheet.id
+    for kind, pool in (("cut", cs.cut_facets), ("align", align_axis)):
+        for f in sorted(pool):
+            if f in assigned:
+                continue
+            sheet = Sheet(len(cs.sheets), kind, grow(f, pool))
+            if kind == "cut":
+                _orient_cut_sheet(cs, sheet)
+            else:
+                axes = {align_axis[g] for g in sheet.facets}
+                if len(axes) != 1:
+                    raise NotSeamlessError(
+                        f"align sheet {sheet.id} mixes alignment axes {sorted(axes)}"
+                    )
+                sheet.axis = axes.pop()
+                sheet.side = {g: tuple(pm.facet_cells[g]) for g in sheet.facets}
+            cs.sheets.append(sheet)
+            cs.facet_sheet.update(dict.fromkeys(sheet.facets, sheet.id))
 
 
 def _orient_cut_sheet(cs, sheet):
@@ -277,28 +268,15 @@ def _orient_cut_sheet(cs, sheet):
                 dq.append(g)
 
 
-def _sheet_vertices(cs, sheet):
-    return sorted({v for f in sheet.facets for v in cs.pm.facet_keys[f]})
-
-
-def _ensure_two_nodes(cs):
-    for sheet in cs.sheets:
-        verts = _sheet_vertices(cs, sheet)
-        have = [v for v in verts if v in cs.nodes]
-        for v in verts:
-            if len(have) >= 2:
-                break
-            if v not in cs.nodes:
-                cs.nodes.add(v)
-                have.append(v)
-        if len(have) < 2:
-            raise IntegrityError(f"sheet {sheet.id} has fewer than two vertices")
-
-
-def _finish_sheet_nodes(cs):
-    for sheet in cs.sheets:
-        sheet.nodes = [v for v in _sheet_vertices(cs, sheet) if v in cs.nodes]
-        sheet.base = sheet.nodes[0]
+def _sheet_nodes(cs):
+    """Give every sheet two nodes at least, its lowest vertices that are not
+    nodes yet; then list the nodes of each sheet."""
+    verts = [sorted({v for f in s.facets for v in cs.pm.facet_keys[f]}) for s in cs.sheets]
+    for vs in verts:
+        have = sum(v in cs.nodes for v in vs)
+        cs.nodes.update([v for v in vs if v not in cs.nodes][: max(0, 2 - have)])
+    for sheet, vs in zip(cs.sheets, verts):
+        sheet.nodes = [v for v in vs if v in cs.nodes]
 
 
 # -- core system -------------------------------------------------------------
@@ -310,7 +288,6 @@ class CoreSystem:
     def __init__(self):
         self.var_index = {}  # (vertex, sector index) -> first of 3 columns
         self.rows = []  # dict: column -> integer coefficient
-        self.grid = None  # dyadic snapping grid of the free variables, set by solve_exact
 
     def var(self, key):
         if key not in self.var_index:
@@ -322,81 +299,52 @@ class CoreSystem:
         return 3 * len(self.var_index)
 
 
-def _node_side_pairs(cs, sheet, v):
-    """Distinct (minus sector, plus sector) pairs of node ``v`` across the
-    facets of a cut sheet, in facet order. A sheet may touch a node through
-    several wedges, each inducing its own pair."""
-    pm = cs.pm
-    pairs = []
+def _node_sides(cs, sheet, v):
+    """Distinct sector tuples of node ``v`` on the sides of the sheet's
+    facets at it, in facet order: (minus, plus) on a cut sheet, (sector,) on
+    an align sheet. A sheet may touch a node through several wedges, each
+    giving its own tuple."""
+    out = []
     for f in sheet.facets:
-        if v in pm.facet_keys[f]:
-            m, p = sheet.side[f]
-            pair = (cs.sector_index(v, m), cs.sector_index(v, p))
-            if pair not in pairs:
-                pairs.append(pair)
-    if not pairs:
-        raise IntegrityError(f"node {v} not on sheet {sheet.id}")
-    return pairs
+        if v in cs.pm.facet_keys[f]:
+            sides = tuple(cs.sector_index(v, t) for t in sheet.side[f])
+            if sides not in out:
+                out.append(sides)
+    return out
 
 
 def build_core_system(cs: CutStructure) -> CoreSystem:
-    """One transition equation per non-base node of each cut sheet, one
-    alignment equation per non-base node of each align sheet."""
-    pm = cs.pm
+    """Per sheet, one equation for each side tuple of its non-base nodes:
+    the sheet's transition (cut) or constant coordinate (align) read there
+    equals the one read at the base. Node sectors in no equation get
+    variables too, which the solve leaves free."""
     sys = CoreSystem()
     for sheet in cs.sheets:
-        base = sheet.base
-        if sheet.kind == "cut":
-            R = ROTATIONS[sheet.rot]
-            bm, bp = _node_side_pairs(cs, sheet, base)[0]
-            cb_m = sys.var((base, bm))
-            cb_p = sys.var((base, bp))
-            for v in sheet.nodes:
-                for vm, vp in _node_side_pairs(cs, sheet, v):
-                    cm = sys.var((v, vm))
-                    cp = sys.var((v, vp))
-                    if (cm, cp) == (cb_m, cb_p):
-                        continue
-                    for comp in range(3):
-                        row = {}
-
-                        def add(col, val):
-                            if val:
-                                row[col] = row.get(col, 0) + val
-
-                        add(cp + comp, 1)
-                        add(cb_p + comp, -1)
-                        for j in range(3):
-                            r = int(R[comp, j])
-                            add(cm + j, -r)
-                            add(cb_m + j, r)
-                        if row:
-                            sys.rows.append(row)
-        else:
-            k = sheet.axis
-            cb = sys.var((base, _align_sectors(cs, sheet, base)[0]))
-            for v in sheet.nodes:
-                for sec in _align_sectors(cs, sheet, v):
-                    c = sys.var((v, sec))
-                    if c == cb:
-                        continue
-                    sys.rows.append({c + k: 1, cb + k: -1})
+        base = sheet.nodes[0]
+        b = [sys.var((base, s)) for s in _node_sides(cs, sheet, base)[0]]
+        for v in sheet.nodes:
+            for sides in _node_sides(cs, sheet, v):
+                c = [sys.var((v, s)) for s in sides]
+                if c == b:
+                    continue
+                if sheet.kind == "align":
+                    sys.rows.append({c[0] + sheet.axis: 1, b[0] + sheet.axis: -1})
+                    continue
+                R = ROTATIONS[sheet.rot]
+                for i in range(3):  # plus(c) - plus(b) = R (minus(c) - minus(b))
+                    row = {}
+                    terms = [(c[1] + i, 1), (b[1] + i, -1)]
+                    for j in range(3):
+                        terms += [(c[0] + j, -int(R[i, j])), (b[0] + j, int(R[i, j]))]
+                    for col, val in terms:
+                        if val:
+                            row[col] = row.get(col, 0) + val
+                    if row:
+                        sys.rows.append(row)
+    for v in sorted(cs.nodes):
+        for i in range(len(cs.sectors(v))):
+            sys.var((v, i))
     return sys
-
-
-def _align_sectors(cs, sheet, v):
-    """Distinct sectors of node ``v`` holding boundary facets of an align
-    sheet, in facet order."""
-    pm = cs.pm
-    out = []
-    for f in sheet.facets:
-        if v in pm.facet_keys[f]:
-            sec = cs.sector_index(v, pm.facet_cells[f][0])
-            if sec not in out:
-                out.append(sec)
-    if not out:
-        raise IntegrityError(f"node {v} not on align sheet {sheet.id}")
-    return out
 
 
 def _rref(rows, n_cols):
@@ -450,13 +398,23 @@ def _back_substitute(reduced, pivots, vals):
     return vals
 
 
-def solve_exact(sys: CoreSystem, init) -> dict:
-    """Exact solution of the homogeneous core system near ``init``.
+def _exact_floats(values, what):
+    """Exact rationals as floats; an IntegrityError naming ``what`` if one
+    has no exact float."""
+    out = [float(x) for x in values]
+    for i, (f, x) in enumerate(zip(out, values)):
+        if Fraction(f) != x:
+            raise IntegrityError(f"{what} {i} is not exactly representable")
+    return out
+
+
+def solve_exact(sys: CoreSystem, init):
+    """Exact solution of the homogeneous core system near ``init`` (one
+    float per column), as (float per column, grid).
 
     Free variables are snapped to a dyadic grid coarse enough that every
     implied variable evaluates to an exactly representable float; all rows
-    then hold with exact floating-point equality. The grid is stored as
-    ``sys.grid``.
+    then hold with exact floating-point equality.
     """
     n = sys.n_cols
     reduced, pivots = _rref(sys.rows, n + 1)  # zero right-hand side column
@@ -464,17 +422,11 @@ def solve_exact(sys: CoreSystem, init) -> dict:
     for row in reduced:
         for x in row:
             denom = lcm(denom, x.denominator)
-    sys.grid = grid = Fraction(denom, 2 ** GRID_EXP)
+    grid = Fraction(denom, 2 ** GRID_EXP)
     pivot_set = set(pivots)
-    vals = [None if c in pivot_set else _snap(init.get(c, 0.0), grid) for c in range(n)]
+    vals = [None if c in pivot_set else _snap(init[c], grid) for c in range(n)]
     _back_substitute(reduced, pivots, vals)
-    out = {}
-    for c, x in enumerate(vals):
-        f = float(x)
-        if Fraction(f) != x:
-            raise IntegrityError(f"solution value at column {c} is not exactly representable")
-        out[c] = f
-    return out
+    return _exact_floats(vals, "column"), grid
 
 
 # -- propagation -------------------------------------------------------------
@@ -490,70 +442,53 @@ def _solve_local(rows, rhs, init, grid):
     return _back_substitute(reduced, pivots, vals)
 
 
-def propagate(cs: CutStructure, node_values, grid=None) -> ParamTetMesh:
+def propagate(cs: CutStructure, node_values, grid) -> ParamTetMesh:
     """Rebuild all parameter values from exact node-sector values.
 
     Per cut sheet the exact transition is read from the base node, per align
     sheet the exact constant coordinate. Every non-node vertex gets one
-    sector value (snapped, alignment and branch-holonomy pins imposed
-    exactly) which is propagated to its other sectors through the exact
-    sheet transitions.
+    sector value (snapped to ``grid``, alignment and branch-holonomy pins
+    imposed exactly) which is propagated to its other sectors through the
+    exact sheet transitions.
     """
     pm = cs.pm
-    if grid is None:
-        grid = Fraction(1, 2 ** GRID_EXP)
-
-    sheet_tr = {}
-    sheet_const = {}
+    exact = {}  # sheet id -> its Transition (cut) or its (axis, constant) pin (align)
     for sheet in cs.sheets:
+        base = sheet.nodes[0]
+        base_values = [node_values[(base, s)] for s in _node_sides(cs, sheet, base)[0]]
         if sheet.kind == "cut":
-            bm, bp = _node_side_pairs(cs, sheet, sheet.base)[0]
-            um = np.array(node_values[(sheet.base, bm)])
-            up = np.array(node_values[(sheet.base, bp)])
-            shift = up - ROTATIONS[sheet.rot] @ um
-            sheet_tr[sheet.id] = Transition(sheet.rot, tuple(shift))
+            shift = np.array(base_values[1]) - ROTATIONS[sheet.rot] @ np.array(base_values[0])
+            exact[sheet.id] = Transition(sheet.rot, tuple(shift))
         else:
-            bsec = _align_sectors(cs, sheet, sheet.base)[0]
-            sheet_const[sheet.id] = node_values[(sheet.base, bsec)][sheet.axis]
+            exact[sheet.id] = (sheet.axis, base_values[0][sheet.axis])
 
-    cut_at, boundary_at = {}, {}  # vertex -> its cut / boundary facets, ascending
-    for f in sorted(cs.cut_facets):
+    sheet_at = {}  # vertex -> its sheet facets, ascending
+    for f in sorted(cs.facet_sheet):
         for v in pm.facet_keys[f]:
-            cut_at.setdefault(v, []).append(f)
-    for f in range(pm.n_facets):
-        if pm.facet_boundary[f]:
-            for v in pm.facet_keys[f]:
-                boundary_at.setdefault(v, []).append(f)
+            sheet_at.setdefault(v, []).append(f)
 
-    values = {}  # (vertex, sector index) -> exact float triple
+    values = dict(node_values)  # (vertex, sector index) -> exact float triple
     for v in range(pm.n_vertices):
-        if not pm.vertex_cells[v]:
+        if not pm.vertex_cells[v] or v in cs.nodes:
             continue
         sectors = cs.sectors(v)
-        if v in cs.nodes:
-            for i in range(len(sectors)):
-                values[(v, i)] = node_values[(v, i)]
-            continue
-        # sector graph at v: adjacency through cut sheets
+        # sector graph at v: adjacency through cut sheets; pins of align sheets
         adj = [[] for _ in sectors]
-        for f in cut_at.get(v, ()):
-            sheet = cs.sheets[cs.facet_sheet[f]]
-            m, p = sheet.side[f]
-            a, b = cs.sector_index(v, m), cs.sector_index(v, p)
-            tr = sheet_tr[sheet.id]
-            adj[a].append((b, tr))
-            adj[b].append((a, tr.inverse()))
         aligns = [[] for _ in sectors]
-        boundary_facets = boundary_at.get(v, [])
-        for f in boundary_facets:
+        start = None  # the sector of v's lowest boundary facet, else 0
+        for f in sheet_at.get(v, ()):
             sheet = cs.sheets[cs.facet_sheet[f]]
-            s = cs.sector_index(v, pm.facet_cells[f][0])
-            pin = (sheet.axis, sheet_const[sheet.id])
-            if pin not in aligns[s]:
-                aligns[s].append(pin)
-        if boundary_facets:
-            start = cs.sector_index(v, pm.facet_cells[boundary_facets[0]][0])
-        else:
+            s = [cs.sector_index(v, t) for t in sheet.side[f]]
+            if sheet.kind == "cut":
+                tr = exact[sheet.id]
+                adj[s[0]].append((s[1], tr))
+                adj[s[1]].append((s[0], tr.inverse()))
+            else:
+                if start is None:
+                    start = s[0]
+                if exact[sheet.id] not in aligns[s[0]]:
+                    aligns[s[0]].append(exact[sheet.id])
+        if start is None:
             start = 0
         # spanning tree of sector transitions from the start sector
         path = {start: Transition()}
@@ -592,13 +527,7 @@ def propagate(cs: CutStructure, node_values, grid=None) -> ParamTetMesh:
                     rhs.append(Fraction(-C.t[comp]))
         t0 = sectors[start][0]
         init = [float(x) for x in pm.corner_param(t0, v)]
-        vals = _solve_local(rows, rhs, init, grid)
-        base = []
-        for x in vals:
-            f = float(x)
-            if Fraction(f) != x:
-                raise IntegrityError(f"vertex {v} value is not exactly representable")
-            base.append(f)
+        base = _exact_floats(_solve_local(rows, rhs, init, grid), f"vertex {v} component")
         for s in order:
             values[(v, s)] = tuple(
                 float(x) for x in np.asarray(path[s].apply(np.array(base)))
@@ -645,13 +574,11 @@ def verify_seamless(pm: ParamTetMesh):
 
 
 def _node_init(cs, sys: CoreSystem):
-    pm = cs.pm
-    init = {}
+    """Each column's input value: the variable's node value in its sector's
+    lowest tet."""
+    init = [0.0] * sys.n_cols
     for (v, sidx), col in sys.var_index.items():
-        t = cs.sectors(v)[sidx][0]
-        val = pm.corner_param(t, v)
-        for comp in range(3):
-            init[col + comp] = float(val[comp])
+        init[col:col + 3] = map(float, cs.pm.corner_param(cs.sectors(v)[sidx][0], v))
     return init
 
 
@@ -660,20 +587,8 @@ def sanitize(pm: ParamTetMesh) -> ParamTetMesh:
     anchored = reanchor(pm)
     cs = detect_cut_structure(anchored)
     sys = build_core_system(cs)
-    sol = solve_exact(sys, _node_init(cs, sys))
-    node_values = {}
-    for (v, sidx), col in sys.var_index.items():
-        node_values[(v, sidx)] = (sol[col], sol[col + 1], sol[col + 2])
-    # nodes may have sectors that carry no variable (unconstrained); give
-    # them snapped init values so propagation sees every node sector
-    grid = sys.grid
-    for v in sorted(cs.nodes):
-        for sidx, sec in enumerate(cs.sectors(v)):
-            if (v, sidx) not in node_values:
-                val = cs.pm.corner_param(sec[0], v)
-                node_values[(v, sidx)] = tuple(
-                    float(_snap(float(x), grid)) for x in val
-                )
+    sol, grid = solve_exact(sys, _node_init(cs, sys))
+    node_values = {key: tuple(sol[col:col + 3]) for key, col in sys.var_index.items()}
     return propagate(cs, node_values, grid)
 
 

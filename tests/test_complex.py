@@ -13,7 +13,7 @@ from volmc.cellcomplex import (
     base_complex,
     check_grid_blocks,
     extract_complex,
-    grid_check_block,
+    grid_block_coords,
     is_cuboid,
     motorcycle_complex,
     reduce_complex,
@@ -83,7 +83,7 @@ def test_grid_oracle_rejects_non_grid():
     hm = synth.box_mesh(2, 2, 1)
     field = trace_hex(hm, seed=0)
     with pytest.raises(IntegrityError):
-        grid_check_block(hm, field, [0, 1, 2])
+        grid_block_coords(hm, field, [0, 1, 2])
 
 
 def test_torus_classification():

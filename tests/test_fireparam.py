@@ -11,7 +11,7 @@ from volmc.cellcomplex import (
 )
 from volmc.errors import MeshError, NotSeamlessError
 from volmc.firehex import trace_hex
-from volmc.fireparam import split_opp, trace_param, trace_param_base
+from volmc.fireparam import SplitForest, split_opp, trace_param, trace_param_base
 from volmc.sanitize import add_noise, sanitize
 from volmc.tetparam import ParamTetMesh, hex_to_param
 
@@ -150,7 +150,7 @@ def test_split_opp_follows_a_plane_through_an_axis_flip():
     t = next(c for c in pm.edge_cells[e] if upper[c] and any(on_side(g) for g in pm.cell_facets[c]))
     assert pm.fan_transition(e, pm.anchor(f), t).apply_vector((1, 0, 0))[0] == -1
     n_cells = pm.n_cells
-    g = split_opp(pm, e, t, f)
+    g = split_opp(pm, e, t, f, SplitForest(pm))
     assert g is not None and g != f and on_side(g)
     assert pm.iso_plane(g, t) == (0, 0.4)
     assert pm.n_cells == n_cells  # the plane runs along the facet, so nothing was split

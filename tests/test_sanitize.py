@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from volmc import synth
+from volmc.errors import NotSeamlessError
 from volmc.sanitize import (
     CutStructure,
     _build_branches,
@@ -47,6 +48,17 @@ def test_sanitize_preserves_singular_set(meshes, name):
     noisy = add_noise(pm, eps=1e-8, seed=1)
     fixed = sanitize(noisy)
     assert _singular_set(fixed) == _singular_set(pm), name
+
+
+@pytest.mark.parametrize("name", ["pie3", "notch", "composite", "torus"])
+def test_noise_limit(meshes, name):
+    """Noise of 1e-7 is repaired; at 1e-6 the re-anchored chart transitions
+    no longer fit an octahedral rotation within fit_rotation's 1e-6."""
+    pm = hex_to_param(meshes[name])
+    for seed in range(3):
+        assert verify_seamless(sanitize(add_noise(pm, eps=1e-7, seed=seed))) == []
+        with pytest.raises(NotSeamlessError, match="no octahedral rotation matches the charts across facet"):
+            sanitize(add_noise(pm, eps=1e-6, seed=seed))
 
 
 def test_sanitize_idempotent_on_clean_input(meshes):
