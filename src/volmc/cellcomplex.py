@@ -226,35 +226,8 @@ def validate_field(mesh, field):
     return edges
 
 
-def _wall_components(edges, facets):
-    """The walls made of the tagged ``facets``: components under
-    ``edges.pair``, each a sorted facet list, in order of lowest facet; and
-    the facet -> component index map."""
-    facet_edges, pair = edges.mesh.facet_edges, edges.pair
-    comp_of = {}
-    comps = []
-    for seed in sorted(facets):
-        if seed in comp_of:
-            continue
-        comp = []
-        dq = deque([seed])
-        comp_of[seed] = len(comps)
-        while dq:
-            f = dq.popleft()
-            comp.append(f)
-            for e in facet_edges[f]:
-                p = pair.get(e)
-                if p is not None:
-                    other = p[0] if p[1] == f else p[1]
-                    if other not in comp_of:
-                        comp_of[other] = len(comps)
-                        dq.append(other)
-        comps.append(sorted(comp))
-    return comps, comp_of
-
-
 class _WallGeometry:
-    """2D layout of a wall, checked by ``_wall_geometry``: coordinates per
+    """2D layout of a wall, checked by ``_lay_out_walls``: coordinates per
     facet corner slot in ``facet_corners`` order (the sorted key on a tet
     mesh), integer cells on a hex mesh and chart coordinates on a tet mesh,
     and whether it wraps as an annulus. Its other facts are derived together
@@ -313,40 +286,50 @@ class _WallGeometry:
             self._bbox = None
 
 
-def _wall_geometry(edges, facets):
-    """Layout of the wall made of the sorted ``facets``, checked as it is
-    built: breadth-first placement from the lowest facet by the mesh's
-    ``_wall_layout`` hook. A layout placing a facet twice by a shift is an
-    annulus; by anything else it raises. Facet areas summing to more than
-    the bounding box raise, unless the wall is an annulus or has a diagonal
-    boundary segment (a slit)."""
-    mesh, pair = edges.mesh, edges.pair
-    seed = facets[0]
-    co, place_across = mesh._wall_layout(seed)
-    place = {seed: co}
-    annulus = False
-    dq = deque([seed])
-    while dq:
-        f = dq.popleft()
-        for k, e in enumerate(mesh.facet_edges[f]):
-            g = pair.get(e)
-            if g is None:
-                continue
-            g = g[0] if g[1] == f else g[1]
-            co = place_across(f, place[f], k, e, g)
-            old = place.get(g)
-            if old is None:
-                place[g] = co
-                dq.append(g)
-            elif old != co:
-                d = [x - y for o, q in zip(old, co) for x, y in zip(o, q)]  # dx, dy per corner
-                if max(map(abs, d)) > LAYOUT_TOL:
-                    if max(abs(x - d[i % 2]) for i, x in enumerate(d)) > LAYOUT_TOL:
-                        raise IntegrityError("twisted wall layout")  # not one shift
-                    annulus = True
-    if annulus:
-        return _WallGeometry(edges, place, True, None)
+def _lay_out_walls(edges, facets):
+    """The walls made of the tagged ``facets``, in order of lowest facet:
+    per wall its sorted facets and its layout. One breadth-first flood under
+    ``edges.pair`` from a wall's lowest facet finds the wall and places each
+    facet it reaches by the mesh's ``_wall_layout`` hook. A facet placed
+    twice by a shift makes the wall an annulus; by anything else it raises.
+    Each wall is checked before the next one is flooded."""
+    mesh, pair, walls, seen = edges.mesh, edges.pair, [], set()
+    for seed in sorted(facets):
+        if seed in seen:
+            continue
+        co, place_across = mesh._wall_layout(seed)
+        place = {seed: co}
+        annulus = False
+        dq = deque([seed])
+        while dq:
+            f = dq.popleft()
+            for k, e in enumerate(mesh.facet_edges[f]):
+                g = pair.get(e)
+                if g is None:
+                    continue
+                g = g[0] if g[1] == f else g[1]
+                co = place_across(f, place[f], k, e, g)
+                old = place.get(g)
+                if old is None:
+                    place[g] = co
+                    dq.append(g)
+                elif old != co:
+                    d = [x - y for o, q in zip(old, co) for x, y in zip(o, q)]  # dx, dy per corner
+                    if max(map(abs, d)) > LAYOUT_TOL:
+                        if max(abs(x - d[i % 2]) for i, x in enumerate(d)) > LAYOUT_TOL:
+                            raise IntegrityError("twisted wall layout")  # not one shift
+                        annulus = True
+        seen.update(place)
+        walls.append((sorted(place), _WallGeometry(edges, place, True, None) if annulus
+                      else _unwrapped_geometry(edges, place)))
+    return walls
 
+
+def _unwrapped_geometry(edges, place):
+    """The layout ``place`` of a wall that is no annulus, with its bbox if it
+    is a rectangle. Facet areas summing to more than the bounding box raise,
+    unless the wall has a diagonal boundary segment (a slit)."""
+    mesh, pair = edges.mesh, edges.pair
     xs, ys = zip(*(p for co in place.values() for p in co))
     bbox = x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     area = 0.0  # shoelace sum over the facets, each fanned from its first corner
@@ -375,11 +358,10 @@ def _segment_side(bbox, p, q):
     return None
 
 
-def _make_wall(edges, wid, facets):
-    """Wall ``wid`` of the sorted tagged ``facets``, with its geometry."""
+def _make_wall(edges, wid, facets, geom):
+    """Wall ``wid`` of the sorted tagged ``facets``, laid out as ``geom``."""
     return Wall(wid, frozenset(facets), bool(edges.mesh.facet_boundary[facets[0]]),
-                max(edges.field[f] for f in facets),
-                _wall_geometry(edges, facets))
+                max(edges.field[f] for f in facets), geom)
 
 
 def extract_complex(mesh, field) -> MotorcycleComplex:
@@ -388,8 +370,9 @@ def extract_complex(mesh, field) -> MotorcycleComplex:
     are derived on first read."""
     mc = MotorcycleComplex(mesh, field)
     mc._edges = edges = validate_field(mesh, field)
-    comps, mc.wall_of = _wall_components(edges, field)
-    mc.walls = [_make_wall(edges, wid, facets) for wid, facets in enumerate(comps)]
+    mc.walls = [_make_wall(edges, wid, *wall)
+                for wid, wall in enumerate(_lay_out_walls(edges, field))]
+    mc.wall_of = {f: w.id for w in mc.walls for f in w.facets}
     _Links(mc)
 
     # Blocks: components of cells not separated by tagged facets.
@@ -691,16 +674,16 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
             ok.discard(t)
             for bb in adjacent(walls[t]):
                 block_walls[bb].discard(t)
-        merged = _wall_components(edges, [f for t in joined for f in walls.pop(t).facets])[0]
-        for facets in merged:
-            nw = walls[facets[0]] = _make_wall(edges, facets[0], facets)
+        merged = _lay_out_walls(edges, [f for t in joined for f in walls.pop(t).facets])
+        for facets, geom in merged:
+            nw = walls[facets[0]] = _make_wall(edges, facets[0], facets, geom)
             rebuilt += 1
             fresh.add(facets[0])
             for f in facets:
                 wall_of[f] = facets[0]
             for bb in adjacent(nw):
                 block_walls[bb].add(facets[0])
-        retest({facets[0] for facets in merged} | {t for t in touched | both if t in walls})
+        retest({facets[0] for facets, _ in merged} | {t for t in touched | both if t in walls})
     log.debug("reduce %s: %d walls removed, %d removability tests, %d wall geometries "
               "rebuilt, %d reused", mode, removed, tests, rebuilt, len(walls.keys() - fresh))
     if not removed:

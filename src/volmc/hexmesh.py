@@ -436,7 +436,7 @@ class HexMesh(CellMesh):
     _edge_quarters = edge_valence
 
     def _wall_layout(self, seed):
-        """Layout hook of ``cellcomplex._wall_geometry``: the unit square of
+        """Layout hook of ``cellcomplex._lay_out_walls``: the unit square of
         facet ``seed`` in ``facet_corners`` order, and a function giving the
         unit square of facet ``g`` unfolded across edge ``e``, slot ``k``,
         of a placed facet ``f`` with corners ``co``."""

@@ -264,9 +264,10 @@ def read_mesh(path, fmt=None) -> HexMesh | ParamTetMesh:
 
 
 def write_param(pm: ParamTetMesh, path):
+    positions = pm.positions  # read once: each read builds a fresh array
     with open(path, "w") as fh:
-        fh.write(f"{len(pm.positions)} {len(pm.tets)}\n")
-        for p in pm.positions:
+        fh.write(f"{len(positions)} {len(pm.tets)}\n")
+        for p in positions:
             fh.write(" ".join(_fnum(x) for x in p) + "\n")
         for tet, par in zip(pm.tets, pm.params):
             nums = " ".join(_fnum(x) for x in np.asarray(par).ravel())

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IntegrityError, MeshError
+from .errors import IntegrityError, MeshError, VolmcError
 from .hexmesh import HEX_CORNER_COORDS, HexMesh
 from .octahedral import ROTATIONS
 
@@ -44,8 +44,11 @@ class QuantizationProblem:
 
 
 def build_ip(mc, s) -> QuantizationProblem:
-    """Eq-style balance rows A_i vs A_{i+2} per wall; raises on annulus or
-    slit walls, which carry no rectangle side structure."""
+    """Eq-style balance rows A_i vs A_{i+2} per wall; raises on a scale ``s``
+    that is negative or not finite, and on annulus or slit walls, which
+    carry no rectangle side structure."""
+    if not 0 <= s < np.inf:
+        raise VolmcError(f"scale {s} must be finite and not negative")
     for w in mc.walls:
         if w.annulus:
             raise IntegrityError(f"wall {w.id} is an annulus; quantization undefined")

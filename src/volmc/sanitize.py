@@ -62,10 +62,10 @@ def reanchor(pm: ParamTetMesh) -> ParamTetMesh:
 class Sheet:
     __slots__ = ("id", "kind", "facets", "rot", "axis", "side", "nodes")
 
-    def __init__(self, id, kind, facets):
+    def __init__(self, id, kind):
         self.id = id
         self.kind = kind  # "cut" or "align"
-        self.facets = facets
+        self.facets = []  # ascending, once flooded
         self.rot = None  # cut: octahedral rotation index (minus -> plus)
         self.axis = None  # align: constant coordinate
         # facet -> its tets: (minus tet, plus tet) on a cut sheet, (its tet,)
@@ -200,72 +200,53 @@ def _build_branches(cs, incid):
 
 
 def _build_sheets(cs, align_axis):
+    """Flood the cut facets, then the boundary facets, into sheets across
+    edges that are not cut edges, each from its lowest facet. A cut sheet
+    orients each facet as the flood reaches it: its minus tet lies on the
+    side of the minus tet of the facet it was reached from, and its
+    transition read minus -> plus must have the seed's rotation."""
     pm = cs.pm
-    assigned = set()
-
-    def grow(seed, pool):
-        comp = [seed]
-        assigned.add(seed)
-        dq = deque([seed])
-        while dq:
-            f = dq.popleft()
-            for e in pm.facet_edges[f]:
-                if e in cs.cut_edges:
-                    continue
-                for g in pm.edge_facets[e]:
-                    if g in pool and g not in assigned:
-                        assigned.add(g)
-                        comp.append(g)
-                        dq.append(g)
-        return sorted(comp)
-
     for kind, pool in (("cut", cs.cut_facets), ("align", align_axis)):
-        for f in sorted(pool):
-            if f in assigned:
+        for f0 in sorted(pool):
+            if f0 in cs.facet_sheet:
                 continue
-            sheet = Sheet(len(cs.sheets), kind, grow(f, pool))
+            sheet = Sheet(len(cs.sheets), kind)
+            side = sheet.side
+            side[f0] = tuple(pm.facet_cells[f0])
             if kind == "cut":
-                _orient_cut_sheet(cs, sheet)
-            else:
+                sheet.rot = pm.facet_transition(f0).rot
+            dq = deque([f0])
+            while dq:
+                f = dq.popleft()
+                for e in pm.facet_edges[f]:
+                    if e in cs.cut_edges:
+                        continue
+                    for g in pm.edge_facets[e]:
+                        if g in side or g not in pool:
+                            continue
+                        side[g] = cells = tuple(pm.facet_cells[g])
+                        if kind == "cut":
+                            a, b = cells
+                            gm = _minus_side(pm, e, f, side[f][0], g)
+                            side[g] = (gm, b if a == gm else a)
+                            rot = pm.facet_transition(g).rot
+                            if side[g] != cells:
+                                rot = Transition(rot).inverse().rot
+                            if rot != sheet.rot:
+                                raise NotSeamlessError(
+                                    f"cut sheet {sheet.id} has inconsistent transitions"
+                                )
+                        dq.append(g)
+            sheet.facets = sorted(side)
+            if kind == "align":
                 axes = {align_axis[g] for g in sheet.facets}
                 if len(axes) != 1:
                     raise NotSeamlessError(
                         f"align sheet {sheet.id} mixes alignment axes {sorted(axes)}"
                     )
                 sheet.axis = axes.pop()
-                sheet.side = {g: tuple(pm.facet_cells[g]) for g in sheet.facets}
             cs.sheets.append(sheet)
             cs.facet_sheet.update(dict.fromkeys(sheet.facets, sheet.id))
-
-
-def _orient_cut_sheet(cs, sheet):
-    pm = cs.pm
-    f0 = sheet.facets[0]
-    s, t = pm.facet_cells[f0]
-    sheet.side[f0] = (s, t)
-    sheet.rot = pm.facet_transition(f0).rot
-    dq = deque([f0])
-    fset = set(sheet.facets)
-    while dq:
-        f = dq.popleft()
-        minus_t = sheet.side[f][0]
-        for e in pm.facet_edges[f]:
-            if e in cs.cut_edges:
-                continue
-            for g in pm.edge_facets[e]:
-                if g not in fset or g in sheet.side:
-                    continue
-                gm = _minus_side(pm, e, f, minus_t, g)
-                a, b = pm.facet_cells[g]
-                side = (gm, b if a == gm else a)
-                sheet.side[g] = side
-                tr = pm.facet_transition(g)
-                rot = tr.rot if side == (a, b) else Transition(tr.rot).inverse().rot
-                if rot != sheet.rot:
-                    raise NotSeamlessError(
-                        f"cut sheet {sheet.id} has inconsistent transitions"
-                    )
-                dq.append(g)
 
 
 def _sheet_nodes(cs):

@@ -288,7 +288,7 @@ class ParamTetMesh(CellMesh):
         return tr
 
     def _wall_layout(self, seed):
-        """Layout hook of ``cellcomplex._wall_geometry``: the in-plane chart
+        """Layout hook of ``cellcomplex._lay_out_walls``: the in-plane chart
         coordinates of facet ``seed``'s corners in ``facet_corners`` (sorted
         key) order, and a function giving those of facet ``g`` across edge
         ``e`` of a placed facet ``f``, carried through the fan transition

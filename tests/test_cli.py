@@ -121,6 +121,23 @@ def test_mirrored_hex_fails_with_a_message(mirrored_box, tmp_path, cmd):
 
 
 
+@pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+def test_quantize_names_a_bad_scale(files, tmp_path, scale):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-m", "volmc.cli", "quantize", str(files / "pie3.mesh"),
+                          "--scale", scale, "--output", "q.mesh"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == f"error: scale {float(scale)} must be finite and not negative\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_quantize_at_scale_zero(files, tmp_path):
+    out = run_cli(["quantize", str(files / "pie3.mesh"), "--scale", "0",
+                   "--output", str(tmp_path / "q.mesh")])
+    assert out == "arcs=20 hexes=3 objective=26\n"
+
+
 def test_quantize_regular_complex_of_a_400_hex_blob(tmp_path):
     write_hex_mesh(synth.random_glued_cubes(3, 400), str(tmp_path / "blob.mesh"))
     out = run_cli(["quantize", str(tmp_path / "blob.mesh"), "--reduce", "regular",

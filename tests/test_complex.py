@@ -9,7 +9,7 @@ import pytest
 
 from volmc import cellcomplex, synth
 from volmc.cellcomplex import (
-    _wall_geometry,
+    _lay_out_walls,
     base_complex,
     check_grid_blocks,
     extract_complex,
@@ -388,7 +388,10 @@ class _QuadWall:
 
 
 def _layout(quads):
-    return _wall_geometry(_QuadWall(quads).edges, list(range(len(quads))))
+    """The layout of the one wall that the ``quads`` form."""
+    [(facets, geom)] = _lay_out_walls(_QuadWall(quads).edges, range(len(quads)))
+    assert facets == list(range(len(quads)))
+    return geom
 
 
 def _grid_quads(nx, cells):
@@ -416,3 +419,21 @@ def test_wall_layout_verdicts_on_stub_meshes():
     cone = [(16, i, 8 + i, (i + 1) % 8) for i in range(8)]  # 720 degrees around vertex 16
     with pytest.raises(IntegrityError, match="wall overlaps itself"):
         _layout(cone)
+
+
+def test_disjoint_walls_are_laid_out_in_lowest_facet_order():
+    """Quads of two walls, interleaved and passed in one call, give each
+    wall with its sorted facets and the verdicts it gets on its own."""
+    ell = _grid_quads(2, [(0, 0), (1, 0), (0, 1)])
+    n = 4
+    b, t = range(100, 100 + n), range(200, 200 + n)  # apart from the ell's vertices
+    ring = [(b[i], b[(i + 1) % n], t[(i + 1) % n], t[i]) for i in range(n)]
+    quads = [ring[0], ell[0], ring[1], ring[2], ell[1], ell[2], ring[3]]
+    walls = _lay_out_walls(_QuadWall(quads).edges, reversed(range(len(quads))))
+    assert [facets for facets, _ in walls] == [[0, 2, 3, 6], [1, 4, 5]]
+    assert [(geom.annulus, geom.slit) for _, geom in walls] == [(True, False), (False, True)]
+    for (facets, geom), own in zip(walls, (ring, ell)):
+        alone = _layout(own)
+        assert [geom.corner_coords[f] for f in facets] == \
+            [alone.corner_coords[i] for i in range(len(own))]
+        assert (geom.bbox, geom.corner_vertices) == (alone.bbox, alone.corner_vertices)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from volmc import synth
 from volmc.cellcomplex import check_grid_blocks, motorcycle_complex, reduce_complex
-from volmc.errors import IntegrityError, MeshError
+from volmc.errors import IntegrityError, MeshError, VolmcError
 from volmc.quantize import (
     QuantizationProblem,
     build_ip,
@@ -107,6 +107,76 @@ def test_solver_matches_brute_force_on_random_blobs():
         assert abs(obj - ref_obj) < 1e-9
 
 
+def classwise_optimum(qp):
+    """Independent oracle for problems with many arcs but few classes: arcs
+    tied by a two-term row {a: 1, b: -1} are equal, so arcs joined by such
+    rows form a class with one integer. One integer per class is enumerated
+    in the box of ``brute_force_optimum``, checking each remaining row once
+    its last class is set and pruning partial costs that, with the least
+    cost of the classes still unset, reach the best objective found.
+    Returns (the optimal objective, the number of classes)."""
+    parent = {a: a for a in qp.arcs}
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    rest = []
+    for row in qp.rows:
+        if sorted(row.values()) == [-1, 1]:
+            a, b = sorted(root(x) for x in row)
+            parent[b] = a
+        else:
+            rest.append(row)
+    classes = {}
+    for a in qp.arcs:
+        classes.setdefault(root(a), []).append(qp.targets[a])
+    targets = [classes[r] for r in sorted(classes)]
+    index = {r: i for i, r in enumerate(sorted(classes))}
+    hi = max(2, int(math.ceil(2 * max(qp.targets.values()))) + 1)
+    cost = [[sum((v - t) ** 2 for t in ts) for v in range(1, hi + 1)] for ts in targets]
+    checks = [[] for _ in targets]  # rows over class indices, at their last class
+    for row in rest:
+        crow = {}
+        for a, c in row.items():
+            crow[index[root(a)]] = crow.get(index[root(a)], 0) + c
+        checks[max(crow)].append(crow)
+    floor = [0.0] * (len(targets) + 1)  # least cost of the classes from i on
+    for i in reversed(range(len(targets))):
+        floor[i] = floor[i + 1] + min(cost[i])
+    best, vals = [math.inf], []
+
+    def rec(i, total):
+        if total + floor[i] >= best[0]:
+            return
+        if i == len(targets):
+            best[0] = total
+            return
+        for v in range(1, hi + 1):
+            vals.append(v)
+            if all(sum(c * vals[j] for j, c in row.items()) == 0 for row in checks[i]):
+                rec(i + 1, total + cost[i][v - 1])
+            vals.pop()
+
+    rec(0, 0.0)
+    for ts, c in zip(targets, cost):  # hi exceeds every target: no class does better above it
+        assert sum((hi + 1 - t) ** 2 for t in ts) - min(c) + floor[0] >= best[0]
+    return best[0], len(targets)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 10), (6, 14), (7, 8), (9, 8), (11, 8), (1, 10),
+                                     (0, 12), (6, 16), (0, 8), (2, 8)])
+def test_solver_matches_classwise_oracle_on_multi_block_blobs(seed, n):
+    red = _quantizable(motorcycle_complex(synth.random_glued_cubes(seed, n), seed=0))
+    assert len(red.blocks) > 1
+    for s in (0.7, 1.3):
+        qp = build_ip(red, s)
+        ref_obj, classes = classwise_optimum(qp)
+        assert classes <= 12
+        assert abs(_objective(qp, solve_quantization(qp)) - ref_obj) < 1e-6, s
+
+
 def _objective(qp, sol):
     return sum((sol[a] - qp.targets[a]) ** 2 for a in qp.arcs)
 
@@ -161,6 +231,12 @@ def test_objective_matches_brute_force_at_any_scale(index, s):
     sol = solve_quantization(qp)
     ref, ref_obj = brute_force_optimum(qp)
     assert ref is not None and abs(_objective(qp, sol) - ref_obj) <= 1e-6
+
+
+@pytest.mark.parametrize("s", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_bad_scale_is_a_named_error(complexes, s):
+    with pytest.raises(VolmcError, match=f"^scale {s} must be finite and not negative$"):
+        build_ip(complexes["box"], s)
 
 
 def test_forced_zero_length_is_infeasible():
