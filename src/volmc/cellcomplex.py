@@ -3,8 +3,8 @@ blocks, plus block classification, torus splitting and reduction by wall
 retraction.
 
 Works on any mesh implementing the generic cell-mesh interface (hexahedral
-meshes and refined parametrized tet meshes). One wall layout serves both;
-the mesh places a neighbour facet's corners (``_wall_layout``).
+meshes and refined parametrized tet meshes), which places and measures wall
+facets (``_wall_layout()``) and counts turns around edges (``fan_turns``).
 
 Extraction and reduction build walls and blocks only, checking each wall's
 layout as it is built; its segments, corners and sides are derived on first
@@ -169,31 +169,30 @@ class _EdgeTable:
         mesh = self.mesh
         self.pair.pop(e, None)
         self.ring.pop(e, None)
-        fan = mesh.edge_fan(e)
-        at = [i for i, f in enumerate(fan.facets) if f in self.field]
+        facets, cells, closed = mesh.edge_fan(e)
+        at = [i for i, f in enumerate(facets) if f in self.field]
         if not at:
             if not mesh.edge_boundary[e] and mesh.singular(e):
                 raise IntegrityError(f"singular edge {e} in block interior")
             return
-        quarters = [mesh.cell_angle_quarters(c, e) for c in fan.cells] * 2  # twice: wraps
         ring = []
-        for i, j in zip(at, at[1:] + [at[0] + len(fan.cells) if fan.closed else None]):
+        for i, j in zip(at, at[1:] + [at[0] + len(cells) if closed else None]):
             q = c = None
             if j is not None:
-                q, c = sum(quarters[i:j]), fan.cells[i]
+                q, c = mesh.fan_turns(e, i, j), cells[i]
                 if q > 2 + _QUARTER_TOL:
                     raise IntegrityError(
                         f"cell gap of {q * 90:.0f} degrees around edge {e} (open or missing wall)"
                     )
-                if abs(q - round(q)) <= _QUARTER_TOL:
-                    q = round(q)
-            ring += (fan.facets[i], q, c)
-        tags = sorted(ring[::3])
-        if len(tags) == 2 and not mesh.singular(e) \
-                and mesh.opp_facet(e, tags[0]) == tags[1]:
-            self.pair[e] = tuple(tags)
-        else:
-            self.ring[e] = tuple(ring)
+                if abs(q - (r := round(q))) <= _QUARTER_TOL:
+                    q = r
+            ring += (facets[i], q, c)
+        if len(at) == 2 and not mesh.singular(e):
+            f, g = sorted(ring[::3])
+            if mesh.opp_facet(e, f) == g:
+                self.pair[e] = (f, g)
+                return
+        self.ring[e] = tuple(ring)
 
     def untag(self, facets):
         """Untag ``facets`` and re-derive the edges they touch, in ascending
@@ -227,12 +226,12 @@ def validate_field(mesh, field):
 
 
 class _WallGeometry:
-    """2D layout of a wall, checked by ``_lay_out_walls``: coordinates per
-    facet corner slot in ``facet_corners`` order (the sorted key on a tet
-    mesh), integer cells on a hex mesh and chart coordinates on a tet mesh,
-    and whether it wraps as an annulus. Its other facts are derived together
-    on the first read of any of them (``_derive``). Coordinates within
-    ``LAYOUT_TOL`` count as equal, so integer layouts compare exactly."""
+    """2D layout of a wall, placed by the mesh's ``_wall_layout()`` hooks and
+    checked on its bbox and area by ``_lay_out_walls``: coordinates per facet
+    corner slot in ``facet_corners`` order (the sorted key on a tet mesh),
+    integers on a hex mesh and chart coordinates on a tet mesh, and whether it
+    wraps as an annulus. Its other facts are derived together on first read
+    (``_derive``). Coordinates count as equal within ``LAYOUT_TOL``, integer ones exactly."""
 
     __slots__ = ("annulus", "corner_coords", "_edges", "_bbox", "_slit", "_segments",
                  "_sides", "_corners")
@@ -290,19 +289,24 @@ def _lay_out_walls(edges, facets):
     """The walls made of the tagged ``facets``, in order of lowest facet:
     per wall its sorted facets and its layout. One breadth-first flood under
     ``edges.pair`` from a wall's lowest facet finds the wall and places each
-    facet it reaches by the mesh's ``_wall_layout`` hook. A facet placed
-    twice by a shift makes the wall an annulus; by anything else it raises.
-    Each wall is checked before the next one is flooded."""
+    facet it reaches by the mesh's ``_wall_layout()`` hooks, taking bbox and
+    area as it goes. A facet placed twice by a shift makes the wall an
+    annulus; by anything else it raises. Each wall is checked in turn."""
     mesh, pair, walls, seen = edges.mesh, edges.pair, [], set()
+    place_seed, place_across, area_of = mesh._wall_layout()
     for seed in sorted(facets):
         if seed in seen:
             continue
-        co, place_across = mesh._wall_layout(seed)
-        place = {seed: co}
-        annulus = False
-        dq = deque([seed])
+        place, dq, annulus, area = {seed: place_seed(seed)}, deque([seed]), False, 0.0
+        x0, y0 = x1, y1 = place[seed][0]
         while dq:
             f = dq.popleft()
+            area += area_of(place[f])  # summed in placement order
+            for x, y in place[f]:
+                if x < x0 or x > x1:
+                    x0, x1 = (x, x1) if x < x0 else (x0, x)
+                if y < y0 or y > y1:
+                    y0, y1 = (y, y1) if y < y0 else (y0, y)
             for k, e in enumerate(mesh.facet_edges[f]):
                 g = pair.get(e)
                 if g is None:
@@ -321,21 +325,16 @@ def _lay_out_walls(edges, facets):
                         annulus = True
         seen.update(place)
         walls.append((sorted(place), _WallGeometry(edges, place, True, None) if annulus
-                      else _unwrapped_geometry(edges, place)))
+                      else _unwrapped_geometry(edges, place, (x0, x1, y0, y1), area)))
     return walls
 
 
-def _unwrapped_geometry(edges, place):
-    """The layout ``place`` of a wall that is no annulus, with its bbox if it
-    is a rectangle. Facet areas summing to more than the bounding box raise,
+def _unwrapped_geometry(edges, place, bbox, area):
+    """The layout ``place`` of a wall that is no annulus, keeping ``bbox`` if
+    it is a rectangle. Facet ``area`` summing to more than the bbox raises,
     unless the wall has a diagonal boundary segment (a slit)."""
     mesh, pair = edges.mesh, edges.pair
-    xs, ys = zip(*(p for co in place.values() for p in co))
-    bbox = x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    area = 0.0  # shoelace sum over the facets, each fanned from its first corner
-    for (ax, ay), *rest in place.values():
-        area += abs(sum((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-                        for (bx, by), (cx, cy) in zip(rest, rest[1:]))) / 2.0
+    x0, x1, y0, y1 = bbox
     excess, tol = area - (x1 - x0) * (y1 - y0), LAYOUT_TOL * max(1.0, area)
     if excess > tol and not any(  # a diagonal boundary segment makes it a slit instead
             abs(co[i][0] - co[j][0]) > LAYOUT_TOL and abs(co[i][1] - co[j][1]) > LAYOUT_TOL
@@ -361,7 +360,7 @@ def _segment_side(bbox, p, q):
 def _make_wall(edges, wid, facets, geom):
     """Wall ``wid`` of the sorted tagged ``facets``, laid out as ``geom``."""
     return Wall(wid, frozenset(facets), bool(edges.mesh.facet_boundary[facets[0]]),
-                max(edges.field[f] for f in facets), geom)
+                max(map(edges.field.__getitem__, facets)), geom)
 
 
 def extract_complex(mesh, field) -> MotorcycleComplex:
@@ -389,8 +388,8 @@ def extract_complex(mesh, field) -> MotorcycleComplex:
             parent[b] = a
     _add_blocks(mc, root)
     if log.isEnabledFor(logging.DEBUG):  # the arc count links the complex
-        log.debug("extract: %d walls, %d wall geometries built, %d arcs, %d blocks",
-                  len(mc.walls), len(mc.walls), len(mc.arcs), len(mc.blocks))
+        log.debug("extract: %d walls, %d arcs, %d blocks",
+                  len(mc.walls), len(mc.arcs), len(mc.blocks))
     return mc
 
 

@@ -206,8 +206,9 @@ class CellMesh:
     ``facet_corners`` that form the facet's edges, in ``facet_edges`` order),
     ``CYCLIC_FACETS`` (``facet_corners`` is the face cycle of the lowest
     incident cell when true, the sorted key otherwise),
-    ``_edge_quarters(e)``, the quarter-turn count of an edge, and
-    ``_wall_layout(seed)``, the corner placement of a wall layout.
+    ``_edge_quarters(e)``, the quarter-turn count of an edge, ``fan_turns(e,
+    i, j)``, the quarter turns from fan position ``i`` to ``j``, and
+    ``_wall_layout()``, the corner placement and facet area of wall layouts.
     ``EDGE_FACES`` is derived from ``FACES`` once per subclass.
     """
 
@@ -422,9 +423,9 @@ class HexMesh(CellMesh):
     def edge_param_length(self, e) -> float:
         return 1.0
 
-    def cell_angle_quarters(self, c, e) -> float:
-        """Parametric dihedral angle of cell ``c`` at edge ``e`` in 90° units."""
-        return 1.0
+    def fan_turns(self, e, i, j) -> int:
+        """Quarter turns around ``e`` from fan position ``i`` to ``j >= i``: one per hex."""
+        return j - i
 
     def cell_corner_octants(self, c, v) -> float:
         """Parametric solid angle of cell ``c`` at its vertex ``v`` in octant units."""
@@ -435,11 +436,11 @@ class HexMesh(CellMesh):
 
     _edge_quarters = edge_valence
 
-    def _wall_layout(self, seed):
-        """Layout hook of ``cellcomplex._lay_out_walls``: the unit square of
-        facet ``seed`` in ``facet_corners`` order, and a function giving the
-        unit square of facet ``g`` unfolded across edge ``e``, slot ``k``,
-        of a placed facet ``f`` with corners ``co``."""
+    def _wall_layout(self):
+        """Layout hooks of ``cellcomplex._lay_out_walls``: the unit square of
+        a seed facet in ``facet_corners`` order, the unit square of facet
+        ``g`` unfolded across edge ``e``, slot ``k``, of a placed facet ``f``
+        with corners ``co``, and a placed facet's area, exactly 1."""
         corners, facet_edges = self.facet_corners, self.facet_edges
 
         def unfold(f, co, k, e, g):
@@ -454,7 +455,7 @@ class HexMesh(CellMesh):
             out[(j + 3) % 4] = (a[0] + n[0], a[1] + n[1])
             return tuple(out)
 
-        return ((0, 0), (1, 0), (1, 1), (0, 1)), unfold
+        return lambda seed: ((0, 0), (1, 0), (1, 1), (0, 1)), unfold, lambda co: 1.0
 
     def opp_facet(self, e, f):
         """The facet continuing ``f`` straight across regular edge ``e``; None if absent."""

@@ -218,7 +218,10 @@ class ParamTetMesh(CellMesh):
         tet = self.tets[t]
         return self._charts.dihedral[t, _EDGE_SLOT[tet.index(va), tet.index(vb)]]
 
-    cell_angle_quarters = dihedral_quarters
+    def fan_turns(self, e, i, j) -> float:
+        """Quarter turns around ``e`` from fan position ``i`` to ``j >= i``, summed in fan order."""
+        cells = self.edge_fan(e).cells
+        return sum(self.dihedral_quarters(cells[k % len(cells)], e) for k in range(i, j))
 
     def cell_corner_octants(self, t, v) -> float:
         """Parametric solid angle of tet ``t`` at vertex ``v`` in octant units."""
@@ -287,22 +290,27 @@ class ParamTetMesh(CellMesh):
             t = t2
         return tr
 
-    def _wall_layout(self, seed):
-        """Layout hook of ``cellcomplex._lay_out_walls``: the in-plane chart
-        coordinates of facet ``seed``'s corners in ``facet_corners`` (sorted
-        key) order, and a function giving those of facet ``g`` across edge
+    def _wall_layout(self):
+        """Layout hooks of ``cellcomplex._lay_out_walls``: the in-plane
+        chart coordinates of a seed facet's corners in ``facet_corners``
+        (sorted key) order, starting a wall; those of facet ``g`` across edge
         ``e`` of a placed facet ``f``, carried through the fan transition
-        into ``f``'s layout chart. Raises MeshError for a seed that is not
-        an iso-facet and for a corner carried off the seed's iso-plane."""
-        plane = self.iso_plane(seed, self.anchor(seed))
-        if plane is None:
-            raise MeshError(f"tagged facet {seed} is not an iso-facet")
-        n_ax, value = plane
-        u_ax, v_ax = [a for a in range(3) if a != n_ax]
-        trans = {seed: Transition()}  # placed facet -> its anchor chart to the seed's
+        into ``f``'s layout chart; and a placed triangle's area. Raises
+        MeshError for a seed that is not an iso-facet and for a corner
+        carried off the seed's iso-plane."""
+        trans, plane = {}, None  # current wall: placed facet -> its chart to the seed's; iso-plane
+
+        def place_seed(seed):
+            nonlocal plane
+            plane = self.iso_plane(seed, self.anchor(seed))
+            if plane is None:
+                raise MeshError(f"tagged facet {seed} is not an iso-facet")
+            trans.clear()
+            return corners(seed, trans.setdefault(seed, Transition()))
 
         def corners(g, tr):
-            anchor, out = self.anchor(g), []
+            (n_ax, value), anchor, out = plane, self.anchor(g), []
+            u_ax, v_ax = [a for a in range(3) if a != n_ax]
             for v in self.facet_keys[g]:
                 p = np.asarray(tr.apply(self.corner_param(anchor, v)), float)
                 if abs(p[n_ax] - value) > LAYOUT_TOL:
@@ -315,7 +323,11 @@ class ParamTetMesh(CellMesh):
             trans.setdefault(g, tr)  # the first placement of g is the one kept
             return corners(g, tr)
 
-        return corners(seed, trans[seed]), carry
+        def area(co):
+            (ax, ay), (bx, by), (cx, cy) = co
+            return abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / 2.0
+
+        return place_seed, carry, area
 
     def opp_facet(self, e, f):
         """The iso-facet continuing ``f`` coplanarly across regular edge ``e``

@@ -437,3 +437,49 @@ def test_disjoint_walls_are_laid_out_in_lowest_facet_order():
         assert [geom.corner_coords[f] for f in facets] == \
             [alone.corner_coords[i] for i in range(len(own))]
         assert (geom.bbox, geom.corner_vertices) == (alone.bbox, alone.corner_vertices)
+
+
+def _recorded_floods(monkeypatch):
+    """Wrap ``_unwrapped_geometry`` so that it records the bbox and area
+    that each flood hands it, keyed by the id of the wall's layout; the
+    record keeps the layouts alive (their ids stay unique)."""
+    floods, unwrapped = {}, cellcomplex._unwrapped_geometry
+
+    def recorded(edges, place, bbox, area):
+        floods[id(place)] = place, bbox, area
+        return unwrapped(edges, place, bbox, area)
+
+    monkeypatch.setattr(cellcomplex, "_unwrapped_geometry", recorded)
+    return floods
+
+
+def test_flood_and_fan_turns_match_per_facet_and_per_cell_sums(meshes, monkeypatch):
+    """On the raw, full and base complexes of the fixtures and of three
+    parametrizations, each wall's bbox and area, taken during its flood,
+    equal min/max over its corner coordinates and the sum of per-facet
+    shoelace areas, and ``fan_turns`` at every live edge equals the sum of
+    per-cell quarter turns along the fan: exactly, on tets too."""
+    floods = _recorded_floods(monkeypatch)
+    params = [hex_to_param(meshes[name]) for name in ("box", "pie3", "notch")]
+    for mesh in [*meshes.values(), *params]:
+        raw, base = motorcycle_complex(mesh, seed=0), base_complex(mesh, seed=0)
+        for w in (w for mc in (raw, reduce_complex(raw, mode="full"), base) for w in mc.walls):
+            if w.annulus:
+                continue
+            place = w._geom.corner_coords
+            _, bbox, area = floods[id(place)]
+            xs, ys = zip(*(p for co in place.values() for p in co))
+            assert bbox == (min(xs), max(xs), min(ys), max(ys))
+            shoelace = 0.0  # each facet fanned from its first corner
+            for (ax, ay), *rest in place.values():
+                shoelace += abs(sum((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+                                    for (bx, by), (cx, cy) in zip(rest, rest[1:]))) / 2.0
+            assert area == shoelace
+        for m in {raw.mesh, base.mesh}:  # on tets, the refined meshes traced
+            for e in (e for e in range(m.n_edges) if m.edge_live[e]):
+                cells = m.edge_fan(e).cells
+                quarters = [1.0 if m.kind == "hex" else m.dihedral_quarters(c, e)
+                            for c in cells] * 2  # twice: wraps
+                for i in range(len(cells)):
+                    for j in range(i + 1, i + len(cells) + 1):
+                        assert m.fan_turns(e, i, j) == sum(quarters[i:j])

@@ -2,6 +2,7 @@ import pytest
 
 from volmc import synth
 from volmc.cellcomplex import (
+    _trace,
     base_complex,
     extract_complex,
     motorcycle_complex,
@@ -16,6 +17,7 @@ from volmc.firehex import (
     trace_hex_base,
     trace_hex_sparse,
 )
+from volmc.tetparam import hex_to_param
 
 
 def test_boundary_always_tagged(meshes):
@@ -95,17 +97,18 @@ def test_base_complex_conforming(meshes):
 # ``untag``, started from the valid traced field).
 
 
-def _rejections(hm, untag):
+def _rejections(mesh, untag):
     """The IntegrityError messages of extracting the traced field with the
-    facets ``untag`` untagged, and of untagging them from its edge table."""
-    field = trace_hex(hm, seed=0)
+    facets ``untag`` untagged, and of untagging them from its edge table.
+    A parametrization is traced on a refined copy, the same on every trace."""
+    traced, field = _trace(mesh, seed=0)
     broken = field.copy()
     for f in untag:
         del broken[f]
     with pytest.raises(IntegrityError) as extracted:
-        extract_complex(hm, broken)
+        extract_complex(traced, broken)
     with pytest.raises(IntegrityError) as rechecked:
-        validate_field(hm, field).untag(untag)
+        validate_field(traced, field).untag(untag)
     assert str(rechecked.value) == str(extracted.value)
     return str(extracted.value)
 
@@ -124,6 +127,33 @@ def test_open_wall_rejected():
     msg = _rejections(hm, [f])
     assert msg.startswith("cell gap of 360 degrees around edge ")
     assert int(msg.split()[7]) in hm.facet_edges[f]
+
+
+def _end_of_three(mesh, field):
+    """A regular interior edge with three tagged facets, gaps of 90, 90 and
+    180 degrees between them, and an end facet of the three whose lowest
+    edge it is."""
+    table = validate_field(mesh, field)
+    for e, ring in sorted(table.ring.items()):
+        if mesh.edge_boundary[e] or mesh.singular(e) or sorted(ring[1::3]) != [1, 1, 2]:
+            continue
+        k = ring[1::3].index(2)  # the 180-degree gap runs from tag k to the next one
+        for f in (ring[3 * k], ring[3 * ((k + 1) % 3)]):
+            if min(mesh.facet_edges[f]) == e:
+                return e, f
+
+
+@pytest.mark.parametrize("build", [synth.composite_mesh,
+                                   lambda: hex_to_param(synth.composite_mesh())],
+                         ids=["hex", "param"])
+def test_gap_checked_before_pair_test(build):
+    """Untagging an end facet of three at a regular edge leaves two tags 90
+    degrees apart: the 270-degree gap raises before the two are tested as
+    a pair."""
+    mesh = build()
+    e, f = _end_of_three(*_trace(mesh, seed=0))
+    assert _rejections(mesh, [f]) == \
+        f"cell gap of 270 degrees around edge {e} (open or missing wall)"
 
 
 def test_singular_edge_in_block_interior_rejected():
