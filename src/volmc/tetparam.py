@@ -219,7 +219,7 @@ class ParamTetMesh(CellMesh):
         return self._charts.dihedral[t, _EDGE_SLOT[tet.index(va), tet.index(vb)]]
 
     def fan_turns(self, e, i, j) -> float:
-        """Quarter turns around ``e`` from fan position ``i`` to ``j >= i``, summed in fan order."""
+        """Quarter turns around ``e`` from fan position ``i`` to ``j >= i``, added in fan order."""
         cells = self.edge_fan(e).cells
         return sum(self.dihedral_quarters(cells[k % len(cells)], e) for k in range(i, j))
 

@@ -132,7 +132,7 @@ def test_open_wall_rejected():
 def _end_of_three(mesh, field):
     """A regular interior edge with three tagged facets, gaps of 90, 90 and
     180 degrees between them, and an end facet of the three whose lowest
-    edge it is."""
+    edge it is (so that both paths re-check that edge first)."""
     table = validate_field(mesh, field)
     for e, ring in sorted(table.ring.items()):
         if mesh.edge_boundary[e] or mesh.singular(e) or sorted(ring[1::3]) != [1, 1, 2]:
