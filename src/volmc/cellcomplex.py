@@ -291,7 +291,7 @@ def _lay_out_walls(edges, facets):
     ``edges.pair`` from a wall's lowest facet finds the wall and places each
     facet it reaches by the mesh's ``_wall_layout()`` hooks, taking bbox and
     area as it goes. A facet placed twice by a shift makes the wall an
-    annulus; by anything else it raises. Each wall is checked in turn."""
+    annulus; by anything else it raises. A wall is checked before the next is flooded."""
     mesh, pair, walls, seen = edges.mesh, edges.pair, [], set()
     place_seed, place_across, area_of = mesh._wall_layout()
     for seed in sorted(facets):
