@@ -4,7 +4,8 @@ retraction.
 
 Works on any mesh implementing the generic cell-mesh interface (hexahedral
 meshes and refined parametrized tet meshes), which places and measures wall
-facets (``_wall_layout()``) and counts turns around edges (``fan_turns``).
+facets (``_wall_layout()``), counts turns around edges (``fan_turns``) and
+counts the corners of blocks (``block_corners``).
 
 Extraction and reduction build walls and blocks only, checking each wall's
 layout as it is built; its segments, corners and sides are derived on first
@@ -465,14 +466,10 @@ def _link_arcs(links):
 def is_cuboid(mc, bid) -> bool:
     """Whether block ``bid`` is a cuboid (8 corners) rather than toroidal (0
     corners); any other count raises. A corner is a vertex sector of one
-    octant; one pass over the vertices counts them for every block."""
+    octant; the mesh counts them for every block at once."""
     block = mc.blocks[bid]
     if block.corners is None:
-        mesh, corners = mc.mesh, [0] * len(mc.blocks)
-        for v in range(mesh.n_vertices):
-            for sector in mesh.vertex_sectors(v, mc.field):
-                if abs(sum(mesh.cell_corner_octants(c, v) for c in sector) - 1.0) < 1e-6:
-                    corners[mc.block_of[sector[0]]] += 1
+        corners = mc.mesh.block_corners(mc.field, mc.block_of, len(mc.blocks))
         for b, n in zip(mc.blocks, corners):
             b.corners = n
     if block.corners not in (0, 8):
@@ -486,10 +483,11 @@ def is_cuboid(mc, bid) -> bool:
 def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
     """Cut every toroidal block with one confined fire wall so that all
     blocks become (possibly self-adjacent) cuboids."""
-    mesh = mc.mesh
+    mesh, cut = mc.mesh, 0
     while True:
         toroidal = [b.id for b in mc.blocks if not is_cuboid(mc, b.id)]
         if not toroidal:
+            log.debug("split_tori: %d tori cut", cut)
             return mc
         block = mc.blocks[toroidal[0]]
         arcs = {a for w in block.walls for a in mc.walls[w].arcs}
@@ -537,6 +535,7 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
                     new_field[f2] = 0
                     dq.append(f2)
         mc = extract_complex(mesh, new_field)
+        cut += 1
 
 
 # -- reduction ---------------------------------------------------------------

@@ -45,6 +45,9 @@ HEX_FACES = (
     (3, 0, 4, 7),  # x = 0
 )
 
+# The three face slots at each corner slot.
+_CORNER_FACES = np.array([[i for i, face in enumerate(HEX_FACES) if k in face] for k in range(8)])
+
 # Outward normals of the faces above, in local corner coordinates.
 HEX_FACE_NORMALS = np.array(
     [(0, 0, -1), (0, 0, 1), (0, -1, 0), (0, 1, 0), (1, 0, 0), (-1, 0, 0)],
@@ -207,8 +210,10 @@ class CellMesh:
     ``CYCLIC_FACETS`` (``facet_corners`` is the face cycle of the lowest
     incident cell when true, the sorted key otherwise),
     ``_edge_quarters(e)``, the quarter-turn count of an edge, ``fan_turns(e,
-    i, j)``, the quarter turns from fan position ``i`` to ``j``, and
-    ``_wall_layout()``, the corner placement and facet area of wall layouts.
+    i, j)``, the quarter turns from fan position ``i`` to ``j``,
+    ``_wall_layout()``, the corner placement and facet area of wall layouts,
+    and ``block_corners(walls, block_of, n_blocks)``, the corners of each
+    block: its vertex sectors of one octant.
     ``EDGE_FACES`` is derived from ``FACES`` once per subclass.
     """
 
@@ -401,6 +406,7 @@ class HexMesh(CellMesh):
         self.hexes = np.asarray(hexes, dtype=np.int64).reshape(-1, 8)
         self.n_vertices = len(self.positions)
         super().__init__(self.hexes.tolist())
+        self._facet_ids = np.array(self.cell_facets, np.int64).reshape(-1, len(HEX_FACES))
         for e in range(self.n_edges):
             self.edge_fan(e)
         self._check_mirrors()
@@ -411,7 +417,7 @@ class HexMesh(CellMesh):
         the two are one cycle, compared by its lowest vertex's successor."""
         cycles = self.hexes[:, HEX_FACES].reshape(-1, 4)
         succ = cycles[np.arange(len(cycles)), (np.argmin(cycles, axis=1) + 1) % 4]
-        fid = np.array(self.cell_facets, np.int64).ravel()
+        fid = self._facet_ids.ravel()
         order = np.argsort(fid, kind="stable")
         a, b = order[:-1], order[1:]
         bad = np.flatnonzero((fid[a] == fid[b]) & (succ[a] == succ[b]))
@@ -427,9 +433,17 @@ class HexMesh(CellMesh):
         """Quarter turns around ``e`` from fan position ``i`` to ``j >= i``: one per hex."""
         return j - i
 
-    def cell_corner_octants(self, c, v) -> float:
-        """Parametric solid angle of cell ``c`` at its vertex ``v`` in octant units."""
-        return 1.0
+    def block_corners(self, walls, block_of, n_blocks):
+        """Corners per block id, for the blocks ``block_of`` (cell -> block
+        id) of the wall facets ``walls``. Every hex corner is one octant, so
+        a corner is a hex whose three facets at it are walls (as every
+        boundary facet is)."""
+        walled = np.zeros(self.n_facets, bool)
+        walled[np.fromiter(walls, np.int64, len(walls))] = True
+        corner = walled[self._facet_ids][:, _CORNER_FACES].all(axis=2)  # hex x corner slot
+        block = np.empty(self.n_cells, np.int64)  # every hex is in a block
+        block[np.fromiter(block_of, np.int64)] = np.fromiter(block_of.values(), np.int64)
+        return np.bincount(block[np.nonzero(corner)[0]], minlength=n_blocks).tolist()
 
     def edge_valence(self, e) -> int:
         return len(self.edge_cells[e])

@@ -7,7 +7,7 @@ written file reproduces every float bit-exactly.
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, VolmcError
 from .hexmesh import HexMesh
 from .tetparam import ParamTetMesh
 
@@ -283,8 +283,10 @@ def export_walls(mc, path, explode=0.0):
     With ``explode`` > 0 each block contributes its own copies of its walls,
     translated away from the global centroid along the block centroid ray by
     ``explode`` times the centroid offset; groups are then named per block
-    and wall.
+    and wall. Raises VolmcError for an ``explode`` that is not finite.
     """
+    if not np.isfinite(explode):
+        raise VolmcError(f"explode {explode} must be finite")
     mesh = mc.mesh
     # Read once: a tet mesh builds its positions array on every read.
     pos = dict(enumerate(np.asarray(mesh.positions, float)))

@@ -618,7 +618,7 @@ def extract_hexmesh(mc, ell) -> HexMesh:
         raise MeshError(f"hex extraction takes the complex of a hex mesh, not a {mc.mesh.kind} mesh")
     wall_grids = {w.id: _WallGrid(mc, w.id, ell) for w in mc.walls}
     vid = {}  # key -> vertex id
-    positions, hexes = [], []
+    positions, hexes = [np.empty((0, 3))], [np.empty((0, 8), np.int64)]  # a complex may have no block
     for block in mc.blocks:
         qb = _QuantizedBlock(mc, wall_grids, block.id, ell)
         keys, pos = qb.points()

@@ -227,6 +227,17 @@ class ParamTetMesh(CellMesh):
         """Parametric solid angle of tet ``t`` at vertex ``v`` in octant units."""
         return self._charts.octant[t, self.tets[t].index(v)]
 
+    def block_corners(self, walls, block_of, n_blocks):
+        """Corners per block id, for the blocks ``block_of`` (tet -> block
+        id) of the wall facets ``walls``: the vertex sectors of one octant,
+        in one pass over the vertices."""
+        corners = [0] * n_blocks
+        for v in range(self.n_vertices):
+            for sector in self.vertex_sectors(v, walls):
+                if abs(sum(self.cell_corner_octants(c, v) for c in sector) - 1.0) < 1e-6:
+                    corners[block_of[sector[0]]] += 1
+        return corners
+
     def _edge_quarters(self, e) -> int:
         """Total parametric dihedral angle at ``e`` as a whole number of 90° turns."""
         total = sum(self.dihedral_quarters(t, e) for t in self.edge_cells[e])  # in tet-id order

@@ -3,11 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from volmc import synth
 from volmc.cli import main
+from volmc.hexmesh import HexMesh
 from volmc.meshio import read_hex_mesh, write_hex_mesh, write_param
 from volmc.sanitize import add_noise
 from volmc.tetparam import hex_to_param
@@ -45,7 +47,7 @@ def test_mc_hex_summary(files):
 
 
 def test_debug_log_goes_to_stderr_only(files):
-    """--log-level debug adds the extraction and reduction lines on stderr;
+    """--log-level debug adds the extraction, torus split and reduction lines on stderr;
     stdout stays byte-identical."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     runs = [
@@ -57,6 +59,7 @@ def test_debug_log_goes_to_stderr_only(files):
     assert runs[0].stdout == runs[1].stdout and runs[0].stderr == ""
     lines = runs[1].stderr.splitlines()
     assert "DEBUG volmc.cellcomplex: extract: 15 walls, 25 arcs, 3 blocks" in lines
+    assert "DEBUG volmc.cellcomplex: split_tori: 0 tori cut" in lines
     assert any(line.startswith("DEBUG volmc.cellcomplex: reduce full: 1 walls removed")
                and line.endswith("3 wall geometries rebuilt, 8 reused") for line in lines)
 
@@ -137,6 +140,18 @@ def test_quantize_at_scale_zero(files, tmp_path):
     assert out == "arcs=20 hexes=3 objective=26\n"
 
 
+def test_hex_mesh_without_hexes(tmp_path):
+    """A mesh of no hexes has a complex of no blocks, and quantizing it
+    writes a mesh of no hexes."""
+    path = str(tmp_path / "empty.mesh")
+    write_hex_mesh(HexMesh(np.empty((0, 3)), np.empty((0, 8), np.int64)), path)
+    assert run_cli(["mc-hex", path]) == "blocks=0 raw=0 walls=0 arcs=0 nodes=0 t-arcs=0\n"
+    assert run_cli(["base-complex", path]) == "blocks=0 walls=0 arcs=0\n"
+    out = run_cli(["quantize", path, "--output", str(tmp_path / "q.mesh")])
+    assert out == "arcs=0 hexes=0 objective=0\n"
+    assert len(read_hex_mesh(str(tmp_path / "q.mesh")).hexes) == 0
+
+
 def test_quantize_regular_complex_of_a_400_hex_blob(tmp_path):
     write_hex_mesh(synth.random_glued_cubes(3, 400), str(tmp_path / "blob.mesh"))
     out = run_cli(["quantize", str(tmp_path / "blob.mesh"), "--reduce", "regular",
@@ -182,6 +197,17 @@ def test_export_obj(files, tmp_path):
     out_path = tmp_path / "w.obj"
     run_cli(["export", str(files / "torus.vtk"), "--output", str(out_path)])
     assert "g wall_" in out_path.read_text()
+
+
+@pytest.mark.parametrize("explode", ["nan", "inf", "-inf"])
+def test_export_names_a_non_finite_explode(files, tmp_path, explode):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-m", "volmc.cli", "export", str(files / "pie3.mesh"),
+                          "--explode", explode, "--output", "w.obj"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == f"error: explode {float(explode)} must be finite\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_stats_csv(files, tmp_path):

@@ -157,6 +157,50 @@ def test_corners_count_for_their_own_block():
         assert got == ([False] + [True] * 3 if torus_first else [True] * 3 + [False])
 
 
+def _sector_corners(mc):
+    """Reference for ``block_corners``: corners per block, counted as the
+    vertex sectors, per vertex, whose cells' octants sum to one."""
+    mesh, corners = mc.mesh, [0] * len(mc.blocks)
+    octants = (lambda c, v: 1.0) if mesh.kind == "hex" else mesh.cell_corner_octants
+    for v in range(mesh.n_vertices):
+        for sector in mesh.vertex_sectors(v, mc.field):
+            if abs(sum(octants(c, v) for c in sector) - 1.0) < 1e-6:
+                corners[mc.block_of[sector[0]]] += 1
+    return corners
+
+
+def test_block_corners_match_the_vertex_sector_count(meshes):
+    """On the unsplit, raw, full and base complexes of the fixtures, of ten
+    blobs and of three parametrizations, ``block_corners`` equals the
+    per-vertex sector count; a ring's one block is a torus, with 0."""
+    blobs = [synth.random_glued_cubes(s, 60) for s in range(10)]
+    params = [hex_to_param(meshes[name]) for name in ("box", "pie3", "notch")]
+    for mesh in [*meshes.values(), *blobs, *params]:
+        raw = motorcycle_complex(mesh, seed=0)
+        for mc in (extract_complex(*cellcomplex._trace(mesh, 0)), raw,
+                   reduce_complex(raw, mode="full"), base_complex(mesh, seed=0)):
+            assert mc.mesh.block_corners(mc.field, mc.block_of, len(mc.blocks)) == _sector_corners(mc)
+    for turns in (0, 1, 2):
+        hm = _ring_mesh(2, turns)
+        for mesh in (hm, hex_to_param(hm)):
+            mc = extract_complex(*cellcomplex._trace(mesh, 0))
+            assert mc.mesh.block_corners(mc.field, mc.block_of, 1) == _sector_corners(mc) == [0]
+
+
+def test_block_with_a_reflex_edge_is_an_integrity_error():
+    """An L-shaped block of three hexes has 10 corners, which ``is_cuboid``
+    rejects. Extraction refuses its field first (a 270-degree cell gap), so
+    the complex is assembled by hand."""
+    hm = synth.box_mesh(2, 2, 1)
+    walls = [f for f in range(hm.n_facets) if hm.facet_boundary[f]] + hm.cell_facets[3]
+    mc = cellcomplex.MotorcycleComplex(hm, dict.fromkeys(walls, 0))
+    cellcomplex._add_blocks(mc, lambda c: c == 3)
+    assert [sorted(b.cells) for b in mc.blocks] == [[0, 1, 2], [3]]
+    with pytest.raises(IntegrityError, match=r"^block 0 has 10 corners \(must be 0 or 8\)$"):
+        is_cuboid(mc, 0)
+    assert is_cuboid(mc, 1)
+
+
 def test_reduction_monotone_and_irreducible(complexes):
     for name, mc in complexes.items():
         plus = reduce_complex(mc, mode="regular")

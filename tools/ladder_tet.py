@@ -14,10 +14,11 @@ each is ``hex_to_param(notched_box_mesh(n))``. Three stages are timed:
   time the same work.
 
 Hex ladder: rungs n = 120, 400, 1000, the blob ``random_glued_cubes(3, n)``
-traced with ``trace_hex(hm, seed=0)`` (untimed). Seven stages are timed:
+traced with ``trace_hex(hm, seed=0)`` (untimed). Eight stages are timed:
 
-- extract: ``extract_complex`` of the traced field (then ``split_tori``,
-  untimed);
+- extract: ``extract_complex`` of the traced field;
+- split tori: ``split_tori`` of the extracted complex (the raw complex),
+  which counts the corners of every block;
 - reduce full: ``reduce_complex(raw, mode="full")``;
 - link: the first read of the fully reduced complex's ``arcs`` (about zero
   on trees that link arcs during extraction and reduction). On trees that
@@ -148,7 +149,9 @@ out = {"hexes": hm.n_cells}
 t0 = start()
 mc = extract_complex(hm, field)
 out["extract_s"] = time.perf_counter() - t0
+t0 = start()
 raw = split_tori(mc)
+out["split_tori_s"] = time.perf_counter() - t0
 t0 = start()
 full = reduce_complex(raw, mode="full")
 out["reduce_full_s"] = time.perf_counter() - t0
@@ -195,8 +198,8 @@ LADDERS = {
     "tet": (CHILD, (4, 6, 8), ("sanitize_s", "trace_extract_s", "hexmesh_s"), "tets",
             ("blocks", "hexes", "sanitized_sha256")),
     "hex": (HEX_CHILD, (120, 400, 1000),
-            ("extract_s", "reduce_full_s", "link_s", "base_complex_s", "grid_oracle_s",
-             "quantize_1.5_s", "quantize_2_s"), "hexes",
+            ("extract_s", "split_tori_s", "reduce_full_s", "link_s", "base_complex_s",
+             "grid_oracle_s", "quantize_1.5_s", "quantize_2_s"), "hexes",
             ("raw_blocks", "full_blocks", "base_blocks", "regular_arcs", "objective_1.5",
              "objective_2")),
 }
@@ -271,6 +274,7 @@ def main(argv=None):
         "hex_ladder": "random_glued_cubes(3, n), traced by trace_hex(hm, seed=0)",
         "hex_stages": {
             "extract_s": "extract_complex of the traced field",
+            "split_tori_s": "split_tori of the extracted complex",
             "reduce_full_s": "reduce_complex(split_tori(raw), mode='full')",
             "link_s": "first read of the fully reduced complex's arcs, deriving the facts "
                       "of walls not read before",
