@@ -406,7 +406,6 @@ class HexMesh(CellMesh):
         self.hexes = np.asarray(hexes, dtype=np.int64).reshape(-1, 8)
         self.n_vertices = len(self.positions)
         super().__init__(self.hexes.tolist())
-        self._facet_ids = np.array(self.cell_facets, np.int64).reshape(-1, len(HEX_FACES))
         for e in range(self.n_edges):
             self.edge_fan(e)
         self._check_mirrors()
@@ -417,7 +416,7 @@ class HexMesh(CellMesh):
         the two are one cycle, compared by its lowest vertex's successor."""
         cycles = self.hexes[:, HEX_FACES].reshape(-1, 4)
         succ = cycles[np.arange(len(cycles)), (np.argmin(cycles, axis=1) + 1) % 4]
-        fid = self._facet_ids.ravel()
+        fid = np.array(self.cell_facets, np.int64).ravel()
         order = np.argsort(fid, kind="stable")
         a, b = order[:-1], order[1:]
         bad = np.flatnonzero((fid[a] == fid[b]) & (succ[a] == succ[b]))
@@ -432,6 +431,12 @@ class HexMesh(CellMesh):
     def fan_turns(self, e, i, j) -> int:
         """Quarter turns around ``e`` from fan position ``i`` to ``j >= i``: one per hex."""
         return j - i
+
+    @functools.cached_property
+    def _facet_ids(self):
+        """``cell_facets`` as an array, built on first use, so that a mesh whose
+        blocks are never classified (a quantized output, say) does not hold it."""
+        return np.array(self.cell_facets, np.int64).reshape(-1, len(HEX_FACES))
 
     def block_corners(self, walls, block_of, n_blocks):
         """Corners per block id, for the blocks ``block_of`` (cell -> block
