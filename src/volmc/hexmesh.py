@@ -406,6 +406,10 @@ class HexMesh(CellMesh):
         self.hexes = np.asarray(hexes, dtype=np.int64).reshape(-1, 8)
         self.n_vertices = len(self.positions)
         super().__init__(self.hexes.tolist())
+        # cell_facets as an array, built by block_corners: a mesh whose blocks
+        # are never classified (a quantized output, say) does not hold it. Not
+        # a cached_property: writing __dict__ slows every attribute read.
+        self._facet_ids = None
         for e in range(self.n_edges):
             self.edge_fan(e)
         self._check_mirrors()
@@ -432,17 +436,13 @@ class HexMesh(CellMesh):
         """Quarter turns around ``e`` from fan position ``i`` to ``j >= i``: one per hex."""
         return j - i
 
-    @functools.cached_property
-    def _facet_ids(self):
-        """``cell_facets`` as an array, built on first use, so that a mesh whose
-        blocks are never classified (a quantized output, say) does not hold it."""
-        return np.array(self.cell_facets, np.int64).reshape(-1, len(HEX_FACES))
-
     def block_corners(self, walls, block_of, n_blocks):
         """Corners per block id, for the blocks ``block_of`` (cell -> block
         id) of the wall facets ``walls``. Every hex corner is one octant, so
         a corner is a hex whose three facets at it are walls (as every
         boundary facet is)."""
+        if self._facet_ids is None:
+            self._facet_ids = np.array(self.cell_facets, np.int64).reshape(-1, len(HEX_FACES))
         walled = np.zeros(self.n_facets, bool)
         walled[np.fromiter(walls, np.int64, len(walls))] = True
         corner = walled[self._facet_ids][:, _CORNER_FACES].all(axis=2)  # hex x corner slot
