@@ -406,10 +406,6 @@ class HexMesh(CellMesh):
         self.hexes = np.asarray(hexes, dtype=np.int64).reshape(-1, 8)
         self.n_vertices = len(self.positions)
         super().__init__(self.hexes.tolist())
-        # cell_facets as an array, built by block_corners: a mesh whose blocks
-        # are never classified (a quantized output, say) does not hold it. Not
-        # a cached_property: writing __dict__ slows every attribute read.
-        self._facet_ids = None
         for e in range(self.n_edges):
             self.edge_fan(e)
         self._check_mirrors()
@@ -441,11 +437,10 @@ class HexMesh(CellMesh):
         id) of the wall facets ``walls``. Every hex corner is one octant, so
         a corner is a hex whose three facets at it are walls (as every
         boundary facet is)."""
-        if self._facet_ids is None:
-            self._facet_ids = np.array(self.cell_facets, np.int64).reshape(-1, len(HEX_FACES))
         walled = np.zeros(self.n_facets, bool)
         walled[np.fromiter(walls, np.int64, len(walls))] = True
-        corner = walled[self._facet_ids][:, _CORNER_FACES].all(axis=2)  # hex x corner slot
+        faces = np.array(self.cell_facets, np.int64).reshape(-1, len(HEX_FACES))
+        corner = walled[faces][:, _CORNER_FACES].all(axis=2)  # hex x corner slot
         block = np.empty(self.n_cells, np.int64)  # every hex is in a block
         block[np.fromiter(block_of, np.int64)] = np.fromiter(block_of.values(), np.int64)
         return np.bincount(block[np.nonzero(corner)[0]], minlength=n_blocks).tolist()

@@ -172,7 +172,8 @@ def _sector_corners(mc):
 def test_block_corners_match_the_vertex_sector_count(meshes):
     """On the unsplit, raw, full and base complexes of the fixtures, of ten
     blobs and of three parametrizations, ``block_corners`` equals the
-    per-vertex sector count; a ring's one block is a torus, with 0."""
+    per-vertex sector count; a ring's one block is a torus, with 0. A mesh
+    of no hexes has no corners."""
     blobs = [synth.random_glued_cubes(s, 60) for s in range(10)]
     params = [hex_to_param(meshes[name]) for name in ("box", "pie3", "notch")]
     for mesh in [*meshes.values(), *blobs, *params]:
@@ -185,6 +186,7 @@ def test_block_corners_match_the_vertex_sector_count(meshes):
         for mesh in (hm, hex_to_param(hm)):
             mc = extract_complex(*cellcomplex._trace(mesh, 0))
             assert mc.mesh.block_corners(mc.field, mc.block_of, 1) == _sector_corners(mc) == [0]
+    assert HexMesh(np.empty((0, 3)), np.empty((0, 8))).block_corners({}, {}, 0) == []
 
 
 def test_block_with_a_reflex_edge_is_an_integrity_error():
