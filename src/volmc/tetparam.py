@@ -16,8 +16,6 @@ they touch.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import MeshError, NotSeamlessError
@@ -132,6 +130,9 @@ class ParamTetMesh(CellMesh):
         self.tets = [tuple(int(v) for v in t) for t in tets]
         par = np.array([np.asarray(p, float).reshape(4, 3) for p in params]).reshape(-1, 4, 3)
         self.params = list(par)
+        # Built by _charts. Not a cached_property: writing the instance __dict__
+        # makes every attribute read of the mesh slower.
+        self._chart_tables = None
         super().__init__(self.tets)
         finite = np.isfinite(par).all(axis=(1, 2))
         with np.errstate(invalid="ignore", over="ignore"):
@@ -152,12 +153,14 @@ class ParamTetMesh(CellMesh):
         """Parameter value of vertex ``v`` in tet ``t``'s chart."""
         return self.params[t][self.tets[t].index(v)]
 
-    @cached_property
+    @property
     def _charts(self) -> _Charts:
         """The chart tables, built over every live tet and interior facet on first use."""
-        ch = _Charts()
-        interior = [f for f, cells in enumerate(self.facet_cells) if len(cells) == 2]
-        self._fill_rows(ch, self.live_cells(), interior)
+        ch = self._chart_tables
+        if ch is None:
+            ch = self._chart_tables = _Charts()
+            interior = [f for f, cells in enumerate(self.facet_cells) if len(cells) == 2]
+            self._fill_rows(ch, self.live_cells(), interior)
         return ch
 
     def _fill_rows(self, ch, tets, facets):
@@ -407,7 +410,7 @@ class ParamTetMesh(CellMesh):
             self.tets[t] = None
             self.params[t] = None
         self._build_incidence(self.tets)
-        if "_charts" in vars(self):  # built already: update the rows the split touched
+        if self._chart_tables is not None:  # built already: update the rows the split touched
             kids = [k for pair in replaced.values() for k in pair]
             touched = {f for k in kids for f in self.cell_facets[k] if len(self.facet_cells[f]) == 2}
             self._fill_rows(self._charts, kids, sorted(touched))
