@@ -368,12 +368,8 @@ def extract_complex(mesh, field) -> MotorcycleComplex:
     """Discover the full node/arc/wall/block structure of a wall field (a
     dict facet -> distance). Each wall's layout is checked here; its facts
     are derived on first read."""
-    mc = MotorcycleComplex(mesh, field)
-    mc._edges = edges = validate_field(mesh, field)
-    mc.walls = [_make_wall(edges, wid, *wall)
-                for wid, wall in enumerate(_lay_out_walls(edges, field))]
-    mc.wall_of = {f: w.id for w in mc.walls for f in w.facets}
-    _Links(mc)
+    edges = validate_field(mesh, field)
+    walls = [_make_wall(edges, wid, *wall) for wid, wall in enumerate(_lay_out_walls(edges, field))]
 
     # Blocks: components of cells not separated by tagged facets.
     parent = list(range(mesh.n_cells))
@@ -387,10 +383,22 @@ def extract_complex(mesh, field) -> MotorcycleComplex:
         if len(cells) == 2 and f not in field:
             a, b = sorted((root(cells[0]), root(cells[1])))
             parent[b] = a
-    _add_blocks(mc, root)
+    mc = _assemble(edges, walls, root)
     if log.isEnabledFor(logging.DEBUG):  # the arc count links the complex
         log.debug("extract: %d walls, %d arcs, %d blocks",
                   len(mc.walls), len(mc.arcs), len(mc.blocks))
+    return mc
+
+
+def _assemble(edges, walls, root):
+    """The complex of the field of edge table ``edges`` with ``walls``,
+    numbered by lowest facet, and the blocks of cells grouped by
+    ``root(c)``; nodes and arcs are linked on first read."""
+    mc = MotorcycleComplex(edges.mesh, edges.field)
+    mc._edges, mc.walls = edges, walls
+    mc.wall_of = {f: w.id for w in walls for f in w.facets}
+    _Links(mc)
+    _add_blocks(mc, root)
     return mc
 
 
@@ -490,39 +498,28 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
             log.debug("split_tori: %d tori cut", cut)
             return mc
         block = mc.blocks[toroidal[0]]
-        arcs = {a for w in block.walls for a in mc.walls[w].arcs}
-        if not arcs:
-            raise VolmcError(
-                f"toroidal block {block.id} has no arc on its boundary; cannot place a cut"
-            )
-        arc = mc.arcs[min(arcs)]
-        v = min(arc.vertices)
-        arc_edges_at_v = [e for e in arc.edges if v in mesh.edge_keys[e]]
-        field = mc.field
-        seeds = []
-        for c in mesh.vertex_cells[v]:
-            if c not in block.cells:
-                continue
-            for f in mesh.cell_facets[c]:
-                if f in field or v not in mesh.facet_keys[f]:
-                    continue
-                if any(e in mesh.facet_edges[f] for e in arc_edges_at_v):
-                    continue
-                # The cut must run along a parametric iso-surface; tet facets
-                # crossing the iso-planes cannot carry it.
-                iso = getattr(mesh, "iso_facet", None)
-                if iso is not None and not iso(f):
-                    continue
-                if all(c2 in block.cells for c2 in mesh.facet_cells[f]):
-                    seeds.append(f)
-        seeds = sorted(set(seeds))
-        if not seeds:
-            raise VolmcError(f"no cut seed facet at vertex {v} of block {block.id}")
-        new_field = field.copy()
-        dq = deque()
-        for f in seeds:
-            new_field[f] = 0
-            dq.append(f)
+        # Seed the cut at the lowest vertex of the block's first arc, by id,
+        # that has a seed facet there: after one of several tori around a
+        # singular loop is cut, the lowest arc of the next can be that cut's
+        # T-arc, which has none.
+        field, iso = mc.field, getattr(mesh, "iso_facet", None)
+        for aid in sorted({a for w in block.walls for a in mc.walls[w].arcs}):
+            arc = mc.arcs[aid]
+            v = min(arc.vertices)
+            arc_edges_at_v = {e for e in arc.edges if v in mesh.edge_keys[e]}
+            # The cut must run along a parametric iso-surface; tet facets
+            # crossing the iso-planes cannot carry it.
+            seeds = sorted({
+                f for c in mesh.vertex_cells[v] if c in block.cells for f in mesh.cell_facets[c]
+                if f not in field and v in mesh.facet_keys[f]
+                and arc_edges_at_v.isdisjoint(mesh.facet_edges[f]) and (iso is None or iso(f))
+                and all(c2 in block.cells for c2 in mesh.facet_cells[f])})
+            if seeds:
+                break
+        else:
+            raise VolmcError(f"no arc of toroidal block {block.id} has a cut seed facet "
+                             "at its lowest vertex")
+        new_field, dq = field | dict.fromkeys(seeds, 0), deque(seeds)
         while dq:
             f = dq.popleft()
             for e in mesh.facet_edges[f]:
@@ -542,9 +539,11 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
 
 
 def _retractable(edges, w, block, mode):
-    """``removable`` for wall ``w`` of the field of edge table ``edges``,
-    with ``block(c)`` the block of cell ``c``. The edges of the wall's arcs
-    are its perimeter edges, the edges of its boundary segments."""
+    """Whether removing wall ``w`` of the field of edge table ``edges``
+    merges its two adjacent blocks into a cuboid, with ``block(c)`` the
+    block of cell ``c``: the blocks are distinct and at every perimeter edge
+    (the edges of its boundary segments) both form a 90° edge and are
+    distinct; in regular mode no perimeter edge may be singular."""
     if mode not in ("full", "regular"):
         raise ValueError(f"unknown reduction mode {mode!r}")
     if w.boundary or w.annulus or w.slit:
@@ -572,16 +571,10 @@ def _retractable(edges, w, block, mode):
     return True
 
 
-def removable(mc: MotorcycleComplex, wid, mode="full") -> bool:
-    """Whether removing wall ``wid`` merges its two adjacent blocks into a
-    cuboid: at every surrounding arc both blocks form a 90° edge and the
-    blocks are distinct; in regular mode all surrounding arcs must also be
-    regular."""
-    return _retractable(mc._edges, mc.walls[wid], mc.block_of.__getitem__, mode)
-
-
 def removable_walls(mc, mode="full"):
-    return [w.id for w in mc.walls if removable(mc, w.id, mode)]
+    """The ids of the walls of ``mc`` whose removal merges their two
+    adjacent blocks into a cuboid (``_retractable``)."""
+    return [w.id for w in mc.walls if _retractable(mc._edges, w, mc.block_of.__getitem__, mode)]
 
 
 def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
@@ -591,19 +584,23 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     Ties go to the wall with the lowest min facet, which is the lowest wall
     id, as extraction numbers walls in order of min facet. The retraction
     runs on one local state: the edge table, the walls keyed by min facet, a
-    union-find over ``mc.block_of`` and the set of removable walls. Removing
-    wall W untags facets only at W's edges, and an edge interior to another
-    wall carries no facet of W, so walls only merge (across W's perimeter
-    edges), never split: only the walls with a facet at W's perimeter can
-    merge, and only those that now continue straight across one of its
-    perimeter edges are re-flooded and get a new, checked layout. Which
-    edges of a live wall's facets pair never changes, so its facts, derived
-    on first read, do not depend on when that is (W's perimeter is read
-    before its facets are untagged). Removability is tested again for the
-    walls at W's perimeter and for the walls adjacent to both merged
-    blocks; every other wall sees the same facets, gaps and block
-    partition. The edge table re-derives, and so re-validates, the edges of
-    W's facets; every other edge keeps its facts.
+    union-find over ``mc.block_of`` and one heap of (distance, key) entries.
+    A popped entry is skipped when its wall is gone or has another distance,
+    and otherwise tested for removability again: merging two blocks can
+    only take removability away, since every block test asks for distinct
+    blocks. Removing wall W untags facets only at W's edges, and an edge
+    of W's facets that holds another wall's facet is a boundary segment of
+    both, so walls only merge (across W's perimeter edges), never split:
+    only the walls with a facet at W's perimeter see their fans change, and
+    only those that now continue straight across one of its perimeter edges
+    are re-flooded and get a new, checked layout. These walls are tested as
+    soon as W is removed and pushed if removable, so every removable wall
+    has an entry and each step removes the farthest wall removable at that
+    moment. Which edges of a live wall's facets pair never changes, so its
+    facts, derived on first read, do not depend on when that is (W's
+    perimeter is read before its facets are untagged). The edge table
+    re-derives, and so re-validates, the edges of W's facets; every other
+    edge keeps its facts.
 
     The result is assembled from the state, numbered as ``extract_complex``
     numbers the final field: walls by lowest facet, keeping their geometry,
@@ -616,10 +613,8 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
             raise VolmcError("reduce requires cuboid blocks; run split_tori first")
     mesh = mc.mesh
     edges = _EdgeTable(mesh, mc.field.copy(), dict(mc._edges.pair), dict(mc._edges.ring))
-    key = [min(w.facets) for w in mc.walls]
-    walls = {key[w.id]: w for w in mc.walls}
-    wall_of = {f: key[wid] for f, wid in mc.wall_of.items()}
-    block_walls = [{key[wid] for wid in b.walls} for b in mc.blocks]
+    walls = {min(w.facets): w for w in mc.walls}
+    wall_of = {f: k for k, w in walls.items() for f in w.facets}
     parent = list(range(len(mc.blocks)))
 
     def block(c):
@@ -629,34 +624,27 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
             b = parent[b]
         return b
 
-    def adjacent(w):
-        return {block(c) for f in w.facets for c in mesh.facet_cells[f]}
-
-    ok, heap, fresh = set(), [], set()  # fresh: keys of the walls laid out here
+    heap, fresh = [], set()  # fresh: keys of the walls laid out here
     tests = rebuilt = removed = 0
 
-    def retest(keys):
+    def test(k):
         nonlocal tests
+        tests += 1
+        return _retractable(edges, walls[k], block, mode)
+
+    def push(keys):
         for k in keys:
-            tests += 1
-            if not _retractable(edges, walls[k], block, mode):
-                ok.discard(k)
-            elif k not in ok:
-                ok.add(k)
+            if test(k):
                 heapq.heappush(heap, (-walls[k].distance, k))
 
-    retest(walls)
+    push(walls)
     while heap:
         neg_dist, k = heapq.heappop(heap)
-        if k not in ok or walls[k].distance != -neg_dist:
-            continue  # stale entry
+        if k not in walls or walls[k].distance != -neg_dist or not test(k):
+            continue  # stale entry, or no longer removable
         w = walls.pop(k)
-        ok.discard(k)
         removed += 1
-        a, b = sorted(adjacent(w))
-        both = block_walls[a] & block_walls[b]
-        block_walls[a] |= block_walls[b]
-        block_walls[a].discard(k)
+        a, b = sorted({block(c) for f in w.facets for c in mesh.facet_cells[f]})
         parent[b] = a
         perimeter = [e for e, _ in w._geom.boundary_segments]  # read before untagging
         edges.untag(w.facets)
@@ -668,35 +656,19 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
             touched.update(wall_of[g] for g in tags)
             if e in edges.pair:
                 joined.update(wall_of[g] for g in tags)
-        for t in joined:
-            ok.discard(t)
-            for bb in adjacent(walls[t]):
-                block_walls[bb].discard(t)
         merged = _lay_out_walls(edges, [f for t in joined for f in walls.pop(t).facets])
         for facets, geom in merged:
-            nw = walls[facets[0]] = _make_wall(edges, facets[0], facets, geom)
+            walls[facets[0]] = _make_wall(edges, facets[0], facets, geom)
             rebuilt += 1
             fresh.add(facets[0])
-            for f in facets:
-                wall_of[f] = facets[0]
-            for bb in adjacent(nw):
-                block_walls[bb].add(facets[0])
-        retest({facets[0] for facets, _ in merged} | {t for t in touched | both if t in walls})
+            wall_of.update(dict.fromkeys(facets, facets[0]))
+        push({facets[0] for facets, _ in merged} | (touched & walls.keys()))
     log.debug("reduce %s: %d walls removed, %d removability tests, %d wall geometries "
               "rebuilt, %d reused", mode, removed, tests, rebuilt, len(walls.keys() - fresh))
     if not removed:
         return mc
-
-    red = MotorcycleComplex(mesh, edges.field)
-    red._edges = edges
-    for wid, k in enumerate(sorted(walls)):
-        old = walls[k]  # the same facets and geometry, renumbered
-        w = Wall(wid, old.facets, old.boundary, old.distance, old._geom)
-        red.walls.append(w)
-        red.wall_of.update(dict.fromkeys(w.facets, wid))
-    _add_blocks(red, block)
-    _Links(red)
-    return red
+    return _assemble(edges, [Wall(wid, w.facets, w.boundary, w.distance, w._geom)
+                             for wid, w in enumerate(walls[k] for k in sorted(walls))], block)
 
 
 # -- tracer dispatch and the two complexes -----------------------------------

@@ -211,14 +211,10 @@ def read_hex_mesh(path, fmt=None) -> HexMesh:
     return HexMesh(positions, hexes)
 
 
-def write_hex_mesh(mesh: HexMesh, path, fmt=None):
-    fmt = _detect_format(path, fmt)
-    if fmt == "mesh":
-        _write_medit(mesh, path)
-    elif fmt == "vtk":
-        _write_vtk(mesh, path)
-    else:
-        raise ParseError(f"unknown mesh format '{fmt}'")
+def write_hex_mesh(mesh: HexMesh, path):
+    """Write a hexahedral mesh as legacy VTK to a ``.vtk`` path and as
+    MEDIT .mesh to any other."""
+    (_write_vtk if _detect_format(path) == "vtk" else _write_medit)(mesh, path)
 
 
 # -- parametrized tet mesh ---------------------------------------------------

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_reduce import reference_reduce
 
 from volmc import cellcomplex, synth
 from volmc.cellcomplex import (
@@ -138,6 +139,38 @@ def test_thick_and_twisted_rings_split_into_one_cuboid(m, turns):
             assert check_grid_blocks(split) == [(m, m, 8)]
 
 
+def _pie_ring_mesh(k, n=8):
+    """The bottom face of ``synth.pie_mesh(k, 1)`` (vertices 0 to 2k)
+    swept around a ring of n sections: a singular loop inside, and k
+    toroidal sectors bounded by interior spoke walls."""
+    pie, m = synth.pie_mesh(k, 1), 2 * k + 1
+    positions = [((3 + x / 2) * math.cos(2 * math.pi * j / n),
+                  (3 + x / 2) * math.sin(2 * math.pi * j / n), y / 2)
+                 for j in range(n) for x, y, _ in pie.positions[:m]]
+    return HexMesh(positions, [[(j + 1) % n * m + v for v in h[:4]] + [j * m + v for v in h[:4]]
+                               for j in range(n) for h in pie.hexes.tolist()])
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_tori_around_one_singular_loop_split_into_cuboids(k):
+    """Once one of the k tori is cut, the lowest arc of the next is that
+    cut's T-arc, which has no seed facet at its lowest vertex; the cut is
+    seeded at the next arc that has one. Both entry points give k cuboids
+    on both mesh kinds, which reduce as the reference does."""
+    hm = _pie_ring_mesh(k)
+    for mesh in (hm, hex_to_param(hm)):
+        for entry in (motorcycle_complex, base_complex):
+            mc = entry(mesh, seed=0)
+            assert len(mc.blocks) == k, (mesh.kind, entry.__name__)
+            if mesh is hm:
+                assert check_grid_blocks(mc) == [(1, 1, 8)] * k
+            for mode in ("regular", "full"):
+                ref, _ = reference_reduce(mc, mode)
+                red = reduce_complex(mc, mode=mode)
+                assert len(red.blocks) == len(ref.blocks), (mesh.kind, entry.__name__, mode)
+                assert _wall_sets(red) == _wall_sets(ref), (mesh.kind, entry.__name__, mode)
+
+
 def _disjoint_union(*parts):
     positions, hexes = [], []
     for hm in parts:
@@ -210,6 +243,12 @@ def test_reduction_monotone_and_irreducible(complexes):
         assert len(full.blocks) <= len(plus.blocks) <= len(mc.blocks), name
         assert removable_walls(full, mode="full") == [], name
         assert removable_walls(plus, mode="regular") == [], name
+
+
+@pytest.mark.parametrize("entry", [reduce_complex, removable_walls])
+def test_unknown_reduction_mode_raises(complexes, entry):
+    with pytest.raises(ValueError, match=r"^unknown reduction mode 'partial'$"):
+        entry(complexes["pie3"], mode="partial")
 
 
 def test_reduction_keeps_wall_subset(complexes):
