@@ -585,22 +585,23 @@ def reduce_complex(mc: MotorcycleComplex, mode="full") -> MotorcycleComplex:
     id, as extraction numbers walls in order of min facet. The retraction
     runs on one local state: the edge table, the walls keyed by min facet, a
     union-find over ``mc.block_of`` and one heap of (distance, key) entries.
-    A popped entry is skipped when its wall is gone or has another distance,
-    and otherwise tested for removability again: merging two blocks can
-    only take removability away, since every block test asks for distinct
-    blocks. Removing wall W untags facets only at W's edges, and an edge
-    of W's facets that holds another wall's facet is a boundary segment of
-    both, so walls only merge (across W's perimeter edges), never split:
-    only the walls with a facet at W's perimeter see their fans change, and
-    only those that now continue straight across one of its perimeter edges
-    are re-flooded and get a new, checked layout. These walls are tested as
-    soon as W is removed and pushed if removable, so every removable wall
-    has an entry and each step removes the farthest wall removable at that
-    moment. Which edges of a live wall's facets pair never changes, so its
-    facts, derived on first read, do not depend on when that is (W's
-    perimeter is read before its facets are untagged). The edge table
-    re-derives, and so re-validates, the edges of W's facets; every other
-    edge keeps its facts.
+    A popped entry is skipped when its wall is gone, has another distance
+    or is no longer removable, tested again at pop. Removing wall W untags
+    facets only at W's edges, and an edge of W's facets that holds another
+    wall's facet is a boundary segment of both, so walls only merge (across
+    W's perimeter edges), never split: only the walls with a facet at W's
+    perimeter see their fans change, and only those that now continue
+    straight across one of its perimeter edges are re-flooded and get a
+    new, checked layout. The walls at W's perimeter and the merged walls
+    are tested as soon as W is removed, and pushed if removable. Every other
+    wall keeps its facets and fans, and merging W's two blocks can only take
+    its removability away, since every block test asks for distinct blocks.
+    So every removable wall has an entry, and each step removes the
+    farthest wall removable at that moment. Which edges of a live wall's
+    facets pair never changes, so its facts, derived on first read, do not
+    depend on when that is (W's perimeter is read before its facets are
+    untagged). The edge table re-derives, and so re-validates, the edges of
+    W's facets; every other edge keeps its facts.
 
     The result is assembled from the state, numbered as ``extract_complex``
     numbers the final field: walls by lowest facet, keeping their geometry,
