@@ -8,11 +8,12 @@ facets (``_wall_layout()``), counts turns around edges (``fan_turns``) and
 counts the corners of blocks (``block_corners``).
 
 Extraction and reduction build walls and blocks only, checking each wall's
-layout as it is built; its segments, corners and sides are derived on first
-read (``_WallGeometry``), as reduction does for interior walls. Nodes and
-arcs, with each wall's arcs and sides, are linked on first read (``_Links``),
-deriving every wall's facts: only quantization and the T-arc statistics
-read them.
+layout as it is built; its segments and corners are derived on first read
+(``_WallGeometry``), as reduction does for interior walls. The complex
+derives the rest on first read and holds it: nodes, arcs, and per wall its
+arc ids and sides, linked in one pass that derives every wall's facts (only
+quantization and the T-arc statistics read them); and the corner count of
+every block, which block classification and torus splitting read.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Arc:
 
 
 class Wall:
-    __slots__ = ("id", "facets", "boundary", "distance", "_geom", "_links")
+    __slots__ = ("id", "facets", "boundary", "distance", "_geom")
 
     def __init__(self, id, facets, boundary, distance, geom):
         self.id = id
@@ -55,17 +56,6 @@ class Wall:
         self.boundary = boundary
         self.distance = distance
         self._geom = geom  # its _WallGeometry
-        self._links = None  # its complex's _Links
-
-    @property
-    def arcs(self):
-        """Its arc ids, ascending."""
-        return self._links.linked().wall_arcs[self.id]
-
-    @property
-    def sides(self):
-        """4 lists of arc ids for rectangle walls, None otherwise."""
-        return self._links.linked().wall_sides[self.id]
 
     annulus = property(lambda self: self._geom.annulus)
     slit = property(lambda self: self._geom.slit)
@@ -78,20 +68,21 @@ class Wall:
 
 
 class Block:
-    __slots__ = ("id", "cells", "walls", "corners")
+    __slots__ = ("id", "cells", "walls")
 
     def __init__(self, id, cells, walls):
         self.id = id
         self.cells = cells
         self.walls = walls
-        self.corners = None  # set by is_cuboid
 
 
 class MotorcycleComplex:
     """Nodes, arcs, walls and blocks extracted from a wall field, with
     lookup maps back into the underlying mesh. Walls and blocks are built
-    with the complex; nodes, arcs and ``arc_of`` are linked the first time
-    any of them, or a wall's arcs or sides, is read."""
+    with the complex. The first read of ``nodes``, ``arcs``, ``arc_of``,
+    ``wall_arcs`` or ``wall_sides`` links all five (``_link_arcs``), and the
+    first ``is_cuboid`` counts the corners of every block; the complex holds
+    both. Walls and blocks refer to no complex, so nothing forms a cycle."""
 
     def __init__(self, mesh, field):
         self.mesh = mesh
@@ -101,48 +92,40 @@ class MotorcycleComplex:
         self.wall_of = {}  # facet -> wall id
         self.block_of = {}  # cell -> block id
         self._edges = None  # the field's _EdgeTable
-        self._links = None  # its _Links, shared with its walls
+        self._nodes = None  # set, with the other linked facts, by _link_arcs
+        self._corners = None  # corners per block id, set by is_cuboid
+
+    def _linked(self):
+        if self._nodes is None:
+            _link_arcs(self)
+        return self
 
     @property
     def nodes(self):
         """The node vertices, ascending; a node's id is its index."""
-        return self._links.linked().nodes
+        return self._linked()._nodes
 
     @property
     def arcs(self):
-        return self._links.linked().arcs
+        return self._linked()._arcs
 
     @property
     def arc_of(self):
         """Edge -> arc id."""
-        return self._links.linked().arc_of
+        return self._linked()._arc_of
+
+    @property
+    def wall_arcs(self):
+        """Wall id -> its arc ids, ascending."""
+        return self._linked()._wall_arcs
+
+    @property
+    def wall_sides(self):
+        """Wall id -> 4 lists of arc ids for a rectangle wall, None otherwise."""
+        return self._linked()._wall_sides
 
     def wall_facet_set(self):
         return set(self.field)
-
-
-class _Links:
-    """What ``_link_arcs`` reads (the edge table, ``wall_of`` and each
-    wall's geometry) and, once it has run, what it derives: nodes, arcs,
-    ``arc_of``, and per wall its arc ids and sides. Built from a complex
-    whose walls are final, it points the complex and its walls at itself; it
-    refers to neither, so they form no reference cycle."""
-
-    __slots__ = ("edges", "wall_of", "geoms", "nodes", "arcs", "arc_of",
-                 "wall_arcs", "wall_sides")
-
-    def __init__(self, mc):
-        self.edges, self.wall_of = mc._edges, mc.wall_of
-        self.geoms = [w._geom for w in mc.walls]
-        self.nodes = None
-        mc._links = self
-        for w in mc.walls:
-            w._links = self
-
-    def linked(self):
-        if self.nodes is None:
-            _link_arcs(self)
-        return self
 
 
 class _EdgeTable:
@@ -397,7 +380,6 @@ def _assemble(edges, walls, root):
     mc = MotorcycleComplex(edges.mesh, edges.field)
     mc._edges, mc.walls = edges, walls
     mc.wall_of = {f: w.id for w in walls for f in w.facets}
-    _Links(mc)
     _add_blocks(mc, root)
     return mc
 
@@ -414,11 +396,12 @@ def _add_blocks(mc, root):
         mc.block_of.update(dict.fromkeys(cells, bid))
 
 
-def _link_arcs(links):
-    """Nodes and arcs of the walls of ``links`` from its edge table, with
+def _link_arcs(mc):
+    """Nodes and arcs of the walls of ``mc`` from its edge table, with
     ``arc_of``, each wall's arc ids and each rectangle wall's arc ids per
-    side. Arc edges are the edges on a wall but not interior to one."""
-    table, wall_of, geoms = links.edges, links.wall_of, links.geoms
+    side, stored on ``mc``. Arc edges are the edges on a wall but not
+    interior to one."""
+    table, wall_of, geoms = mc._edges, mc.wall_of, [w._geom for w in mc.walls]
     mesh = table.mesh
     sig = {  # arc edge -> (its walls, whether it is singular)
         e: (frozenset(wall_of[f] for f in ring[::3]), mesh.singular(e))
@@ -463,9 +446,8 @@ def _link_arcs(links):
                 [aid for _, aid in sorted((k, a) for a, k in d.items())]
                 for d in per_side
             ]
-    links.nodes = sorted(nodes)
-    links.arcs, links.arc_of = arcs, arc_of
-    links.wall_arcs, links.wall_sides = wall_arcs, wall_sides
+    mc._nodes, mc._arcs, mc._arc_of = sorted(nodes), arcs, arc_of
+    mc._wall_arcs, mc._wall_sides = wall_arcs, wall_sides
 
 
 # -- block classification ----------------------------------------------------
@@ -475,14 +457,12 @@ def is_cuboid(mc, bid) -> bool:
     """Whether block ``bid`` is a cuboid (8 corners) rather than toroidal (0
     corners); any other count raises. A corner is a vertex sector of one
     octant; the mesh counts them for every block at once."""
-    block = mc.blocks[bid]
-    if block.corners is None:
-        corners = mc.mesh.block_corners(mc.field, mc.block_of, len(mc.blocks))
-        for b, n in zip(mc.blocks, corners):
-            b.corners = n
-    if block.corners not in (0, 8):
-        raise IntegrityError(f"block {bid} has {block.corners} corners (must be 0 or 8)")
-    return block.corners == 8
+    if mc._corners is None:
+        mc._corners = mc.mesh.block_corners(mc.field, mc.block_of, len(mc.blocks))
+    n = mc._corners[bid]
+    if n not in (0, 8):
+        raise IntegrityError(f"block {bid} has {n} corners (must be 0 or 8)")
+    return n == 8
 
 
 # -- torus splitting ---------------------------------------------------------
@@ -503,7 +483,7 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
         # singular loop is cut, the lowest arc of the next can be that cut's
         # T-arc, which has none.
         field, iso = mc.field, getattr(mesh, "iso_facet", None)
-        for aid in sorted({a for w in block.walls for a in mc.walls[w].arcs}):
+        for aid in sorted({a for w in block.walls for a in mc.wall_arcs[w]}):
             arc = mc.arcs[aid]
             v = min(arc.vertices)
             arc_edges_at_v = {e for e in arc.edges if v in mesh.edge_keys[e]}

@@ -67,16 +67,15 @@ def _solve_gluing(s0, s1, s2, r0, r1, r2, fh, fh2):
     ``s*``/``r*`` and face slots ``fh``/``fh2``, or its MeshError message."""
     p0, p1, p2 = _CORNERS[s0], _CORNERS[s1], _CORNERS[s2]
     q0, q1, q2, n, n2 = _CORNERS[r0], _CORNERS[r1], _CORNERS[r2], _NORMALS[fh], _NORMALS[fh2]
-    # Rows of the bases [p1 - p0, p2 - p0, n] and [q1 - q0, q2 - q0, -n2]. The first is
-    # unimodular (one column may be a face diagonal): its inverse is adj / det, det = ±1.
+    # Rows of the bases [p1 - p0, p2 - p0, n] and [q1 - q0, q2 - q0, -n2]. Three distinct
+    # corners of a unit face (a hex repeats none) and its normal make the first unimodular
+    # (one column may be a face diagonal): its inverse is adj / det, det = ±1.
     b = [(p1[i] - p0[i], p2[i] - p0[i], n[i]) for i in range(3)]
     c = [(q1[i] - q0[i], q2[i] - q0[i], -n2[i]) for i in range(3)]
     adj = [[b[(j + 1) % 3][(i + 1) % 3] * b[(j + 2) % 3][(i + 2) % 3]
             - b[(j + 1) % 3][(i + 2) % 3] * b[(j + 2) % 3][(i + 1) % 3]
             for j in range(3)] for i in range(3)]
     det = sum(b[0][k] * adj[k][0] for k in range(3))
-    if det not in (1, -1):
-        return "degenerate facet {f} corner configuration"
     m = [[det * sum(c[i][k] * adj[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     rot = _INDEX.get(tuple(x for row in m for x in row))
     if rot is None:

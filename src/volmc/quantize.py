@@ -57,12 +57,12 @@ def build_ip(mc, s) -> QuantizationProblem:
     arcs = sorted(a.id for a in mc.arcs)
     lengths = {a.id: float(a.length) for a in mc.arcs}
     rows = []
-    for w in mc.walls:
+    for sides in mc.wall_sides:
         for lo, hi in ((0, 2), (3, 1)):
             row = {}
-            for aid in w.sides[lo]:
+            for aid in sides[lo]:
                 row[aid] = row.get(aid, 0) + 1
-            for aid in w.sides[hi]:
+            for aid in sides[hi]:
                 row[aid] = row.get(aid, 0) - 1
             row = {a: c for a, c in row.items() if c}
             if row:

@@ -152,13 +152,10 @@ def detect_cut_structure(pm: ParamTetMesh) -> CutStructure:
             cs.cut_edges.add(e)
         elif n_cut == 1 or n_cut > 2:
             cs.cut_edges.add(e)
-        elif pm.edge_boundary[e]:
-            if n_cut >= 1:
-                cs.cut_edges.add(e)
-            else:
-                bf = [f for f in pm.edge_facets[e] if pm.facet_boundary[f]]
-                if len(bf) == 2 and align_axis[bf[0]] != align_axis[bf[1]]:
-                    cs.cut_edges.add(e)
+        # A regular boundary edge without cut facets spans 2 quarter turns in
+        # one chart: its boundary facets lie on one iso-plane, one align sheet.
+        elif pm.edge_boundary[e] and n_cut:
+            cs.cut_edges.add(e)
 
     incid = pm.edge_incidence(cs.cut_edges)
     for v, es in incid.items():

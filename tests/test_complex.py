@@ -87,6 +87,40 @@ def test_grid_oracle_rejects_non_grid():
         grid_block_coords(hm, field, [0, 1, 2])
 
 
+def _ring():
+    """The unwalled ring of the torus: its seed hex is reached by two paths
+    whose transitions differ."""
+    hm = synth.torus_mesh()
+    return hm, {}, range(hm.n_cells)
+
+
+def _pie_cut_open():
+    """Pie5 cut open between hexes 4 and 0: five quarter turns around its
+    axis put hex 4 on hex 0's grid cell."""
+    hm = synth.pie_mesh(5, 1)
+    return hm, {f: 0 for f in range(hm.n_facets) if sorted(hm.facet_cells[f]) == [0, 4]}, range(5)
+
+
+def _two_walled_off():
+    hm = synth.box_mesh(2, 1, 1)
+    return hm, {f: 0 for f in range(hm.n_facets) if len(hm.facet_cells[f]) == 2}, [0, 1]
+
+
+def _l_of_three():
+    return synth.mesh_from_cells([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), {}, range(3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (_ring, r"block chart transport is inconsistent \(wrap\)"),
+    (_pie_cut_open, "two hexes map to the same grid cell"),
+    (_two_walled_off, "block flood fill did not reach all cells"),
+    (_l_of_three, r"block cells do not fill a \(2, 2, 1\) grid"),
+], ids=["wrap", "same-cell", "unreached", "unfilled"])
+def test_grid_oracle_failures(build, message):
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
+        grid_block_coords(*build())
+
+
 def test_torus_classification():
     hm = synth.torus_mesh()
     mc = extract_complex(hm, trace_hex(hm, seed=0))
@@ -330,9 +364,9 @@ def test_wall_sides_are_balanced(complexes):
     """Rectangle walls: both opposite side pairs span the same arc length."""
     for name, mc in complexes.items():
         for w in mc.walls:
-            if w.slit or w.annulus or w.sides is None:
+            if w.slit or w.annulus or mc.wall_sides[w.id] is None:
                 continue
-            lens = [sum(mc.arcs[a].length for a in side) for side in w.sides]
+            lens = [sum(mc.arcs[a].length for a in side) for side in mc.wall_sides[w.id]]
             assert abs(lens[0] - lens[2]) < 1e-9, name
             assert abs(lens[1] - lens[3]) < 1e-9, name
 
@@ -377,9 +411,9 @@ def test_arcs_are_linked_on_first_read(monkeypatch, caplog):
     check_grid_blocks(full)
     base_complex(hm, seed=0)
     assert calls[0] == 0
-    full.arcs, full.nodes, full.walls[0].sides
+    full.arcs, full.nodes, full.wall_sides[0]
     assert calls[0] == 1
-    full.arc_of, full.walls[-1].arcs
+    full.arc_of, full.wall_arcs[-1]
     assert calls[0] == 1
     caplog.set_level(logging.DEBUG, logger="volmc.cellcomplex")
     extract_complex(hm, trace_hex(hm, seed=0))  # its debug line counts the arcs
@@ -422,7 +456,7 @@ def test_wall_facts_are_derived_on_first_read(monkeypatch):
     assert pending
     full.arcs
     assert sorted(id(g) for g in derived[len(ids):]) == sorted(pending)
-    full.arcs, full.walls[0].sides, [(w.slit, w.dims) for w in full.walls]
+    full.arcs, full.wall_sides[0], [(w.slit, w.dims) for w in full.walls]
     assert len(derived) == len(ids) + len(pending)
 
 
@@ -441,7 +475,7 @@ def test_complexes_form_no_reference_cycles(build):
         raw = motorcycle_complex(mesh, seed=0)
         full = reduce_complex(raw, mode="full")
         bc = base_complex(mesh, seed=0)
-        full.arcs, full.walls[0].sides
+        full.arcs, full.wall_sides[0]
         bc.walls[0].slit, bc.walls[0].dims  # derives that wall's facts
         refs = [weakref.ref(x) for x in (raw, full, bc, mesh, raw.mesh)]
         del mesh, raw, full, bc

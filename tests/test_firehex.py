@@ -76,6 +76,17 @@ def test_sparse_subset_of_standard(meshes):
         assert sparse <= raw, name
 
 
+def test_necessary_when_two_behind_and_one_ahead_burn():
+    """The paper's third clause: a source at fan facet f is needed when f-2
+    and f+1 are burnt but f-1 is not, and not when f+1 burns alone."""
+    hm = synth.pie_mesh(5, 1)
+    fan = hm.edge_fan(5)  # the singular axis edge, a closed fan of 5 facets
+    assert fan.closed and hm.singular(5)
+    f = fan.facets[0]
+    assert necessary(hm, {fan.facet(-2): 0, fan.facet(1): 0}, 5, f)
+    assert not necessary(hm, {fan.facet(1): 0}, 5, f)
+
+
 def test_base_walls_superset(meshes):
     for name, hm in meshes.items():
         std = trace_hex(hm, seed=0)

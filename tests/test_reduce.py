@@ -55,7 +55,7 @@ def _attrs(mc):
         "edge pairs": mc._edges.pair,
         "edge rings": mc._edges.ring,
         "walls": [(w.id, w.facets, w.boundary, w.distance, w.annulus, w.slit, w.dims,
-                   w.sides, w.arcs) for w in mc.walls],
+                   mc.wall_sides[w.id], mc.wall_arcs[w.id]) for w in mc.walls],
         "arcs": [(a.id, a.edges, a.vertices, a.walls, a.singular, a.tarc, a.length)
                  for a in mc.arcs],
         "nodes": mc.nodes,
