@@ -19,7 +19,7 @@ itself), and whatever ``statsrun`` runs only in its worker processes.
 
 Prints, per module, the number of never-run lines and their ranges, then
 their total as ``unrun_lines N``; exits with pytest's status. Tracing
-slows a run down about 2.5 times: tier-1 took 150 s traced against 60 s
+slows a run down about 2 times: tier-1 took 111 s traced against 61 s
 untraced on a 2-CPU machine.
 
 Usage::
