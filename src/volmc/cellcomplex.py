@@ -68,12 +68,11 @@ class Wall:
 
 
 class Block:
-    __slots__ = ("id", "cells", "walls")
+    __slots__ = ("id", "cells")
 
-    def __init__(self, id, cells, walls):
+    def __init__(self, id, cells):
         self.id = id
         self.cells = cells
-        self.walls = walls
 
 
 class MotorcycleComplex:
@@ -386,13 +385,12 @@ def _assemble(edges, walls, root):
 
 def _add_blocks(mc, root):
     """The blocks of ``mc``: the cells grouped by ``root(c)``, numbered by
-    lowest cell, each with the walls on its cells' facets."""
+    lowest cell."""
     mesh, cells_of = mc.mesh, {}
     for c in range(mesh.n_cells):
         cells_of.setdefault(root(c), []).append(c)
     for bid, cells in enumerate(cells_of.values()):
-        walls = {mc.wall_of[f] for c in cells for f in mesh.cell_facets[c] if f in mc.wall_of}
-        mc.blocks.append(Block(bid, frozenset(cells), walls))
+        mc.blocks.append(Block(bid, frozenset(cells)))
         mc.block_of.update(dict.fromkeys(cells, bid))
 
 
@@ -483,7 +481,8 @@ def split_tori(mc: MotorcycleComplex) -> MotorcycleComplex:
         # singular loop is cut, the lowest arc of the next can be that cut's
         # T-arc, which has none.
         field, iso = mc.field, getattr(mesh, "iso_facet", None)
-        for aid in sorted({a for w in block.walls for a in mc.wall_arcs[w]}):
+        walls = {mc.wall_of[f] for c in block.cells for f in mesh.cell_facets[c] if f in mc.wall_of}
+        for aid in sorted({a for w in walls for a in mc.wall_arcs[w]}):
             arc = mc.arcs[aid]
             v = min(arc.vertices)
             arc_edges_at_v = {e for e in arc.edges if v in mesh.edge_keys[e]}

@@ -64,7 +64,8 @@ _REFLECTION = "facet {f} glues hex {h} to hex {h2} by a reflection: one of them 
 @functools.cache
 def _solve_gluing(s0, s1, s2, r0, r1, r2, fh, fh2):
     """The ``face_gluing`` table: the exact transition for corner slots
-    ``s*``/``r*`` and face slots ``fh``/``fh2``, or its MeshError message."""
+    ``s*``/``r*`` and face slots ``fh``/``fh2``. A mirrored gluing has no
+    entry: ``HexMesh`` rejects it when it is built (``_check_mirrors``)."""
     p0, p1, p2 = _CORNERS[s0], _CORNERS[s1], _CORNERS[s2]
     q0, q1, q2, n, n2 = _CORNERS[r0], _CORNERS[r1], _CORNERS[r2], _NORMALS[fh], _NORMALS[fh2]
     # Rows of the bases [p1 - p0, p2 - p0, n] and [q1 - q0, q2 - q0, -n2]. Three distinct
@@ -77,9 +78,7 @@ def _solve_gluing(s0, s1, s2, r0, r1, r2, fh, fh2):
             for j in range(3)] for i in range(3)]
     det = sum(b[0][k] * adj[k][0] for k in range(3))
     m = [[det * sum(c[i][k] * adj[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-    rot = _INDEX.get(tuple(x for row in m for x in row))
-    if rot is None:
-        return _REFLECTION
+    rot = _INDEX[tuple(x for row in m for x in row)]
     t = tuple(q0[i] - sum(m[i][j] * p0[j] for j in range(3)) for i in range(3))
     return Transition(rot, t)
 
@@ -489,16 +488,12 @@ class HexMesh(CellMesh):
         Maps h-local corner coordinates to h2-local coordinates; h's cube
         lands on the cube adjacent to h2's across the shared facet ``f``.
         Read from a table keyed by the corner slots of ``f``'s first three key
-        vertices and by ``f``'s face slots, in both hexes; a failure stays in
-        the table and raises MeshError naming ``f`` on every call.
+        vertices and by ``f``'s face slots, in both hexes.
         """
         a, b, c = self.facet_keys[f][:3]
         ch, ch2 = self._cells[h], self._cells[h2]
-        g = _solve_gluing(ch.index(a), ch.index(b), ch.index(c), ch2.index(a), ch2.index(b),
-                          ch2.index(c), self.cell_facets[h].index(f), self.cell_facets[h2].index(f))
-        if type(g) is str:
-            raise MeshError(g.format(f=f, h=h, h2=h2))
-        return g
+        return _solve_gluing(ch.index(a), ch.index(b), ch.index(c), ch2.index(a), ch2.index(b),
+                             ch2.index(c), self.cell_facets[h].index(f), self.cell_facets[h2].index(f))
 
     # Generic name used by block transport (same signature for tet meshes).
     cell_gluing = face_gluing

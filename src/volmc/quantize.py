@@ -231,19 +231,15 @@ class _WallGrid:
         y = (1 - u / self.P) * self._side_map(3, v) + (u / self.P) * self._side_map(1, v)
         return x, y
 
-    @cached_property
-    def cells(self):
-        """Lower-left corner -> facet of each unit square of a hex wall's layout."""
-        return {(min(p[0] for p in co), min(p[1] for p in co)): f
-                for f, co in self.geom.corner_coords.items()}
-
     def _interior_pos(self, u, v):
         """Bilinear positions, in the wall's quads, of interior new grid points (u, v)."""
         x, y = self.orig_of(u, v)
         p = np.clip(np.floor(x).astype(np.int64), 0, self.W - 1)
         q = np.clip(np.floor(y).astype(np.int64), 0, self.H - 1)
         x0, y0 = self.off
-        fs = [self.cells[(a + x0, b + y0)] for a, b in zip(p.tolist(), q.tolist())]
+        cells = {(min(c[0] for c in co), min(c[1] for c in co)): f  # lower-left corner -> facet
+                 for f, co in self.geom.corner_coords.items()}
+        fs = [cells[(a + x0, b + y0)] for a, b in zip(p.tolist(), q.tolist())]
         corners = np.array([self.geom.corner_coords[f] for f in fs]).reshape(-1, 4, 2)
         quads = np.array([self.mc.mesh.facet_corners[f] for f in fs], np.int64).reshape(-1, 4)
         fx, fy = (x - p)[:, None], (y - q)[:, None]
@@ -403,8 +399,8 @@ class BlockMap:
     the fourth corners.
     """
 
-    def __init__(self, bid, dims, new_dims, orig, new):
-        self.bid, self.dims, self.new_dims = bid, dims, new_dims
+    def __init__(self, dims, new_dims, orig, new):
+        self.dims, self.new_dims = dims, new_dims
         self.orig, self.new = orig, new
         self._o0 = np.array(dims, float) / 2.0
         self._n0 = np.array(new_dims, float) / 2.0
@@ -555,7 +551,7 @@ class _QuantizedBlock:
                     nodes[:, axis] = side * dims[axis]
                     nodes[:, [fg.u_ax, fg.v_ax]] = on_face
                     out.append(nodes[tri])
-        bm = BlockMap(self.bid, self.dims, self.new_dims, np.concatenate(orig), np.concatenate(new))
+        bm = BlockMap(self.dims, self.new_dims, np.concatenate(orig), np.concatenate(new))
         if not bm.orientation_ok():
             raise IntegrityError(f"block {self.bid}: inverted meta-tet in rescaling map")
         return bm

@@ -9,8 +9,9 @@ singular edge set.
 
 The pipeline: re-anchor charts over a dual spanning tree (shrinking the cut
 set to the topologically necessary facets), detect the cut structure (cut
-facets, cut edges, branches, sheets, sectors), solve a small exact core
-system over node-sector values, and propagate to all other vertices.
+facets, cut edges, nodes, sheets, and the sheet sides at each vertex), solve
+a small exact core system over node-sector values, and propagate to all other
+vertices.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +60,11 @@ def reanchor(pm: ParamTetMesh) -> ParamTetMesh:
 
 
 class Sheet:
-    __slots__ = ("id", "kind", "facets", "rot", "axis", "side", "nodes")
+    __slots__ = ("id", "kind", "rot", "axis", "side", "nodes")
 
     def __init__(self, id, kind):
         self.id = id
         self.kind = kind  # "cut" or "align"
-        self.facets = []  # ascending, once flooded
         self.rot = None  # cut: octahedral rotation index (minus -> plus)
         self.axis = None  # align: constant coordinate
         # facet -> its tets: (minus tet, plus tet) on a cut sheet, (its tet,)
@@ -74,23 +73,21 @@ class Sheet:
         self.nodes = []  # its node vertices, ascending; nodes[0] is its base
 
 
-class Branch(NamedTuple):
-    edges: list
-    ends: tuple
-
-
 class CutStructure:
-    """Cut facets, cut edges, nodes, branches, sheets and vertex sectors of a
-    (re-anchored) parametrization."""
+    """Cut facets, cut edges, nodes, sheets and vertex sectors of a
+    (re-anchored) parametrization. ``sides_at`` maps each vertex of a sheet
+    facet to the distinct (sheet, sector tuple) pairs of the sheet facets at
+    it, in ascending facet order: (minus, plus) sectors on a cut sheet,
+    (sector,) on an align sheet."""
 
     def __init__(self, pm):
         self.pm = pm
         self.cut_facets = set()
         self.cut_edges = set()
         self.nodes = set()
-        self.branches = []
         self.sheets = []
         self.facet_sheet = {}
+        self.sides_at = {}
         self._sector_cache = {}
 
     def sectors(self, v):
@@ -129,8 +126,9 @@ def _minus_side(pm, e, f, minus_t, g):
 
 
 def detect_cut_structure(pm: ParamTetMesh) -> CutStructure:
-    """Classify cut facets/edges, nodes, branches and sheets of a re-anchored
-    parametrization (terminology of the exact-repair construction)."""
+    """Classify cut facets/edges, nodes and sheets of a re-anchored
+    parametrization (terminology of the exact-repair construction), and
+    list the sheet sides at each vertex (``sides_at``)."""
     cs = CutStructure(pm)
 
     for f in range(pm.n_facets):
@@ -170,30 +168,29 @@ def detect_cut_structure(pm: ParamTetMesh) -> CutStructure:
                 if v in boundary_vertices:
                     cs.nodes.add(v)
 
-    _build_branches(cs, incid)
+    _branch_nodes(cs, incid)
     _build_sheets(cs, align_axis)
     _sheet_nodes(cs)
+    for f in sorted(cs.facet_sheet):
+        sheet = cs.sheets[cs.facet_sheet[f]]
+        for v in pm.facet_keys[f]:
+            sides = (sheet, tuple(cs.sector_index(v, t) for t in sheet.side[f]))
+            at = cs.sides_at.setdefault(v, [])
+            if sides not in at:
+                at.append(sides)
     return cs
 
 
-def _build_branches(cs, incid):
-    pm = cs.pm
-    for edges, verts in pm.edge_chains(incid, cs.nodes):
-        ends = (verts[0], verts[-1])
-        if verts[0] not in cs.nodes:
-            # circular branch: a closed cut-edge cycle without any node
-            loop = sorted({v for e in edges for v in pm.edge_keys[e]})
-            cs.nodes.update(loop[:2])
-            ends = (loop[0], loop[0])
-        cs.branches.append(Branch(edges, ends))
-    # loop branches: start and end at the same node, no interior node
-    for br in cs.branches:
-        if br.ends[0] == br.ends[1] and len(br.edges) > 1:
-            interior = sorted(
-                {v for e2 in br.edges for v in pm.edge_keys[e2]} - {br.ends[0]}
-            )
-            if interior and not any(v in cs.nodes for v in interior):
-                cs.nodes.add(interior[0])
+def _branch_nodes(cs, incid):
+    """Give every closed chain of cut edges two nodes: its start, or its
+    lowest vertex on a cycle without a node, and its lowest other vertex.
+    A chain stops at the first node it reaches, so no other vertex of a
+    closed chain is a node, and a cycle without a node is a component of
+    its own: the order of the chains does not matter."""
+    for _, verts in cs.pm.edge_chains(incid, cs.nodes):
+        if verts[0] == verts[-1]:
+            start = verts[0] if verts[0] in cs.nodes else min(verts)
+            cs.nodes.update((start, min(set(verts) - {start})))
 
 
 def _build_sheets(cs, align_axis):
@@ -234,22 +231,21 @@ def _build_sheets(cs, align_axis):
                                     f"cut sheet {sheet.id} has inconsistent transitions"
                                 )
                         dq.append(g)
-            sheet.facets = sorted(side)
             if kind == "align":
-                axes = {align_axis[g] for g in sheet.facets}
+                axes = {align_axis[g] for g in side}
                 if len(axes) != 1:
                     raise NotSeamlessError(
                         f"align sheet {sheet.id} mixes alignment axes {sorted(axes)}"
                     )
                 sheet.axis = axes.pop()
             cs.sheets.append(sheet)
-            cs.facet_sheet.update(dict.fromkeys(sheet.facets, sheet.id))
+            cs.facet_sheet.update(dict.fromkeys(side, sheet.id))
 
 
 def _sheet_nodes(cs):
     """Give every sheet two nodes at least, its lowest vertices that are not
     nodes yet; then list the nodes of each sheet."""
-    verts = [sorted({v for f in s.facets for v in cs.pm.facet_keys[f]}) for s in cs.sheets]
+    verts = [sorted({v for f in s.side for v in cs.pm.facet_keys[f]}) for s in cs.sheets]
     for vs in verts:
         have = sum(v in cs.nodes for v in vs)
         cs.nodes.update([v for v in vs if v not in cs.nodes][: max(0, 2 - have)])
@@ -279,16 +275,9 @@ class CoreSystem:
 
 def _node_sides(cs, sheet, v):
     """Distinct sector tuples of node ``v`` on the sides of the sheet's
-    facets at it, in facet order: (minus, plus) on a cut sheet, (sector,) on
-    an align sheet. A sheet may touch a node through several wedges, each
-    giving its own tuple."""
-    out = []
-    for f in sheet.facets:
-        if v in cs.pm.facet_keys[f]:
-            sides = tuple(cs.sector_index(v, t) for t in sheet.side[f])
-            if sides not in out:
-                out.append(sides)
-    return out
+    facets at it, in facet order. A sheet may touch a node through several
+    wedges, each giving its own tuple."""
+    return [sides for s, sides in cs.sides_at[v] if s is sheet]
 
 
 def build_core_system(cs: CutStructure) -> CoreSystem:
@@ -440,11 +429,6 @@ def propagate(cs: CutStructure, node_values, grid) -> ParamTetMesh:
         else:
             exact[sheet.id] = (sheet.axis, base_values[0][sheet.axis])
 
-    sheet_at = {}  # vertex -> its sheet facets, ascending
-    for f in sorted(cs.facet_sheet):
-        for v in pm.facet_keys[f]:
-            sheet_at.setdefault(v, []).append(f)
-
     values = dict(node_values)  # (vertex, sector index) -> exact float triple
     for v in range(pm.n_vertices):
         if not pm.vertex_cells[v] or v in cs.nodes:
@@ -454,9 +438,7 @@ def propagate(cs: CutStructure, node_values, grid) -> ParamTetMesh:
         adj = [[] for _ in sectors]
         aligns = [[] for _ in sectors]
         start = None  # the sector of v's lowest boundary facet, else 0
-        for f in sheet_at.get(v, ()):
-            sheet = cs.sheets[cs.facet_sheet[f]]
-            s = [cs.sector_index(v, t) for t in sheet.side[f]]
+        for sheet, s in cs.sides_at.get(v, ()):
             if sheet.kind == "cut":
                 tr = exact[sheet.id]
                 adj[s[0]].append((s[1], tr))

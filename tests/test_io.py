@@ -53,15 +53,36 @@ def test_vtk_hand_written_single_hex(tmp_path):
     assert tuple(hm.positions[hm.hexes[0][6]]) == (1, 1, 1)
 
 
+VTK_HEADER = "# vtk DataFile Version 3.0\nx\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+
+
 def test_unknown_vtk_cell_type_rejected(tmp_path):
     path = tmp_path / "bad.vtk"
     path.write_text(
-        "# vtk DataFile Version 3.0\nx\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-        "POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
-        "CELLS 1 5\n4 0 1 2 3\nCELL_TYPES 1\n10\n"
+        VTK_HEADER + "POINTS 8 double\n"
+        "0 0 0\n1 0 0\n1 1 0\n0 1 0\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n"
+        "CELLS 1 9\n8 0 1 2 3 4 5 6 7\nCELL_TYPES 1\n11\n"
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 17: unsupported VTK cell type 11$"):
         read_hex_mesh(str(path))
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("version.mesh", "MeshVersionFormatted\n", "line 1: missing value after MeshVersionFormatted"),
+        ("tets.mesh", "MeshVersionFormatted 2\nDimension 3\nTetrahedra\n0\n",
+         "line 3: unsupported cell section 'Tetrahedra' in hex mesh file"),
+        ("cells.vtk", VTK_HEADER + "POINTS 0 double\nCELLS\n", "line 6: CELLS needs a count"),
+        ("trailing.param", "4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3 0 0 0 1 0 0 0 1 0 0 0 1\n0\n",
+         "line 7: trailing data after last tet"),
+    ],
+)
+def test_parse_error_names_line(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read_mesh(str(path))
 
 
 def test_medit_parse_error_reports_line(tmp_path):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from conftest import FIXTURE_BUILDERS
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -243,6 +244,25 @@ def test_forced_zero_length_is_infeasible():
     qp = QuantizationProblem([0, 1], {0: 1.0, 1: 2.0}, 1.3, [{0: 1}])
     with pytest.raises(IntegrityError):
         solve_quantization(qp)
+
+
+def test_solution_outside_chord_ranges_doubles_them(monkeypatch):
+    """Arc 0 balances five arcs of target 1, so the optimum sets it to 5,
+    outside its first chord range [1, 3]: the ranges double and the
+    program is solved once more."""
+    calls, milp = [], scipy.optimize.milp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    qp = QuantizationProblem(list(range(6)), dict.fromkeys(range(6), 1.0), 1.0,
+                             [{0: 1, 1: -1, 2: -1, 3: -1, 4: -1, 5: -1}])
+    sol = solve_quantization(qp)
+    ref, ref_obj = brute_force_optimum(qp, hi=8)
+    assert sol == ref == {0: 5, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1} and ref_obj == 16
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n, mode, s", [(400, "regular", 2.0), (60, "full", 0.5),

@@ -59,7 +59,7 @@ def _attrs(mc):
         "arcs": [(a.id, a.edges, a.vertices, a.walls, a.singular, a.tarc, a.length)
                  for a in mc.arcs],
         "nodes": mc.nodes,
-        "blocks": [(b.id, b.cells, b.walls) for b in mc.blocks],
+        "blocks": [(b.id, b.cells) for b in mc.blocks],
         "wall_of": mc.wall_of,
         "arc_of": mc.arc_of,
         "block_of": mc.block_of,

@@ -5,14 +5,14 @@ from volmc import synth
 from volmc.errors import NotSeamlessError
 from volmc.sanitize import (
     CutStructure,
-    _build_branches,
+    _branch_nodes,
     add_noise,
     detect_cut_structure,
     reanchor,
     sanitize,
     verify_seamless,
 )
-from volmc.tetparam import hex_to_param
+from volmc.tetparam import ParamTetMesh, hex_to_param
 
 
 def _singular_set(pm):
@@ -61,6 +61,18 @@ def test_noise_limit(meshes, name):
             sanitize(add_noise(pm, eps=1e-6, seed=seed))
 
 
+def test_chart_that_fits_no_rotation_is_reported():
+    """Tet 0's chart turned by 0.3 rad about z fits no octahedral rotation
+    across its three interior facets; its boundary facets stay aligned."""
+    pm = hex_to_param(synth.box_mesh(1, 1, 1))
+    c, s = np.cos(0.3), np.sin(0.3)
+    turn = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    params = [p @ turn.T if t == 0 else p for t, p in enumerate(pm.params)]
+    assert sorted(f for f in pm.cell_facets[0] if not pm.facet_boundary[f]) == [5, 6, 18]
+    report = verify_seamless(ParamTetMesh(pm._positions, pm.tets, params))
+    assert report == [("transition-fit", f, None) for f in (5, 6, 18)]
+
+
 def test_sanitize_idempotent_on_clean_input(meshes):
     pm = hex_to_param(meshes["box"])
     fixed = sanitize(pm)
@@ -76,13 +88,12 @@ def test_reanchor_removes_tree_transitions(meshes):
 
 def test_cut_structure_shape_box(meshes):
     """A parametrization of a plain box: no interior cuts, six boundary
-    alignment sheets, twelve branches, eight nodes."""
+    alignment sheets, eight nodes."""
     cs = detect_cut_structure(reanchor(hex_to_param(meshes["box"])))
     cut_sheets = [s for s in cs.sheets if s.kind == "cut"]
     align_sheets = [s for s in cs.sheets if s.kind == "align"]
     assert len(cut_sheets) == 0
     assert len(align_sheets) == 6
-    assert len(cs.branches) == 12
     assert len(cs.nodes) == 8
 
 
@@ -100,15 +111,13 @@ def test_different_noise_seeds_converge(meshes):
         assert _singular_set(f) == _singular_set(pm)
 
 
-@pytest.mark.parametrize("nodes, ends, added", [(set(), (0, 0), {0, 1}), ({0}, (0, 0), {1})])
-def test_cut_edge_cycle_becomes_one_branch(nodes, ends, added):
+@pytest.mark.parametrize("nodes, added", [(set(), {0, 1}), ({0}, {1})])
+def test_cut_edge_cycle_gets_nodes(nodes, added):
     """A closed cycle of cut edges: without a node it gets its two lowest
     vertices as nodes; from a node it gets its lowest other vertex."""
     hm = synth.box_mesh(1, 1, 1)  # the bottom face's boundary: vertices 0, 1, 3, 2
     cs = CutStructure(hm)
     cs.cut_edges = set(hm.facet_edges[hm.facet_id[(0, 1, 2, 3)]])
     cs.nodes = set(nodes)
-    _build_branches(cs, hm.edge_incidence(cs.cut_edges))
-    e = hm.edge_id
-    assert [(b.edges, b.ends) for b in cs.branches] == [([e[0, 1], e[1, 3], e[2, 3], e[0, 2]], ends)]
+    _branch_nodes(cs, hm.edge_incidence(cs.cut_edges))
     assert cs.nodes == set(nodes) | added
