@@ -19,8 +19,8 @@ itself), and whatever ``statsrun`` runs only in its worker processes.
 
 Prints, per module, the number of never-run lines and their ranges, then
 their total as ``unrun_lines N``; exits with pytest's status. Tracing
-slows a run down about 2 times: tier-1 took 111 s traced against 61 s
-untraced on a 2-CPU machine.
+slows a run down about 1.7 times: tier-1 (301 tests) took 124 s traced
+against 74 s untraced on a 2-CPU machine.
 
 Usage::
 
