@@ -404,3 +404,14 @@ def test_tet_complex_rejected_up_front():
     mc = reduce_complex(motorcycle_complex(hex_to_param(synth.pie_mesh(3)), seed=0), mode="full")
     with pytest.raises(MeshError, match="hex mesh"):
         extract_hexmesh(mc, {a.id: 1 for a in mc.arcs})
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_torus_full_complex_extracts_a_closed_ring(complexes, s):
+    """The torus's one fully reduced block holds one wall on two of its
+    faces, the only fixture that does: its grid closes into a ring of 8 s^3
+    hexes, with 8 s (s + 1)^2 vertices and 32 s^2 boundary quads."""
+    red = reduce_complex(complexes["torus"], mode="full")
+    hx = extract_hexmesh(red, solve_quantization(build_ip(red, float(s))))
+    assert (len(hx.hexes), len(hx.positions)) == (8 * s**3, 8 * s * (s + 1) ** 2)
+    assert sum(hx.facet_boundary) == 32 * s**2
