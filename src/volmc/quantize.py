@@ -23,6 +23,7 @@ give one.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from functools import cached_property
 
@@ -132,9 +133,20 @@ def solve_quantization(qp: QuantizationProblem) -> dict:
 # -- geometric realization ---------------------------------------------------
 
 
+def _wall_grids(mc, ell):
+    """The grid of every wall under arc lengths ``ell``; raises VolmcError,
+    naming the arc, unless ``ell`` gives every arc an integer length >= 1."""
+    for a in mc.arcs:
+        n = ell.get(a.id)
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise VolmcError(f"arc {a.id}: length {n!r} is not an integer >= 1")
+    return {w.id: _WallGrid(mc, w.id, ell) for w in mc.walls}
+
+
 def _arc_point(mc, aid, t, ell):
-    """3D point at integer position ``t`` of the arc's uniform subdivision
-    into ``ell`` pieces; identical from every wall referencing the arc."""
+    """3D point at integer position ``t`` (0 < t < ell) of the arc's uniform
+    subdivision into ``ell`` pieces; identical from every wall referencing
+    the arc."""
     mesh = mc.mesh
     arc = mc.arcs[aid]
     spans = [mesh.edge_param_length(e) for e in arc.edges]
@@ -148,12 +160,14 @@ def _arc_point(mc, aid, t, ell):
             a, b = arc.vertices[i], arc.vertices[i + 1]
             return (1 - lam) * pos[a] + lam * pos[b]
         acc += span
-    return np.asarray(pos[arc.vertices[-1]], float)
 
 
 class _WallGrid:
     """Integer rescaling of one rectangle wall: per-side arc sequences, new
-    dimensions (P, Q), and evaluation of new grid points."""
+    dimensions (P, Q), its arc ends and its new grid points. ``ends`` holds
+    each arc end as a wall-local (original, new) coordinate pair; ``uv``,
+    ``orig`` and ``nodes`` hold every new grid point's new and original
+    coordinates, key and position, built once for all blocks at the wall."""
 
     def __init__(self, mc, wid, ell):
         self.mc = mc
@@ -170,53 +184,38 @@ class _WallGrid:
             ell[a] for a, *_ in self.sides[1]
         ):
             raise IntegrityError(f"wall {wid}: opposite side sums differ under quantization")
-        self.node_new = {}  # vertex -> wall-local new coords (several on wrap walls)
-        for s in range(4):
-            self._side_nodes(s)
-
-    def unique_nodes(self):
-        """Corner/side nodes with a single unambiguous position."""
-        return {v: cs[0] for v, cs in self.node_new.items() if len(cs) == 1}
+        ends = []
+        for s, arcs in self.sides.items():
+            for _, lo, hi, nlo, nhi, _ in arcs:
+                for o, n in ((lo, nlo), (hi, nhi)):
+                    ends.append({0: ((o, 0), (n, 0)), 1: ((self.W, o), (self.P, n)),
+                                 2: ((o, self.H), (n, self.Q)), 3: ((0, o), (0, n))}[s])
+        self.ends = np.array(ends, np.int64)  # arc end, original or new, coordinate
 
     def _side_arcs(self, s):
         axis = 0 if s in (0, 2) else 1
-        spans = {}
-        segs = {}
+        at, segs = {}, {}  # arc id -> side coordinates of its segments; edge -> segment
         for (e, (p, q)), side in zip(self.geom.boundary_segments, self.geom.segment_sides):
-            if side != s:
-                continue
-            aid = self.mc.arc_of[e]
-            lo = min(p[axis], q[axis]) - self.off[axis]
-            hi = max(p[axis], q[axis]) - self.off[axis]
-            cur = spans.get(aid)
-            spans[aid] = (min(lo, cur[0]) if cur else lo, max(hi, cur[1]) if cur else hi)
-            segs.setdefault(aid, {})[e] = (p, q)
-        ordered = sorted(spans.items(), key=lambda kv: kv[1][0])
+            if side == s:
+                at.setdefault(self.mc.arc_of[e], []).extend(
+                    (p[axis] - self.off[axis], q[axis] - self.off[axis]))
+                segs[e] = (p, q)
         out = []
         new_lo = 0
-        for aid, (lo, hi) in ordered:
+        for aid in sorted(at, key=lambda a: min(at[a])):
             arc = self.mc.arcs[aid]
             # Orient via the arc's first edge: the segment coords of that
             # edge are ordered by vertex id, which pins the chain direction
             # even when the arc's two endpoints coincide.
             e0 = arc.edges[0]
-            p, q = segs[aid][e0]
+            p, q = segs[e0]
             a, b = self.mc.mesh.edge_keys[e0]
             start = p if arc.vertices[0] == a else q
             rest = q if arc.vertices[0] == a else p
             fwd = start[axis] <= rest[axis]
-            out.append((aid, lo, hi, new_lo, new_lo + self.ell[aid], fwd))
+            out.append((aid, min(at[aid]), max(at[aid]), new_lo, new_lo + self.ell[aid], fwd))
             new_lo += self.ell[aid]
         return out
-
-    def _side_nodes(self, s):
-        for aid, lo, hi, nlo, nhi, fwd in self.sides[s]:
-            arc = self.mc.arcs[aid]
-            for vert, coord in ((arc.vertices[0], nlo if fwd else nhi),
-                                (arc.vertices[-1], nhi if fwd else nlo)):
-                nw = {0: (coord, 0), 1: (self.P, coord), 2: (coord, self.Q), 3: (0, coord)}[s]
-                if nw not in self.node_new.setdefault(vert, []):
-                    self.node_new[vert].append(nw)
 
     def _side_map(self, s, u):
         """Original side coordinates at integer new side coordinates ``u``:
@@ -225,15 +224,22 @@ class _WallGrid:
         k = np.minimum(np.searchsorted(nhi, u), len(nhi) - 1)
         return lo[k] + (u - nlo[k]) * (hi[k] - lo[k]) / (nhi[k] - nlo[k])
 
-    def orig_of(self, u, v):
-        """Wall-local original coordinates (x, y) at integer new coordinates (u, v)."""
+    @cached_property
+    def uv(self):
+        """New coordinates (u, v) of all new grid points, v fastest, (n, 2)."""
+        return np.stack(np.divmod(np.arange((self.P + 1) * (self.Q + 1)), self.Q + 1), 1)
+
+    @cached_property
+    def orig(self):
+        """Wall-local original coordinates (x, y) of all new grid points, (n, 2)."""
+        u, v = self.uv.T
         x = (1 - v / self.Q) * self._side_map(0, u) + (v / self.Q) * self._side_map(2, u)
         y = (1 - u / self.P) * self._side_map(3, v) + (u / self.P) * self._side_map(1, v)
-        return x, y
+        return np.stack([x, y], 1)
 
-    def _interior_pos(self, u, v):
-        """Bilinear positions, in the wall's quads, of interior new grid points (u, v)."""
-        x, y = self.orig_of(u, v)
+    def _interior_pos(self, x, y):
+        """Bilinear positions, in the wall's quads, of interior points at
+        wall-local original coordinates (x, y)."""
         p = np.clip(np.floor(x).astype(np.int64), 0, self.W - 1)
         q = np.clip(np.floor(y).astype(np.int64), 0, self.H - 1)
         x0, y0 = self.off
@@ -255,11 +261,8 @@ class _WallGrid:
         for aid, lo, hi, nlo, nhi, fwd in self.sides[s]:
             if nlo <= u <= nhi:
                 arc = self.mc.arcs[aid]
-                if u == nlo:
-                    vert = arc.vertices[0] if fwd else arc.vertices[-1]
-                    return ("n", vert), np.asarray(self.mc.mesh.positions[vert], float)
-                if u == nhi:
-                    vert = arc.vertices[-1] if fwd else arc.vertices[0]
+                if u in (nlo, nhi):  # the arc's first vertex is at nlo when it runs forward
+                    vert = arc.vertices[0] if (u == nlo) == fwd else arc.vertices[-1]
                     return ("n", vert), np.asarray(self.mc.mesh.positions[vert], float)
                 t = (u - nlo) if fwd else (nhi - u)
                 return ("a", aid, t), _arc_point(self.mc, aid, t, self.ell[aid])
@@ -267,126 +270,20 @@ class _WallGrid:
 
     @cached_property
     def nodes(self):
-        """(keys, positions) of all new grid points (u, v), flattened with v
-        fastest. Keys are canonical: a mesh vertex, an arc point or a point
-        of this wall, so every block touching the wall gets the same ones."""
+        """(keys, positions) of all new grid points, in ``uv`` order. Keys are
+        canonical: a mesh vertex, an arc point or a point of this wall, so
+        every block touching the wall gets the same ones."""
         P, Q = self.P, self.Q
-        u, v = np.divmod(np.arange((P + 1) * (Q + 1)), Q + 1)
+        u, v = self.uv.T
         inner = (u % P != 0) & (v % Q != 0)
         keys = [("w", self.w.id, a, b) for a, b in zip(u.tolist(), v.tolist())]
         pos = np.empty((len(keys), 3))
-        pos[inner] = self._interior_pos(u[inner], v[inner])
+        pos[inner] = self._interior_pos(*self.orig[inner].T)
         for i in np.flatnonzero(~inner).tolist():
             a, b = keys[i][2:]
             side = 0 if b == 0 else 2 if b == Q else 3 if a == 0 else 1
             keys[i], pos[i] = self._side_point(side, a if side in (0, 2) else b)
         return keys, pos
-
-
-def _fit_transform(p, q):
-    """2D integer transform q = R p + t from two point correspondences plus
-    a third for verification; R is one of the 8 signed axis permutations."""
-    p = [np.asarray(x, float) for x in p]
-    q = [np.asarray(x, float) for x in q]
-    P = np.array([p[1] - p[0], p[2] - p[0]]).T
-    Q = np.array([q[1] - q[0], q[2] - q[0]]).T
-    R = Q @ np.linalg.inv(P)
-    R = np.array([[int(round(x)) for x in row] for row in R])
-    t = np.array(q[0]) - R @ np.array(p[0])
-    return R, np.array([int(round(x)) for x in t])
-
-
-class _FaceGrid:
-    """One block face: the walls tiling it, their placements in original and
-    new face coordinates, and its new grid points."""
-
-    def __init__(self, mc, wall_grids, incidences, axis):
-        self.u_ax, self.v_ax = [a for a in range(3) if a != axis]
-        self.walls = {}  # wid -> (R, t_orig, t_new)
-        groups = {}
-        for f, coords3 in incidences:
-            groups.setdefault(mc.wall_of[f], []).append((f, coords3))
-        # original-frame placement of each wall
-        orig_place = {}
-        for wid, items in groups.items():
-            wg = wall_grids[wid]
-            f, coords3 = items[0]
-            face_q = [(c[self.u_ax], c[self.v_ax]) for c in coords3]
-            local_p = [
-                (c[0] - wg.off[0], c[1] - wg.off[1]) for c in wg.geom.corner_coords[f]
-            ]
-            R, t = _fit_transform(local_p, face_q)
-            for f2, coords2 in items[1:]:
-                for slot, c in enumerate(coords2):
-                    loc = wg.geom.corner_coords[f2][slot]
-                    got = R @ np.array([loc[0] - wg.off[0], loc[1] - wg.off[1]]) + t
-                    if tuple(got) != (c[self.u_ax], c[self.v_ax]):
-                        raise IntegrityError(f"wall {wid} placement inconsistent on face")
-            orig_place[wid] = (R, t)
-        # new-frame placement by propagating over shared corner/side nodes
-        offsets = {}
-        seed = min(groups)
-        offsets[seed] = np.zeros(2, dtype=int)
-        dq = deque([seed])
-        placed = {seed}
-        uniq = {wid: wall_grids[wid].unique_nodes() for wid in groups}
-        while dq:
-            wid = dq.popleft()
-            R, _ = orig_place[wid]
-            for wid2 in groups:
-                if wid2 in placed:
-                    continue
-                shared = set(uniq[wid]) & set(uniq[wid2])
-                if not shared:
-                    continue
-                n = min(shared)
-                R2, _ = orig_place[wid2]
-                pos = R @ np.array(uniq[wid][n]) + offsets[wid]
-                offsets[wid2] = pos - R2 @ np.array(uniq[wid2][n])
-                placed.add(wid2)
-                dq.append(wid2)
-        if len(placed) != len(groups):
-            raise IntegrityError("disconnected wall arrangement on block face")
-        # verify every unambiguous shared node agrees, then zero the origin
-        corners = []
-        for wid in groups:
-            wg = wall_grids[wid]
-            R, _ = orig_place[wid]
-            for n, locs in wg.node_new.items():
-                for loc in locs:
-                    corners.append((n if len(locs) == 1 else None, R @ np.array(loc) + offsets[wid]))
-        seen = {}
-        for n, c in corners:
-            if n is None:
-                continue
-            key = tuple(int(x) for x in c)
-            if n in seen and seen[n] != key:
-                raise IntegrityError("grid mismatch across walls of a block face")
-            seen[n] = key
-        lo = np.min([c for _, c in corners], axis=0)
-        for wid in groups:
-            R, t = orig_place[wid]
-            self.walls[wid] = (R, t, offsets[wid] - lo)
-        self.dims = tuple(int(x) for x in (np.max([c for _, c in corners], axis=0) - lo))
-        self.wall_grids = wall_grids
-
-    def nodes(self):
-        """(keys, key index, positions) of the face's new grid points: the
-        index and position grids have shape (dims[0] + 1, dims[1] + 1), the
-        index is -1 where no wall lies, and where walls meet the lowest wall
-        id gives the point."""
-        keys = []
-        index = np.full((self.dims[0] + 1, self.dims[1] + 1), -1, np.int64)
-        pos = np.zeros(index.shape + (3,))
-        for wid in sorted(self.walls, reverse=True):
-            R, _, off = self.walls[wid]
-            wg = self.wall_grids[wid]
-            wkeys, wpos = wg.nodes
-            p, q = R @ np.divmod(np.arange(len(wkeys)), wg.Q + 1) + off[:, None]
-            index[p, q] = len(keys) + np.arange(len(wkeys))
-            pos[p, q] = wpos
-            keys += wkeys
-        return keys, index, pos
 
 
 class BlockMap:
@@ -483,7 +380,17 @@ class BlockMap:
 
 
 class _QuantizedBlock:
-    def __init__(self, mc, wall_grids, bid, ell):
+    """One block under the arc lengths of its wall grids: the block-grid
+    coordinates of its hexes' corners, the placement of each wall on each of
+    its faces, its new dimensions and its rescaling map.
+
+    ``places`` holds (axis, side, wall grid, E, t, n) per block face, in the
+    order its first facet is reached, and per wall on it, in the same order.
+    A point at wall-local original coordinates p lies at block-grid
+    coordinates E p + t, and the wall's new grid point p at E p + n; E is a
+    signed axis permutation (3 x 2)."""
+
+    def __init__(self, mc, wall_grids, bid):
         from .cellcomplex import grid_block_coords
 
         self.mc = mc
@@ -498,7 +405,7 @@ class _QuantizedBlock:
         loc = HEX_CORNER_COORDS @ rot.transpose(0, 2, 1) + shift[:, None]
         self.corners = np.rint(loc).astype(np.int64)
         row = {c: i for i, c in enumerate(self.cells.tolist())}
-        # block surface facets with per-vertex block-grid coordinates
+        # block surface facets with per-vertex block-grid coordinates, by face and wall
         by_face = {}
         for c in block.cells:
             slots = mesh.cell_vertices(c)
@@ -506,51 +413,80 @@ class _QuantizedBlock:
             for f in mesh.cell_facets[c]:
                 if f not in mc.field:
                     continue
-                coords3 = [tuple(loc[slots.index(v)]) for v in mesh.facet_corners[f]]
+                coords3 = [loc[slots.index(v)] for v in mesh.facet_corners[f]]
                 for axis in range(3):
                     vals = {c3[axis] for c3 in coords3}
                     if len(vals) == 1 and vals <= {0, self.dims[axis]}:
                         side = 0 if vals == {0} else 1
-                        by_face.setdefault((axis, side), []).append((f, coords3))
+                        walls = by_face.setdefault((axis, side), {})
+                        walls.setdefault(mc.wall_of[f], []).append((f, coords3))
                         break
                 else:
                     raise IntegrityError(f"facet {f} not axis-aligned on block {bid}")
-        self.faces = {
-            key: _FaceGrid(mc, wall_grids, incs, key[0])
-            for key, incs in by_face.items()
-        }
-        nd = [None, None, None]
-        for (axis, side), fg in self.faces.items():
-            u_ax, v_ax = fg.u_ax, fg.v_ax
-            for ax, val in ((u_ax, fg.dims[0]), (v_ax, fg.dims[1])):
-                if nd[ax] is None:
-                    nd[ax] = val
-                elif nd[ax] != val:
-                    raise IntegrityError(f"block {bid}: face grids disagree on new dimensions")
-        self.new_dims = tuple(nd)
+        places = [(axis, side, *self._place(wall_grids[wid], incs))
+                  for (axis, side), walls in by_face.items() for wid, incs in walls.items()]
+        self._flood(places)
         self.map = self._build_map()
+
+    @staticmethod
+    def _place(wg, incs):
+        """(wg, E, t) of wall grid ``wg`` on a block face, from its facets
+        ``incs`` there. Facet corner slots are cyclic and one unit apart, so
+        with Pd and Qd the edge vectors from slot 0 to slots 1 and 3 of the
+        first facet, in the wall's layout and in the block, E = Qd Pd^T."""
+        p = np.array([wg.geom.corner_coords[f] for f, _ in incs]) - wg.off
+        q = np.array([coords3 for _, coords3 in incs])
+        E = (q[0, [1, 3]] - q[0, 0]).T @ (p[0, [1, 3]] - p[0, 0])
+        t = q[0, 0] - E @ p[0, 0]
+        if (p @ E.T + t != q).any():
+            raise IntegrityError(f"wall {wg.w.id} placement inconsistent on face")
+        return wg, E, t
+
+    def _flood(self, places):
+        """The placements with their new offsets n, and the block's new
+        dimensions, from one flood over block-grid nodes (placed arc ends)
+        that starts with the origin in place. A placement reached at one of
+        its nodes is offset to keep that node's new coordinates; each of its
+        other nodes takes the ones this gives, or must already have them."""
+        at, ends = {}, []  # node -> placements with an arc end there; per placement, its ends
+        for i, (_, _, wg, E, t) in enumerate(places):
+            nodes = [tuple(x) for x in (wg.ends[:, 0] @ E.T + t).tolist()]
+            ends.append((nodes, wg.ends[:, 1] @ E.T))
+            for node in nodes:
+                at.setdefault(node, []).append(i)
+        new, offsets = {(0, 0, 0): (0, 0, 0)}, {}
+        dq = deque(new)
+        while dq:
+            node = dq.popleft()
+            for i in at.get(node, ()):
+                if i in offsets:
+                    continue
+                nodes, rel = ends[i]
+                offsets[i] = new[node] - rel[nodes.index(node)]
+                for key, n in zip(nodes, map(tuple, (rel + offsets[i]).tolist())):
+                    if key not in new:
+                        new[key] = n
+                        dq.append(key)
+                    elif new[key] != n:
+                        raise IntegrityError("grid mismatch across walls of a block face")
+        if len(offsets) < len(places):
+            raise IntegrityError("disconnected wall arrangement on block face")
+        self.new_dims = new[self.dims]
+        self.places = [(*place, offsets[i]) for i, place in enumerate(places)]
 
     def _build_map(self):
         orig, new = [], []
-        for (axis, side), fg in self.faces.items():
-            for wid, (R, t_orig, off) in fg.walls.items():
-                wg = fg.wall_grids[wid]
-                P, Q = wg.P, wg.Q
-                u, v = np.divmod(np.arange((P + 1) * (Q + 1)), Q + 1)
-                # Corners (u, v), (u+1, v), (u+1, v+1), (u, v+1) of each quad,
-                # split along the diagonal into two triangles.
-                low = np.flatnonzero((u < P) & (v < Q))
-                tri = low[:, None, None] + np.array([[0, Q + 1, Q + 2], [0, Q + 2, 1]])
-                tri = tri.reshape(-1, 3)
-                # The wall's nodes in original and new face coordinates; R
-                # permutes and negates, so these are exact.
-                on_orig = np.stack(wg.orig_of(u, v), 1) @ R.T + t_orig
-                on_new = np.stack([u, v], 1) @ R.T + off
-                for out, dims, on_face in ((orig, self.dims, on_orig), (new, self.new_dims, on_new)):
-                    nodes = np.empty((len(u), 3))
-                    nodes[:, axis] = side * dims[axis]
-                    nodes[:, [fg.u_ax, fg.v_ax]] = on_face
-                    out.append(nodes[tri])
+        for _, _, wg, E, t, n in self.places:
+            P, Q = wg.P, wg.Q
+            # Corners (u, v), (u+1, v), (u+1, v+1), (u, v+1) of each quad,
+            # split along the diagonal into two triangles.
+            low = np.flatnonzero((wg.uv[:, 0] < P) & (wg.uv[:, 1] < Q))
+            tri = low[:, None, None] + np.array([[0, Q + 1, Q + 2], [0, Q + 2, 1]])
+            tri = tri.reshape(-1, 3)
+            # The wall's nodes in original and new block coordinates; E
+            # permutes and negates, so these are exact.
+            orig.append((wg.orig @ E.T + t)[tri])
+            new.append((wg.uv @ E.T + n)[tri])
         bm = BlockMap(self.dims, self.new_dims, np.concatenate(orig), np.concatenate(new))
         if not bm.orientation_ok():
             raise IntegrityError(f"block {self.bid}: inverted meta-tet in rescaling map")
@@ -576,32 +512,35 @@ class _QuantizedBlock:
 
     def points(self):
         """(keys, positions) of the block's new grid points, flattened with k
-        fastest. A point on the block's boundary takes its key and position
-        from the first face, in sorted order, that holds it; an interior
-        point's key is its own, as no other block shares it."""
-        ijk = np.indices(np.add(self.new_dims, 1)).reshape(3, -1).T
-        keys = [("b", self.bid, i) for i in range(len(ijk))]
+        fastest. One index grid over the block names the wall node that gives
+        each boundary point its key and position. The placements write their
+        nodes into it in reverse precedence order, so the first face in
+        sorted order that holds a point wins, and within that face the lowest
+        wall id. An interior point's key is its own, as no other block shares it."""
+        shape = np.add(self.new_dims, 1)
+        ijk = np.indices(shape).reshape(3, -1).T
+        src = np.full(len(ijk), -1)  # the index grid, flattened: index into wall_keys
         pos = np.empty((len(ijk), 3))
-        free = np.ones(len(ijk), bool)
-        for (axis, side), fg in sorted(self.faces.items()):
-            idx = np.flatnonzero(free & (ijk[:, axis] == side * self.new_dims[axis]))
-            free[idx] = False
-            fkeys, index, fpos = fg.nodes()
-            p, q = ijk[idx, fg.u_ax], ijk[idx, fg.v_ax]
-            at = index[p, q]
-            if (at < 0).any():
-                raise IntegrityError(f"face point ({p[at < 0][0]}, {q[at < 0][0]}) lies on no wall")
-            pos[idx] = fpos[p, q]
-            for i, k in zip(idx.tolist(), at.tolist()):
-                keys[i] = fkeys[k]
-        pos[free] = self._interior_positions(ijk[free])
+        wall_keys = []
+        for _, _, wg, E, _, n in sorted(self.places, key=lambda p: (p[0], p[1], p[2].w.id),
+                                        reverse=True):
+            keys, wpos = wg.nodes
+            at = np.ravel_multi_index((wg.uv @ E.T + n).T, shape)
+            src[at] = len(wall_keys) + np.arange(len(keys))
+            pos[at] = wpos
+            wall_keys += keys
+        inner = ((ijk > 0) & (ijk < self.new_dims)).all(axis=1)
+        missing = np.flatnonzero(~inner & (src < 0))
+        if len(missing):
+            raise IntegrityError(f"face point {tuple(ijk[missing[0]].tolist())} lies on no wall")
+        keys = [wall_keys[k] if k >= 0 else ("b", self.bid, i) for i, k in enumerate(src.tolist())]
+        pos[inner] = self._interior_positions(ijk[inner])
         return keys, pos
 
 
 def reparametrize_block(mc, bid, ell) -> BlockMap:
     """Piecewise-affine rescaling map of one block under arc lengths ``ell``."""
-    wall_grids = {w.id: _WallGrid(mc, w.id, ell) for w in mc.walls}
-    return _QuantizedBlock(mc, wall_grids, bid, ell).map
+    return _QuantizedBlock(mc, _wall_grids(mc, ell), bid).map
 
 
 def extract_hexmesh(mc, ell) -> HexMesh:
@@ -612,11 +551,11 @@ def extract_hexmesh(mc, ell) -> HexMesh:
     of hex meshes are supported."""
     if mc.mesh.kind != "hex":
         raise MeshError(f"hex extraction takes the complex of a hex mesh, not a {mc.mesh.kind} mesh")
-    wall_grids = {w.id: _WallGrid(mc, w.id, ell) for w in mc.walls}
+    wall_grids = _wall_grids(mc, ell)
     vid = {}  # key -> vertex id
     positions, hexes = [np.empty((0, 3))], [np.empty((0, 8), np.int64)]  # a complex may have no block
     for block in mc.blocks:
-        qb = _QuantizedBlock(mc, wall_grids, block.id, ell)
+        qb = _QuantizedBlock(mc, wall_grids, block.id)
         keys, pos = qb.points()
         n = len(vid)
         ids = np.array([vid.setdefault(key, len(vid)) for key in keys])

@@ -415,3 +415,28 @@ def test_torus_full_complex_extracts_a_closed_ring(complexes, s):
     hx = extract_hexmesh(red, solve_quantization(build_ip(red, float(s))))
     assert (len(hx.hexes), len(hx.positions)) == (8 * s**3, 8 * s * (s + 1) ** 2)
     assert sum(hx.facet_boundary) == 32 * s**2
+
+
+@pytest.mark.parametrize("length", [None, 0, -1, 1.5])
+def test_bad_arc_length_is_a_named_error(complexes, length):
+    """Arc 1 of pie3's full complex left out of the lengths, or given one
+    that is not an integer >= 1, is named before any grid is built."""
+    red = reduce_complex(complexes["pie3"], mode="full")
+    ell = solve_quantization(build_ip(red, 1.0))
+    if length is None:
+        del ell[1]
+    else:
+        ell[1] = length
+    for realize in (extract_hexmesh, lambda mc, ell: reparametrize_block(mc, 0, ell)):
+        with pytest.raises(VolmcError, match=rf"^arc 1: length {length!r} is not an integer >= 1$"):
+            realize(red, ell)
+
+
+def test_unbalanced_lengths_are_refused(complexes):
+    """One more unit on arc 0 of pie3's full complex breaks the balance of
+    wall 0's opposite sides."""
+    red = reduce_complex(complexes["pie3"], mode="full")
+    ell = solve_quantization(build_ip(red, 1.0))
+    ell[0] += 1
+    with pytest.raises(IntegrityError, match="^wall 0: opposite side sums differ under quantization$"):
+        extract_hexmesh(red, ell)

@@ -14,7 +14,7 @@ each is ``hex_to_param(notched_box_mesh(n))``. Three stages are timed:
   time the same work.
 
 Hex ladder: rungs n = 120, 400, 1000, the blob ``random_glued_cubes(3, n)``
-traced with ``trace_hex(hm, seed=0)`` (untimed). Eight stages are timed:
+traced with ``trace_hex(hm, seed=0)`` (untimed). Nine stages are timed:
 
 - extract: ``extract_complex`` of the traced field;
 - split tori: ``split_tori`` of the extracted complex (the raw complex),
@@ -38,9 +38,15 @@ traced with ``trace_hex(hm, seed=0)`` (untimed). Eight stages are timed:
   about 0.5 s). A run that raises records the exception's type name in
   place of its time, and a run that takes over 30 s is stopped and records
   ``timeout``;
+- extract hexmesh: ``extract_hexmesh`` of the regular complex under the
+  s = 2 lengths of the stage before (a run that raises records the
+  exception's type name);
 
 with the raw, fully reduced and base block counts, the regular complex's
-arc count and the quantization objective at each scale.
+arc count, the quantization objective at each scale, and the number of
+hexes that ``extract_hexmesh`` outputs with a sha256 of its positions and
+hexes (``quantized_hexes``, ``quantized_sha256``; equal across trees when
+the outputs are equal).
 
 Each run of a rung is a fresh Python process, which runs ``gc.collect()``
 before each timed stage. Otherwise a full (generation 2) collection of
@@ -127,14 +133,14 @@ print(json.dumps({"tets": pm.n_cells, "sanitize_s": sanitize_s,
 
 # Runs in the child process: argv = [src dir, n].
 HEX_CHILD = r"""
-import gc, json, signal, sys, time
+import gc, hashlib, json, signal, sys, time
 sys.path.insert(0, sys.argv[1])
 import scipy.optimize  # imported before timing, so the quantize stage times the solve only
 from volmc import synth
 from volmc.cellcomplex import (base_complex, check_grid_blocks, extract_complex,
                                reduce_complex, split_tori)
 from volmc.firehex import trace_hex
-from volmc.quantize import build_ip, solve_quantization
+from volmc.quantize import build_ip, extract_hexmesh, solve_quantization
 
 
 
@@ -175,12 +181,13 @@ def stop(signum, frame):
 
 
 signal.signal(signal.SIGALRM, stop)
+lengths = {}
 for s in (1.5, 2):
     signal.alarm(30)
     t7 = start()
     try:
         qp = build_ip(reg, s)
-        ell = solve_quantization(qp)
+        ell = lengths[s] = solve_quantization(qp)
         out[f"quantize_{s}_s"] = time.perf_counter() - t7
         out[f"objective_{s}"] = sum((ell[a] - qp.targets[a]) ** 2 for a in qp.arcs)
     except TimeoutError:
@@ -189,6 +196,14 @@ for s in (1.5, 2):
         out[f"quantize_{s}_s"] = type(exc).__name__
     finally:
         signal.alarm(0)
+t0 = start()
+try:
+    hx = extract_hexmesh(reg, lengths[2])
+    out["extract_hexmesh_s"] = time.perf_counter() - t0
+    out["quantized_hexes"] = len(hx.hexes)
+    out["quantized_sha256"] = hashlib.sha256(hx.positions.tobytes() + hx.hexes.tobytes()).hexdigest()
+except Exception as exc:
+    out["extract_hexmesh_s"] = type(exc).__name__
 print(json.dumps(out))
 """
 
@@ -199,9 +214,9 @@ LADDERS = {
             ("blocks", "hexes", "sanitized_sha256")),
     "hex": (HEX_CHILD, (120, 400, 1000),
             ("extract_s", "split_tori_s", "reduce_full_s", "link_s", "base_complex_s",
-             "grid_oracle_s", "quantize_1.5_s", "quantize_2_s"), "hexes",
+             "grid_oracle_s", "quantize_1.5_s", "quantize_2_s", "extract_hexmesh_s"), "hexes",
             ("raw_blocks", "full_blocks", "base_blocks", "regular_arcs", "objective_1.5",
-             "objective_2")),
+             "objective_2", "quantized_hexes", "quantized_sha256")),
 }
 RUNS = 3
 
@@ -284,6 +299,8 @@ def main(argv=None):
                               "complex, its arcs read before timing; a failed run records "
                               "the exception's type name, one over 30 s 'timeout'",
             "quantize_2_s": "the same at s = 2",
+            "extract_hexmesh_s": "extract_hexmesh of the regular complex under the s = 2 "
+                                 "lengths; a failed run records the exception's type name",
         },
         "statistic": f"median, min and max of {RUNS} runs, one process per run; the trees "
                      "alternate within each round, in reverse order every other round",
