@@ -160,9 +160,11 @@ def build_fan(mesh, e) -> Fan:
 
 def _number(keys, ids, key_list, obj, corner_list=None, corners=None):
     """Ids of the rows of ``keys`` (n x k), with the sorted distinct keys and
-    their ids. Keys missing from ``ids`` become tuples of ``obj`` ints, numbered
+    their ids. Keys not yet numbered become tuples of ``obj`` ints, numbered
     in sorted order after all earlier ones; ``corner_list`` then gets the row
-    of ``corners`` at each new key's first occurrence."""
+    of ``corners`` at each new key's first occurrence. ``ids`` (key -> id) is
+    None on a first build, when every key is new; on a rebuild it is
+    consulted for the keys numbered before and gets the new ones."""
     order = np.lexsort(keys.T[::-1])
     head = np.ones(len(keys), bool)
     head[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
@@ -170,11 +172,15 @@ def _number(keys, ids, key_list, obj, corner_list=None, corners=None):
     inverse[order] = np.cumsum(head) - 1
     uniq, first = keys[order[head]], order[head]  # a stable sort keeps first occurrences first
     uniq_keys = list(zip(*obj[uniq].T.tolist()))  # tuples without temporary lists
-    uniq_ids = np.array([ids.get(key, -1) for key in uniq_keys], np.int64)
+    if ids is None:
+        uniq_ids = np.full(len(uniq_keys), -1, np.int64)
+    else:
+        uniq_ids = np.array([ids.get(key, -1) for key in uniq_keys], np.int64)
     new = np.flatnonzero(uniq_ids < 0)
     uniq_ids[new] = len(key_list) + np.arange(len(new))
     new_keys = [uniq_keys[i] for i in new.tolist()]
-    ids.update(zip(new_keys, obj[uniq_ids[new]].tolist()))
+    if ids is not None:
+        ids.update(zip(new_keys, obj[uniq_ids[new]].tolist()))
     key_list.extend(new_keys)
     if corner_list is not None:
         corner_list.extend(zip(*obj[corners[first[new]]].T.tolist()))
@@ -182,8 +188,8 @@ def _number(keys, ids, key_list, obj, corner_list=None, corners=None):
 
 
 def _groups(keys, values, n):
-    """``values`` grouped by ``keys`` in 0..n-1: n lists, each in input order."""
-    vals = values[np.argsort(keys, kind="stable")].tolist()
+    """``values`` grouped by ``keys`` in 0..n-1: n tuples, each in input order."""
+    vals = tuple(values[np.argsort(keys, kind="stable")].tolist())  # slices of a tuple are tuples
     ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
     return [vals[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
@@ -194,13 +200,18 @@ class CellMesh:
     Shared by :class:`HexMesh` and the tet mesh of a parametrization, so that
     tracing, complex extraction and reduction run on either. Cells are vertex
     id tuples; a cell replaced by refinement is None. Facets and edges are
-    keyed by their sorted vertex tuples.
+    keyed by their sorted vertex tuples. Each incidence fact is held once:
+    ``facet_cells``, ``facet_edges``, ``vertex_cells``, ``edge_cells`` and
+    ``edge_facets`` are tuples of ids, in ascending order unless the subclass
+    says otherwise, that share one int object per id; ``cell_facets`` holds
+    lists in face slot order.
 
     Ids are stable: every build numbers the keys it has not seen before in
     sorted order, after all earlier ids, and never renumbers a key. A fresh
     mesh thus numbers its facets and edges lexicographically by key. A facet
     or edge that no live cell contains keeps its id but is dead
-    (``facet_live``/``edge_live``).
+    (``facet_live``/``edge_live``). The maps from key to id, ``facet_id``
+    and ``edge_id``, are built on first read.
 
     A subclass gives its cell type as data: ``FACES`` (cyclic corner tuples),
     ``EDGES`` (corner pairs), ``FACET_EDGES`` (pairs of positions in
@@ -225,8 +236,9 @@ class CellMesh:
                     cls.EDGE_FACES[key] = cls.EDGE_FACES.get(key, ()) + (i,)
 
     def __init__(self, cells):
-        self.facet_keys, self.facet_corners, self.facet_id = [], [], {}
-        self.edge_keys, self.edge_id = [], {}
+        self.facet_keys, self.facet_corners, self.edge_keys = [], [], []
+        # Built on first read (``facet_id``/``edge_id``): no hex code path reads them.
+        self._facet_id = self._edge_id = None
         self._build_incidence(cells)
 
     def _build_incidence(self, cells):
@@ -251,9 +263,13 @@ class CellMesh:
         # One shared int per id in every list built here; tolist() makes one per entry.
         obj = np.arange(max(nv, len(cells), len(self.facet_keys) + len(fkeys),
                             len(self.edge_keys) + len(ends))).astype(object)
-        fid, _, _ = _number(fkeys, self.facet_id, self.facet_keys, obj,
+        if self.kind == "hex":  # never refined: each hex a tuple of the shared vertex ints
+            cells = list(zip(*obj[corners].T.tolist()))
+        # A rebuild consults the key maps, so that earlier keys keep their ids.
+        rebuild = bool(self.facet_keys)
+        fid, _, _ = _number(fkeys, self.facet_id if rebuild else None, self.facet_keys, obj,
                             self.facet_corners, cycles if self.CYCLIC_FACETS else fkeys)
-        eid, ekeys, ekey_ids = _number(ends, self.edge_id, self.edge_keys, obj)
+        eid, ekeys, ekey_ids = _number(ends, self.edge_id if rebuild else None, self.edge_keys, obj)
         nf, ne = len(self.facet_keys), len(self.edge_keys)
         self.cell_facets = [None] * len(cells)
         for c, fs in zip(live.tolist(), obj[fid].reshape(len(live), len(faces)).tolist()):
@@ -280,8 +296,22 @@ class CellMesh:
         boundary = np.bincount(feid.ravel(), (count[lf] == 1).repeat(len(fedges)), minlength=ne)
         self.edge_boundary = (boundary > 0).tolist()
         self._cells = cells
-        self._fans = {}
+        self._fans = [None] * ne
         self._singular = {}
+
+    @property
+    def facet_id(self):
+        """Facet key -> id."""
+        if self._facet_id is None:
+            self._facet_id = {key: f for f, key in enumerate(self.facet_keys)}
+        return self._facet_id
+
+    @property
+    def edge_id(self):
+        """Edge key -> id."""
+        if self._edge_id is None:
+            self._edge_id = {key: e for e, key in enumerate(self.edge_keys)}
+        return self._edge_id
 
     @property
     def n_cells(self):
@@ -303,7 +333,7 @@ class CellMesh:
 
     def edge_fan(self, e) -> Fan:
         """The :class:`Fan` of facets and cells around edge ``e``, built on first use."""
-        fan = self._fans.get(e)
+        fan = self._fans[e]
         if fan is None:
             fan = self._fans[e] = build_fan(self, e)
         return fan
@@ -391,7 +421,9 @@ class CellMesh:
 class HexMesh(CellMesh):
     """Immutable hexahedral mesh; every edge fan is built, and so checked to
     be manifold, and every hex checked to be no mirror image of its
-    neighbours, at construction."""
+    neighbours, at construction. The fans then hold the edge incidence:
+    ``edge_facets[e]`` and ``edge_cells[e]`` are ``edge_fan(e)``'s tuples,
+    in fan order."""
 
     kind = "hex"
     FACES = HEX_FACES
@@ -404,8 +436,10 @@ class HexMesh(CellMesh):
         self.hexes = np.asarray(hexes, dtype=np.int64).reshape(-1, 8)
         self.n_vertices = len(self.positions)
         super().__init__(self.hexes.tolist())
-        for e in range(self.n_edges):
-            self.edge_fan(e)
+        self._fans = fans = [build_fan(self, e) for e in range(self.n_edges)]
+        # A closed fan starts at its lowest facet, as the ascending tuples did.
+        self.edge_facets = [fan.facets for fan in fans]
+        self.edge_cells = [fan.cells for fan in fans]
         self._check_mirrors()
 
     def _check_mirrors(self):

@@ -133,14 +133,17 @@ def solve_quantization(qp: QuantizationProblem) -> dict:
 # -- geometric realization ---------------------------------------------------
 
 
-def _wall_grids(mc, ell):
-    """The grid of every wall under arc lengths ``ell``; raises VolmcError,
-    naming the arc, unless ``ell`` gives every arc an integer length >= 1."""
+def _wall_grids(mc, ell, walls=None):
+    """The grids of the wall ids ``walls`` (default: every wall), built in
+    that order, under arc lengths ``ell``; raises VolmcError, naming the arc,
+    unless ``ell`` gives every arc of the complex an integer length >= 1."""
     for a in mc.arcs:
         n = ell.get(a.id)
         if not isinstance(n, numbers.Integral) or n < 1:
             raise VolmcError(f"arc {a.id}: length {n!r} is not an integer >= 1")
-    return {w.id: _WallGrid(mc, w.id, ell) for w in mc.walls}
+    if walls is None:
+        walls = [w.id for w in mc.walls]
+    return {wid: _WallGrid(mc, wid, ell) for wid in walls}
 
 
 def _arc_point(mc, aid, t, ell):
@@ -539,8 +542,12 @@ class _QuantizedBlock:
 
 
 def reparametrize_block(mc, bid, ell) -> BlockMap:
-    """Piecewise-affine rescaling map of one block under arc lengths ``ell``."""
-    return _QuantizedBlock(mc, _wall_grids(mc, ell), bid).map
+    """Piecewise-affine rescaling map of one block under arc lengths ``ell``.
+    Only the block's own walls get grids, so a side-sum error names the
+    lowest unbalanced wall of this block."""
+    field, wall_of, cell_facets = mc.field, mc.wall_of, mc.mesh.cell_facets
+    walls = sorted({wall_of[f] for c in mc.blocks[bid].cells for f in cell_facets[c] if f in field})
+    return _QuantizedBlock(mc, _wall_grids(mc, ell, walls), bid).map
 
 
 def extract_hexmesh(mc, ell) -> HexMesh:

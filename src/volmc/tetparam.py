@@ -169,7 +169,9 @@ class ParamTetMesh(CellMesh):
         if tets:
             par = np.array([self.params[t] for t in tets])
             ids = np.array([self.tets[t] for t in tets])
-            ch.dihedral[tets], ch.octant[tets], ch.iso[tets] = _tet_rows(par, ids)
+            # A sliver's angles come out NaN, named as an error where they are read (``singular``).
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ch.dihedral[tets], ch.octant[tets], ch.iso[tets] = _tet_rows(par, ids)
         if facets:
             cells = [self.facet_cells[f] for f in facets]
             ids = np.array([[self.tets[c] for c in cs] for cs in cells])

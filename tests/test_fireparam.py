@@ -100,7 +100,7 @@ def test_split_of_a_tagged_facet_is_a_named_error():
         trace_param(_sanitized_notch(2, 0), seed=0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_angle_sum_is_a_named_error():
     """On notch3 with noise seed 1 a split leaves a sliver tet whose
     dihedral angles are NaN; the edge's singularity test names the edge."""

@@ -13,7 +13,7 @@ from conftest import FIXTURE_BUILDERS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volmc import synth
+from volmc import quantize, synth
 from volmc.cellcomplex import check_grid_blocks, motorcycle_complex, reduce_complex
 from volmc.errors import IntegrityError, MeshError, VolmcError
 from volmc.quantize import (
@@ -440,3 +440,30 @@ def test_unbalanced_lengths_are_refused(complexes):
     ell[0] += 1
     with pytest.raises(IntegrityError, match="^wall 0: opposite side sums differ under quantization$"):
         extract_hexmesh(red, ell)
+
+
+@pytest.mark.parametrize("name", ["pie5", "notch"])
+def test_block_map_builds_only_its_own_wall_grids(complexes, monkeypatch, name):
+    """``reparametrize_block`` builds the grid of each wall that bounds its
+    block, in wall id order, and no other; the map equals the one made from
+    the grids of every wall."""
+    red = reduce_complex(complexes[name], mode="regular")
+    ell = solve_quantization(build_ip(red, 2.0))
+    every = quantize._wall_grids(red, ell)
+    built = []
+
+    class CountedGrid(quantize._WallGrid):
+        def __init__(self, mc, wid, ell):
+            built.append(wid)
+            super().__init__(mc, wid, ell)
+
+    monkeypatch.setattr(quantize, "_WallGrid", CountedGrid)
+    for b in red.blocks:
+        built.clear()
+        bm = reparametrize_block(red, b.id, ell)
+        bounding = sorted({red.wall_of[f] for f in red.field
+                           if not b.cells.isdisjoint(red.mesh.facet_cells[f])})
+        assert built == bounding and len(built) < len(red.walls)
+        ref = quantize._QuantizedBlock(red, every, b.id).map
+        assert (bm.dims, bm.new_dims) == (ref.dims, ref.new_dims)
+        assert np.array_equal(bm.orig, ref.orig) and np.array_equal(bm.new, ref.new)

@@ -14,8 +14,12 @@ each is ``hex_to_param(notched_box_mesh(n))``. Three stages are timed:
   time the same work.
 
 Hex ladder: rungs n = 120, 400, 1000, the blob ``random_glued_cubes(3, n)``
-traced with ``trace_hex(hm, seed=0)`` (untimed). Nine stages are timed:
+traced with ``trace_hex(hm, seed=0)`` (untimed). Ten stages are timed:
 
+- hexmesh: ``HexMesh(positions, hexes)`` of the blob, the connectivity
+  build. A second, untimed build runs under ``tracemalloc``: the bytes it
+  keeps allocated, per hex, are the per-rung fact
+  ``hexmesh_bytes_per_hex``, which does not vary between runs;
 - extract: ``extract_complex`` of the traced field;
 - split tori: ``split_tori`` of the extracted complex (the raw complex),
   which counts the corners of every block;
@@ -42,7 +46,8 @@ traced with ``trace_hex(hm, seed=0)`` (untimed). Nine stages are timed:
   s = 2 lengths of the stage before (a run that raises records the
   exception's type name);
 
-with the raw, fully reduced and base block counts, the regular complex's
+with the connectivity's bytes per hex, the raw, fully reduced and base
+block counts, the regular complex's
 arc count, the quantization objective at each scale, and the number of
 hexes that ``extract_hexmesh`` outputs with a sha256 of its positions and
 hexes (``quantized_hexes``, ``quantized_sha256``; equal across trees when
@@ -133,13 +138,14 @@ print(json.dumps({"tets": pm.n_cells, "sanitize_s": sanitize_s,
 
 # Runs in the child process: argv = [src dir, n].
 HEX_CHILD = r"""
-import gc, hashlib, json, signal, sys, time
+import gc, hashlib, json, signal, sys, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
 import scipy.optimize  # imported before timing, so the quantize stage times the solve only
 from volmc import synth
 from volmc.cellcomplex import (base_complex, check_grid_blocks, extract_complex,
                                reduce_complex, split_tori)
 from volmc.firehex import trace_hex
+from volmc.hexmesh import HexMesh
 from volmc.quantize import build_ip, extract_hexmesh, solve_quantization
 
 
@@ -150,8 +156,18 @@ def start():
 
 
 hm = synth.random_glued_cubes(3, int(sys.argv[2]))
-field = trace_hex(hm, seed=0)
 out = {"hexes": hm.n_cells}
+t0 = start()
+built = HexMesh(hm.positions, hm.hexes)
+out["hexmesh_s"] = time.perf_counter() - t0
+del built
+gc.collect()
+tracemalloc.start()
+built = HexMesh(hm.positions, hm.hexes)
+out["hexmesh_bytes_per_hex"] = round(tracemalloc.get_traced_memory()[0] / hm.n_cells)
+tracemalloc.stop()
+del built
+field = trace_hex(hm, seed=0)
 t0 = start()
 mc = extract_complex(hm, field)
 out["extract_s"] = time.perf_counter() - t0
@@ -213,10 +229,12 @@ LADDERS = {
     "tet": (CHILD, (4, 6, 8), ("sanitize_s", "trace_extract_s", "hexmesh_s"), "tets",
             ("blocks", "hexes", "sanitized_sha256")),
     "hex": (HEX_CHILD, (120, 400, 1000),
-            ("extract_s", "split_tori_s", "reduce_full_s", "link_s", "base_complex_s",
-             "grid_oracle_s", "quantize_1.5_s", "quantize_2_s", "extract_hexmesh_s"), "hexes",
-            ("raw_blocks", "full_blocks", "base_blocks", "regular_arcs", "objective_1.5",
-             "objective_2", "quantized_hexes", "quantized_sha256")),
+            ("hexmesh_s", "extract_s", "split_tori_s", "reduce_full_s", "link_s",
+             "base_complex_s", "grid_oracle_s", "quantize_1.5_s", "quantize_2_s",
+             "extract_hexmesh_s"), "hexes",
+            ("hexmesh_bytes_per_hex", "raw_blocks", "full_blocks", "base_blocks",
+             "regular_arcs", "objective_1.5", "objective_2", "quantized_hexes",
+             "quantized_sha256")),
 }
 RUNS = 3
 
@@ -287,7 +305,10 @@ def main(argv=None):
                          "before timing",
         },
         "hex_ladder": "random_glued_cubes(3, n), traced by trace_hex(hm, seed=0)",
+        "hexmesh_bytes_per_hex": "bytes that tracemalloc counts as kept by one more "
+                                 "HexMesh(positions, hexes) of the blob, per hex",
         "hex_stages": {
+            "hexmesh_s": "HexMesh(positions, hexes) of the blob",
             "extract_s": "extract_complex of the traced field",
             "split_tori_s": "split_tori of the extracted complex",
             "reduce_full_s": "reduce_complex(split_tori(raw), mode='full')",
