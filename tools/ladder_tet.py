@@ -47,8 +47,8 @@ traced with ``trace_hex(hm, seed=0)`` (untimed). Ten stages are timed:
   exception's type name);
 
 with the connectivity's bytes per hex, the raw, fully reduced and base
-block counts, the regular complex's
-arc count, the quantization objective at each scale, and the number of
+block counts, the regular complex's arc count, the quantization objective
+at each scale, and the number of
 hexes that ``extract_hexmesh`` outputs with a sha256 of its positions and
 hexes (``quantized_hexes``, ``quantized_sha256``; equal across trees when
 the outputs are equal).
